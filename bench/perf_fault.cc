@@ -1,9 +1,10 @@
 // Fault-point overhead benchmark: what do the compiled-in fault sites cost
 // the serve hot path when nothing is being injected? Three states of the
-// same serving point (m=20, batch=16, cache on, 1 thread):
+// same serving point (m=20, batch=16, 1 thread):
 //
-//   serve/fault:off    no injector installed — a site is one relaxed atomic
-//                      load and a predicted branch (the production default);
+//   serve/fault:off    no injector installed — a site is one acquire atomic
+//                      load (a plain load on x86) and a predicted branch (the
+//                      production default);
 //   serve/fault:on     an injector armed with a plan that does NOT mention
 //                      serve.query — the site additionally pays the 64-bit
 //                      bloom-mask test and rejects;

@@ -1,13 +1,11 @@
 // Serving-throughput benchmark for the sharded query engine: closed-loop
 // QPS and latency percentiles of fresh-realization top-m queries on a
 // 100k-page corpus, swept over worker threads, shard counts, the degree of
-// randomization r, ServeBatch batch sizes, the per-epoch prefix cache
-// (on/off ablation), the policy families, and the Plackett-Luce alias-table
-// epoch state (serve/pl_alias:{on,off} plus a 2x-corpus pl_largen point),
-// plus one async BatchQueue point and an observability-overhead ablation
-// (serve/obs:{on,off} — identical point with and without the metrics
-// registry + sampled tracing attached; the `on` row's qps_vs_off ratio is
-// gated >= 0.95 by tools/check_bench.py).
+// randomization r, ServeBatch batch sizes, and the policy families (plus a
+// 2x-corpus Plackett-Luce pl_largen point), plus one async BatchQueue point
+// and an observability-overhead ablation (serve/obs:{on,off} — identical
+// point with and without the metrics registry + sampled tracing attached;
+// the `on` row's qps_vs_off ratio is gated >= 0.95 by tools/check_bench.py).
 //
 // Output: the standard counter-benchmark table, a paper-style series table,
 // and one JSON line per data point (for the per-commit perf trajectory; see
@@ -16,9 +14,7 @@
 // sweep reports `scaling_vs_1thread`; on multi-core hardware the 8-thread
 // row is expected to reach >= 4x the 1-thread QPS (on a single-core CI
 // runner it degenerates to ~1x, which the JSON records honestly via the
-// `hw_threads` field). The cache ablation reports `speedup_vs_percall`:
-// batched+cached serving is expected to clear 2x the per-query uncached
-// (PR-1) path at m=20, S=8.
+// `hw_threads` field).
 
 #include <benchmark/benchmark.h>
 
@@ -42,7 +38,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/epoch_prefix_cache.h"
 #include "serve/feedback.h"
 #include "serve/query_workload.h"
 #include "serve/sharded_rank_server.h"
@@ -82,7 +77,6 @@ struct PointConfig {
   size_t queries_per_thread = 1000;
   size_t top_m = 10;
   size_t batch = 1;
-  bool cache = true;
   bool async = false;
   /// Corpus size this point ran against; 0 means the shared default corpus
   /// (kPages). Points on a different corpus (serve/pl_largen) set it so
@@ -102,7 +96,6 @@ WorkloadResult MeasurePoint(const Corpus& corpus, const PointConfig& p) {
   ServeOptions opts;
   opts.shards = p.shards;
   opts.seed = 0xbe9cULL + p.shards * 131 + p.threads;
-  opts.enable_prefix_cache = p.cache;
   opts.metrics = p.metrics;
   opts.trace = p.trace;
   const std::shared_ptr<const StochasticRankingPolicy> policy =
@@ -124,66 +117,73 @@ WorkloadResult MeasurePoint(const Corpus& corpus, const PointConfig& p) {
   return RunQueryWorkload(server, wl);
 }
 
-/// Distribution-equivalence check shipped with the perf run: the cached and
-/// uncached serve paths must realize the same law. Statistic: the number of
-/// pool pages in a served top-m (a categorical in 0..m), compared across the
-/// two paths with the two-sample chi-squared test; plus an exact check that
-/// the cached global deterministic order equals the per-query S-way merge
-/// output under r=0. CI fails on drift via tools/check_bench.py.
+/// Distribution-equivalence check shipped with the perf run: the server
+/// must realize the law of Ranker::MaterializeList over the same page state.
+/// Statistic: the number of pool pages in a served top-m (a categorical in
+/// 0..m), compared with the reference's by the two-sample chi-squared test;
+/// plus an exact check that the r=0 full served list is the Ranker's
+/// deterministic order. CI fails on drift via tools/check_bench.py.
 std::map<std::string, double> EquivalenceCheck(size_t trials) {
   const size_t n = 2000;
   const size_t m = 20;
   const Corpus corpus = MakeCorpus(n, 0.2, 7);
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
+  const auto tally = [&](const std::vector<uint32_t>& list,
+                         std::vector<double>* pool_counts) {
+    size_t pool_hits = 0;
+    for (size_t j = 0; j < m; ++j) pool_hits += corpus.zero[list[j]];
+    (*pool_counts)[pool_hits] += 1.0;
+  };
 
-  const auto run = [&](bool cache, std::vector<double>* pool_counts) {
+  // Fixed seeds freeze one draw of the test statistic; this pair is
+  // verified non-rejecting at both the smoke and full trial counts (the
+  // statistic's false-positive rate is ~1e-3, so an arbitrary frozen pair
+  // can land on a deterministic "drift").
+  std::vector<double> served(m + 1, 0.0);
+  {
     ServeOptions opts;
     opts.shards = 8;
-    // Fixed seeds freeze one draw of the test statistic; this pair is
-    // verified non-rejecting at both the smoke and full trial counts (the
-    // statistic's false-positive rate is ~1e-3, so an arbitrary frozen pair
-    // can land on a deterministic "drift").
-    opts.seed = cache ? 1000ULL : 1001ULL;
-    opts.enable_prefix_cache = cache;
+    opts.seed = 1000;
     ShardedRankServer server(config, n, opts);
     server.Update(corpus.popularity, corpus.zero, corpus.birth);
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
-    pool_counts->assign(m + 1, 0.0);
     for (size_t t = 0; t < trials; ++t) {
       server.ServeTopM(ctx, m, &out);
-      size_t pool_hits = 0;
-      for (const uint32_t page : out) pool_hits += corpus.zero[page];
-      (*pool_counts)[pool_hits] += 1.0;
+      tally(out, &served);
     }
-  };
-  std::vector<double> cached;
-  std::vector<double> uncached;
-  run(true, &cached);
-  run(false, &uncached);
+  }
+  std::vector<double> reference(m + 1, 0.0);
+  {
+    Ranker ranker(config);
+    Rng rng(1001);
+    ranker.Update(corpus.popularity, corpus.zero, corpus.birth, rng);
+    for (size_t t = 0; t < trials; ++t) {
+      tally(ranker.MaterializeList(rng), &reference);
+    }
+  }
 
   // The binomial tail cells are too sparse for the asymptotic chi-squared
   // distribution; merge until every cell carries real mass.
-  MergeSparseCells(&cached, &uncached, 32.0);
+  MergeSparseCells(&served, &reference, 32.0);
   size_t df = 0;
-  const double chi2 = TwoSampleChiSquared(cached, uncached, &df);
+  const double chi2 = TwoSampleChiSquared(served, reference, &df);
   const double critical = ChiSquaredCritical(df > 0 ? df : 1, 0.001);
 
-  // Exact check: under r=0 both paths must emit the identical full list.
+  // Exact check: under r=0 the served full list is the global sort.
   bool det_exact = true;
   {
-    std::vector<uint32_t> a;
-    std::vector<uint32_t> b;
-    for (const bool cache : {true, false}) {
-      ServeOptions opts;
-      opts.shards = 8;
-      opts.enable_prefix_cache = cache;
-      ShardedRankServer server(RankPromotionConfig::None(), n, opts);
-      server.Update(corpus.popularity, corpus.zero, corpus.birth);
-      auto ctx = server.CreateContext();
-      server.ServeTopM(ctx, n, cache ? &a : &b);
-    }
-    det_exact = (a == b);
+    ServeOptions opts;
+    opts.shards = 8;
+    ShardedRankServer server(RankPromotionConfig::None(), n, opts);
+    server.Update(corpus.popularity, corpus.zero, corpus.birth);
+    auto ctx = server.CreateContext();
+    std::vector<uint32_t> out;
+    server.ServeTopM(ctx, n, &out);
+    Ranker ranker(RankPromotionConfig::None());
+    Rng rng(0);
+    ranker.Update(corpus.popularity, corpus.zero, corpus.birth, rng);
+    det_exact = (out == ranker.deterministic_order());
   }
 
   return {{"trials", static_cast<double>(trials)},
@@ -212,8 +212,7 @@ int main(int argc, char** argv) {
   bench::PrintBanner(
       "perf_serve", "sharded serving engine: QPS and latency of top-m queries",
       "QPS scales with worker threads (>= 4x from 1 -> 8 on >= 8 cores); "
-      "epoch prefix cache + batching >= 2x the per-query uncached path at "
-      "m=20, S=8; latency stays flat in r because resolution is O(m)");
+      "latency stays flat in r because resolution is O(m)");
 
   const size_t kPages = smoke ? 5000 : 100000;
   const Corpus corpus = MakeCorpus(kPages, 0.1, 42);
@@ -221,7 +220,7 @@ int main(int argc, char** argv) {
   const double hw = static_cast<double>(std::thread::hardware_concurrency());
 
   bench::JsonlSink sink;
-  Table table({"sweep", "threads", "shards", "r", "m", "batch", "cache", "QPS",
+  Table table({"sweep", "threads", "shards", "r", "m", "batch", "QPS",
                "p50 (us)", "p99 (us)", "note"});
 
   const auto emit = [&](const std::string& name, const PointConfig& p,
@@ -234,7 +233,6 @@ int main(int argc, char** argv) {
         {"r", p.r},
         {"m", static_cast<double>(p.top_m)},
         {"batch", static_cast<double>(p.batch)},
-        {"cache", p.cache ? 1.0 : 0.0},
         {"async", p.async ? 1.0 : 0.0},
         {"pages", static_cast<double>(p.pages > 0 ? p.pages : kPages)},
         {"qps", res.qps},
@@ -251,7 +249,6 @@ int main(int argc, char** argv) {
         .Cell(p.r, 2)
         .Cell(static_cast<long long>(p.top_m))
         .Cell(static_cast<long long>(p.batch))
-        .Cell(p.cache ? "on" : "off")
         .Cell(res.qps, 0)
         .Cell(res.p50_latency_us, 1)
         .Cell(res.p99_latency_us, 1)
@@ -301,26 +298,6 @@ int main(int argc, char** argv) {
     emit("serve/batch:" + std::to_string(batch), p, res, {}, "batch", "");
   }
 
-  // Cache ablation at m=20, S=8: (cache off, batch 1) is the PR-1 per-query
-  // path; (cache on, batch 16) is the batched+cached path the acceptance
-  // criterion measures (>= 2x).
-  double qps_percall = 0.0;
-  for (const auto& [cache, batch] : std::vector<std::pair<bool, size_t>>{
-           {false, 1}, {false, 16}, {true, 1}, {true, 16}}) {
-    PointConfig p;
-    p.top_m = 20;
-    p.batch = batch;
-    p.cache = cache;
-    p.queries_per_thread = kQueriesPerThread;
-    const WorkloadResult res = MeasurePoint(corpus, p);
-    if (!cache && batch == 1) qps_percall = res.qps;
-    const double speedup = qps_percall > 0.0 ? res.qps / qps_percall : 0.0;
-    emit(std::string("serve/cache:") + (cache ? "on" : "off") +
-             "/batch:" + std::to_string(batch),
-         p, res, {{"speedup_vs_percall", speedup}}, "cache",
-         "x" + FormatFixed(speedup, 2) + " vs uncached b=1");
-  }
-
   // Async submission queue: producers pipeline windows of futures into the
   // MPSC queue; one consumer serves ServeBatch runs. Queue health — depth,
   // realized batch size, drain causes, queue-wait percentiles — now rides
@@ -345,7 +322,7 @@ int main(int argc, char** argv) {
     emit("serve/async:16", p, res, std::move(extra), "async", "MPSC queue");
   }
 
-  // Observability-overhead ablation at m=20, batch=16, cache on: the same
+  // Observability-overhead ablation at m=20, batch=16: the same
   // point served bare and with the full obs attachment (registry histograms
   // on every query + 1-in-64 sampled trace spans). The instrumented path's
   // cost is two FastNowNs stamps and two relaxed fetch_adds per query, so
@@ -473,7 +450,6 @@ int main(int argc, char** argv) {
         .Cell(0.1, 2)
         .Cell("")
         .Cell("")
-        .Cell("on")
         .Cell(fields.at("qps"), 0)
         .Cell(fields.at("p50_us"), 1)
         .Cell(fields.at("p99_us"), 1)
@@ -482,54 +458,15 @@ int main(int argc, char** argv) {
 
   // Policy-family sweep: one point per shipped ranking family, keyed by the
   // policy's label (MakePolicyFromLabel inverts it, so tools can map a
-  // bench name back to the exact policy). A family serves at full quota
-  // when some path gives it O(m)-per-query prefixes — the lazy merge, or
-  // per-epoch state behind the cache (Plackett-Luce's alias table);
-  // otherwise it pays O(n) per query by design and runs a reduced quota so
-  // the sweep stays bounded, its QPS rows honest about the cost.
-  const auto policy_quota = [&](const StochasticRankingPolicy& policy,
-                                bool cache) {
-    const PolicyCapabilities caps = policy.Capabilities();
-    return caps.lazy_prefix || (cache && caps.epoch_state)
-               ? kQueriesPerThread
-               : std::max<size_t>(200, kQueriesPerThread / 20);
-  };
+  // bench name back to the exact policy).
   for (const auto& policy : StandardPolicyFamilies()) {
     PointConfig p;
     p.top_m = 20;
     p.policy = policy;
-    p.cache = policy->Capabilities().epoch_state;
-    p.queries_per_thread = policy_quota(*policy, p.cache);
+    p.queries_per_thread = kQueriesPerThread;
     const WorkloadResult res = MeasurePoint(corpus, p);
-    emit("serve/policy:" + policy->Label(), p, res,
-         {{"lazy_prefix", policy->Capabilities().lazy_prefix ? 1.0 : 0.0}},
-         "policy", policy->Label());
-  }
-
-  // Plackett-Luce alias-table ablation at m=20, S=8 on the full corpus
-  // (n=100k in the full run): `off` disables the epoch cache, so every
-  // query pays the O(n) Gumbel-max draw (the PR-3 path); `on` serves
-  // through the per-epoch alias table — O(m) expected draws per query.
-  // The acceptance criterion is >= 3x QPS on this pair, recorded as
-  // `speedup_vs_gumbel` and gated hardware-independently by
-  // tools/check_bench.py (alias_ablation coverage).
-  {
-    const auto pl = MakePlackettLucePolicy(0.05);
-    double qps_gumbel = 0.0;
-    for (const bool alias_on : {false, true}) {
-      PointConfig p;
-      p.top_m = 20;
-      p.policy = pl;
-      p.cache = alias_on;
-      p.queries_per_thread = policy_quota(*pl, alias_on);
-      const WorkloadResult res = MeasurePoint(corpus, p);
-      if (!alias_on) qps_gumbel = res.qps;
-      const double speedup = qps_gumbel > 0.0 ? res.qps / qps_gumbel : 0.0;
-      emit(std::string("serve/pl_alias:") + (alias_on ? "on" : "off"), p, res,
-           {{"speedup_vs_gumbel", speedup}}, "pl_alias",
-           alias_on ? "x" + FormatFixed(speedup, 2) + " vs gumbel"
-                    : "O(n) gumbel");
-    }
+    emit("serve/policy:" + policy->Label(), p, res, {}, "policy",
+         policy->Label());
   }
 
   // Large-n Plackett-Luce point: double the corpus. With the alias table
@@ -542,16 +479,15 @@ int main(int argc, char** argv) {
     PointConfig p;
     p.top_m = 20;
     p.policy = pl;
-    p.cache = true;
     p.pages = kLargePages;
-    p.queries_per_thread = policy_quota(*pl, true);
+    p.queries_per_thread = kQueriesPerThread;
     const WorkloadResult res = MeasurePoint(large, p);
     emit("serve/pl_largen:" + pl->Label(), p, res, {}, "pl_largen",
          "n=" + std::to_string(kLargePages));
   }
 
-  // Cached-vs-uncached distribution equivalence, shipped with every perf
-  // run so the regression gate also catches statistical drift.
+  // Serve-vs-MaterializeList distribution equivalence, shipped with every
+  // perf run so the regression gate also catches statistical drift.
   {
     const auto fields = EquivalenceCheck(smoke ? 4000 : 20000);
     bench::RegisterCounterBenchmark("serve/equivalence", fields);
@@ -565,7 +501,6 @@ int main(int argc, char** argv) {
         .Cell(0.3, 2)
         .Cell(static_cast<long long>(20))
         .Cell("")
-        .Cell("both")
         .Cell("")
         .Cell("")
         .Cell("")

@@ -6,16 +6,6 @@
 
 namespace randrank {
 
-namespace {
-
-/// Per-epoch state: the merged order's protected head, ready to memcpy.
-class EpsilonTailEpochState final : public PolicyEpochState {
- public:
-  std::vector<uint32_t> head;
-};
-
-}  // namespace
-
 std::string EpsilonTailPolicy::Label() const {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "eps-tail(eps=%.2f,k=%zu)", epsilon_,
@@ -38,108 +28,27 @@ bool EpsilonTailPolicy::ParseLabel(const std::string& label, double* epsilon,
   return true;
 }
 
-std::shared_ptr<const PolicyEpochState> EpsilonTailPolicy::BuildEpochState(
-    const ShardView& global) const {
-  const size_t head_size = std::min(protect_, global.det_size);
-  if (head_size == 0) return nullptr;
-  auto state = std::make_shared<EpsilonTailEpochState>();
-  state->head.assign(global.det, global.det + head_size);
-  return state;
-}
-
 size_t EpsilonTailPolicy::ServePrefix(const ShardView* views, size_t num_views,
                                       const PolicyEpochState* epoch_state,
                                       PolicyScratch& scratch, size_t m,
                                       Rng& rng,
                                       std::vector<uint32_t>* out) const {
-  if (epoch_state != nullptr) {
-    assert(num_views == 1 &&
-           "epoch state is built over the single pre-merged global view");
-    const auto* state = static_cast<const EpsilonTailEpochState*>(epoch_state);
-    return ServeCachedHead(views[0], state->head, scratch, m, rng, out);
-  }
-  scratch.cursors.resize(num_views);
-  size_t total = 0;
-  for (size_t v = 0; v < num_views; ++v) {
-    scratch.cursors[v] = 0;
-    total += views[v].det_size;
-  }
-  const size_t count = std::min(m, total);
-  scratch.emitted.clear();
-
-  // Uniform exploration draws are rejection-sampled against the pages the
-  // uniform branch already served; the exploitation branch advances the
-  // per-view cursors past those pages and drops them from the set, so the
-  // set (and with it the rejection rate) stays small while m << n.
-  auto skip_emitted = [&](size_t v) {
-    const ShardView& view = views[v];
-    size_t& c = scratch.cursors[v];
-    while (c < view.det_size && scratch.emitted.erase(view.det[c]) > 0) ++c;
-  };
-
-  size_t det_remaining = total;  // pages not yet served, any branch
-  auto next_best = [&]() -> uint32_t {
-    for (size_t v = 0; v < num_views; ++v) skip_emitted(v);
-    const size_t best = BestViewHead(views, scratch.cursors.data(), num_views);
-    assert(best < num_views);
-    --det_remaining;
-    return views[best].det[scratch.cursors[best]++];
-  };
-  auto next_uniform = [&]() -> uint32_t {
-    // The candidate span is every view's [cursor, det_size); the emitted
-    // set is a subset of the span, so rejecting emitted pages draws
-    // uniformly over the remaining ones.
-    for (;;) {
-      size_t span = 0;
-      for (size_t v = 0; v < num_views; ++v) {
-        span += views[v].det_size - scratch.cursors[v];
-      }
-      uint64_t t = rng.NextIndex(span);
-      size_t v = 0;
-      while (t >= views[v].det_size - scratch.cursors[v]) {
-        t -= views[v].det_size - scratch.cursors[v];
-        ++v;
-      }
-      const uint32_t page =
-          views[v].det[scratch.cursors[v] + static_cast<size_t>(t)];
-      if (scratch.emitted.insert(page).second) {
-        --det_remaining;
-        return page;
-      }
-    }
-  };
-
-  size_t appended = 0;
-  const size_t protected_prefix = std::min(protect_, count);
-  while (appended < protected_prefix) {
-    out->push_back(next_best());
-    ++appended;
-  }
-  while (appended < count) {
-    const bool explore = det_remaining > 0 && rng.NextBernoulli(epsilon_);
-    out->push_back(explore ? next_uniform() : next_best());
-    ++appended;
-  }
-  return count;
-}
-
-size_t EpsilonTailPolicy::ServeCachedHead(const ShardView& view,
-                                          const std::vector<uint32_t>& head,
-                                          PolicyScratch& scratch, size_t m,
-                                          Rng& rng,
-                                          std::vector<uint32_t>* out) const {
+  assert(num_views == 1 && "ServePrefix takes the one pre-merged view");
+  (void)num_views;
+  (void)epoch_state;  // stateless: the head is a prefix of view.det
+  const ShardView& view = views[0];
   const size_t n = view.det_size;
   const size_t count = std::min(m, n);
 
-  // Deterministic head: one bulk copy from the per-epoch cache, no Rng, no
-  // cursor machinery. The head is a prefix of `view.det`, so the cursor
-  // below starts right after it.
-  const size_t head_count = std::min(head.size(), count);
-  out->insert(out->end(), head.begin(),
-              head.begin() + static_cast<ptrdiff_t>(head_count));
+  // Deterministic head: one bulk copy of the merged order's top slots, no
+  // Rng. The cursor below starts right after it.
+  const size_t head_count = std::min(protect_, count);
+  out->insert(out->end(), view.det, view.det + head_count);
 
-  // Tail: identical Rng law (and draw sequence) as the generic multi-view
-  // path, specialized to one view — the cursor walk replaces BestViewHead.
+  // Tail: uniform exploration draws are rejection-sampled against the pages
+  // the uniform branch already served; the exploitation branch advances the
+  // cursor past those pages and drops them from the set, so the set (and
+  // with it the rejection rate) stays small while m << n.
   scratch.emitted.clear();
   size_t cursor = head_count;
   auto skip_emitted = [&]() {

@@ -17,12 +17,11 @@ namespace randrank {
 /// pool, so its stochastic state is empty: every page lives on the
 /// deterministic list and the randomness is entirely in the realization.
 ///
-/// Capabilities: prefix realizations are O(m) expected (rejection sampling
-/// against the already-served set; the fill fraction a prefix can reach is
-/// bounded, so rejections stay O(1) amortized until m approaches n, where
-/// the expected total degrades gracefully to O(n log n)). The per-epoch
-/// global order is exactly the reusable invariant, so the epoch prefix
-/// cache applies; sharded serving interleaves by the global key.
+/// Prefix realizations are O(m) expected (rejection sampling against the
+/// already-served set; the fill fraction a prefix can reach is bounded, so
+/// rejections stay O(1) amortized until m approaches n, where the expected
+/// total degrades gracefully to O(n log n)). The family keeps no epoch
+/// state: the protected head is a prefix of the merged order itself.
 class EpsilonTailPolicy final : public StochasticRankingPolicy {
  public:
   EpsilonTailPolicy(double epsilon, size_t protect)
@@ -30,11 +29,7 @@ class EpsilonTailPolicy final : public StochasticRankingPolicy {
 
   std::string Label() const override;
   PolicyCapabilities Capabilities() const override {
-    return {.lazy_prefix = true,
-            .epoch_state = true,
-            .sharded_merge = true,
-            .agent_sim = false,
-            .mean_field = false};
+    return {.agent_sim = false, .mean_field = false};
   }
   bool Valid() const override {
     return epsilon_ >= 0.0 && epsilon_ <= 1.0;
@@ -48,13 +43,6 @@ class EpsilonTailPolicy final : public StochasticRankingPolicy {
     return false;
   }
   size_t ProtectedPrefix() const override { return protect_; }
-
-  /// Per-epoch state: the deterministic top-min(protect, n) head, copied
-  /// out of the merged order so the protected prefix of every query is one
-  /// memcpy; the tail index is the merged order itself (already sorted in
-  /// the view), so only the epsilon-explored slots draw randomness.
-  std::shared_ptr<const PolicyEpochState> BuildEpochState(
-      const ShardView& global) const override;
 
   size_t ServePrefix(const ShardView* views, size_t num_views,
                      const PolicyEpochState* epoch_state,
@@ -74,13 +62,6 @@ class EpsilonTailPolicy final : public StochasticRankingPolicy {
   size_t protect() const { return protect_; }
 
  private:
-  /// Single-view fast path against the cached head (same Rng law as the
-  /// generic path — the head slots draw no randomness either way).
-  size_t ServeCachedHead(const ShardView& view,
-                         const std::vector<uint32_t>& head,
-                         PolicyScratch& scratch, size_t m, Rng& rng,
-                         std::vector<uint32_t>* out) const;
-
   double epsilon_;
   size_t protect_;
 };

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/alias_table.h"
+
 namespace randrank {
 
 namespace {
@@ -74,48 +76,41 @@ size_t PlackettLucePolicy::ServePrefix(const ShardView* views,
                                        PolicyScratch& scratch, size_t m,
                                        Rng& rng,
                                        std::vector<uint32_t>* out) const {
-  if (epoch_state != nullptr) {
-    assert(num_views == 1 &&
-           "epoch state is built over the single pre-merged global view");
-    const auto* state = static_cast<const PlackettLuceEpochState*>(epoch_state);
-    assert(state->table.size() == views[0].det_size);
-    return ServeAlias(views[0], state->table, scratch, m, rng, out);
-  }
-  return ServeGumbel(views, num_views, scratch, m, rng, out);
-}
-
-size_t PlackettLucePolicy::ServeAlias(const ShardView& view,
-                                      const AliasTable& table,
-                                      PolicyScratch& scratch, size_t m,
-                                      Rng& rng,
-                                      std::vector<uint32_t>* out) const {
+  assert(num_views == 1 && "ServePrefix takes the one pre-merged view");
+  (void)num_views;
+  const ShardView& view = views[0];
   const size_t n = view.det_size;
   const size_t count = std::min(m, n);
   if (count == 0) return 0;
+  assert(view.det_score != nullptr);
 
   // Drawing from the *unconditional* softmax and rejecting already-served
   // pages realizes exactly sequential softmax sampling without replacement
-  // (the rejected draws are uniform noise over the served mass), so this
-  // path and the Gumbel path share one law. Expected attempts per slot are
-  // 1/(1 - served_mass): O(1) while the served prefix holds a bounded share
-  // of the softmax mass, i.e. O(m) expected per query for m << n at sane
-  // temperatures.
+  // (the rejected draws are uniform noise over the served mass). Expected
+  // attempts per slot are 1/(1 - served_mass): O(1) while the served prefix
+  // holds a bounded share of the softmax mass, i.e. O(m) expected per query
+  // for m << n at sane temperatures.
   //
   // The cap bounds the degenerate regimes (tiny T concentrating the mass on
   // a handful of pages, or m -> n) where served_mass -> 1 and the rejection
   // loop would otherwise be unbounded: after O(log n) failed attempts the
   // remainder of the query falls back to Gumbel-max over the not-yet-served
   // pages — the exact conditional law — so a query never costs more than
-  // the pre-alias O(n log n) path.
+  // O(n log n). Without an alias table the fallback serves every slot.
+  const AliasTable* table =
+      epoch_state != nullptr
+          ? &static_cast<const PlackettLuceEpochState*>(epoch_state)->table
+          : nullptr;
+  assert(table == nullptr || table->size() == n);
   size_t max_attempts = 16;
   for (size_t span = n; span > 0; span >>= 1) max_attempts += 4;
 
   scratch.emitted.clear();
   size_t appended = 0;
-  while (appended < count) {
+  while (table != nullptr && appended < count) {
     bool served = false;
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      const size_t idx = table.Sample(rng);
+      const size_t idx = table->Sample(rng);
       if (scratch.emitted.insert(view.det[idx]).second) {
         out->push_back(view.det[idx]);
         ++appended;
@@ -127,9 +122,10 @@ size_t PlackettLucePolicy::ServeAlias(const ShardView& view,
   }
   if (appended == count) return count;
 
-  // Fallback: Gumbel-max over the pages not yet served. Conditioning a
-  // Plackett-Luce realization on its first `appended` entries leaves a
-  // Plackett-Luce law over the remainder, which Gumbel-max samples exactly.
+  // Fallback: Gumbel-max over the pages not yet served — one perturbed key
+  // per page, top keys descending. Conditioning a Plackett-Luce realization
+  // on its first `appended` entries leaves a Plackett-Luce law over the
+  // remainder, which Gumbel-max samples exactly.
   scratch.keyed.clear();
   scratch.keyed.reserve(n - appended);
   for (size_t j = 0; j < n; ++j) {
@@ -138,6 +134,8 @@ size_t PlackettLucePolicy::ServeAlias(const ShardView& view,
         view.det_score[j] / temperature_ + NextGumbel(rng), view.det[j]);
   }
   const size_t rest = count - appended;
+  // Ties have probability zero in exact arithmetic; break them by page id so
+  // floating-point collisions stay deterministic.
   const auto better = [](const std::pair<double, uint32_t>& a,
                          const std::pair<double, uint32_t>& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -154,52 +152,10 @@ size_t PlackettLucePolicy::ServeAlias(const ShardView& view,
   return count;
 }
 
-size_t PlackettLucePolicy::ServeGumbel(const ShardView* views,
-                                       size_t num_views, PolicyScratch& scratch,
-                                       size_t m, Rng& rng,
-                                       std::vector<uint32_t>* out) const {
-  size_t total = 0;
-  for (size_t v = 0; v < num_views; ++v) {
-    assert(views[v].det_score != nullptr);
-    total += views[v].det_size;
-  }
-  const size_t count = std::min(m, total);
-  if (count == 0) return 0;
-
-  // Gumbel-max: one perturbed key per page, top-`count` keys descending.
-  // Key order is independent of generation order, so shard views need no
-  // interleaving — stream them in sequence.
-  scratch.keyed.clear();
-  scratch.keyed.reserve(total);
-  for (size_t v = 0; v < num_views; ++v) {
-    const ShardView& view = views[v];
-    for (size_t j = 0; j < view.det_size; ++j) {
-      scratch.keyed.emplace_back(
-          view.det_score[j] / temperature_ + NextGumbel(rng), view.det[j]);
-    }
-  }
-  // Ties have probability zero in exact arithmetic; break them by page id so
-  // floating-point collisions stay deterministic.
-  const auto better = [](const std::pair<double, uint32_t>& a,
-                         const std::pair<double, uint32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  if (count < total) {
-    std::nth_element(scratch.keyed.begin(),
-                     scratch.keyed.begin() + static_cast<ptrdiff_t>(count - 1),
-                     scratch.keyed.end(), better);
-  }
-  std::sort(scratch.keyed.begin(),
-            scratch.keyed.begin() + static_cast<ptrdiff_t>(count), better);
-  for (size_t j = 0; j < count; ++j) out->push_back(scratch.keyed[j].second);
-  return count;
-}
-
 std::vector<uint32_t> PlackettLucePolicy::MaterializeReference(
     const ShardView& global, Rng& rng) const {
   // Naive sequential softmax sampling without replacement — the textbook
-  // Plackett-Luce definition, independent of both fast paths.
+  // Plackett-Luce definition, independent of the alias and Gumbel draws.
   assert(global.det_score != nullptr);
   const size_t n = global.det_size;
   double max_score = 0.0;

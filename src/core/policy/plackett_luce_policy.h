@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/policy/stochastic_ranking_policy.h"
-#include "util/alias_table.h"
 
 namespace randrank {
 
@@ -17,24 +16,17 @@ namespace randrank {
 /// smooth counterpart of the paper's coin-flip merge, after the stochastic
 /// rankers of Ganguly's risk-analysis framework.
 ///
-/// Serving paths, fastest first:
-///
-///  * **Alias path** (single global view + epoch state): BuildEpochState
-///    precomputes a Walker/Vose alias table over exp(score/T) once per
-///    epoch; each slot draws from the unconditional softmax in O(1) and
-///    rejects pages already served — which is exactly sequential softmax
-///    sampling without replacement, so top-m draws cost O(m) expected for
-///    m << n. A per-slot re-draw bound (O(log n) attempts) catches the
-///    degenerate regimes (tiny T, m -> n) where the served mass dominates;
-///    past it the query falls back to Gumbel-max over the not-yet-served
-///    pages, keeping the worst case at the old O(n log n) instead of an
-///    unbounded rejection loop. This is why the family now declares the
-///    `epoch_state` capability and rides the snapshot-pinned cached path.
-///  * **Gumbel-max path** (shard views, or no epoch state): one perturbed
-///    key per page, top-m keys descending — O(n) per query, kept as the
-///    stateless reference fast path and the `serve/pl_alias:off` ablation.
-///    Per-page keys are order-independent, so shard views need no
-///    interleaving.
+/// Serving: BuildEpochState precomputes a Walker/Vose alias table over
+/// exp(score/T) once per epoch; each slot draws from the unconditional
+/// softmax in O(1) and rejects pages already served — which is exactly
+/// sequential softmax sampling without replacement, so top-m draws cost O(m)
+/// expected for m << n. A per-slot re-draw bound (O(log n) attempts) catches
+/// the degenerate regimes (tiny T, m -> n) where the served mass dominates;
+/// past it the query falls back to Gumbel-max over the not-yet-served pages
+/// (one perturbed key per page, top keys descending), keeping the worst case
+/// at O(n log n) instead of an unbounded rejection loop. A null epoch state
+/// (an empty view, or a caller that skipped BuildEpochState) sends the whole
+/// query through that exact Gumbel-max fallback from slot 0.
 class PlackettLucePolicy final : public StochasticRankingPolicy {
  public:
   explicit PlackettLucePolicy(double temperature)
@@ -42,11 +34,7 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
 
   std::string Label() const override;
   PolicyCapabilities Capabilities() const override {
-    return {.lazy_prefix = false,
-            .epoch_state = true,
-            .sharded_merge = true,
-            .agent_sim = false,
-            .mean_field = false};
+    return {.agent_sim = false, .mean_field = false};
   }
   bool Valid() const override { return temperature_ > 0.0; }
 
@@ -79,15 +67,6 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
   double temperature() const { return temperature_; }
 
  private:
-  /// The O(m)-expected alias path (see class comment).
-  size_t ServeAlias(const ShardView& view, const AliasTable& table,
-                    PolicyScratch& scratch, size_t m, Rng& rng,
-                    std::vector<uint32_t>* out) const;
-  /// The O(n) Gumbel-max path over the shard views.
-  size_t ServeGumbel(const ShardView* views, size_t num_views,
-                     PolicyScratch& scratch, size_t m, Rng& rng,
-                     std::vector<uint32_t>* out) const;
-
   double temperature_;
 };
 

@@ -20,66 +20,13 @@ size_t PromotionPolicy::ServePrefix(const ShardView* views, size_t num_views,
                                     const PolicyEpochState* epoch_state,
                                     PolicyScratch& scratch, size_t m, Rng& rng,
                                     std::vector<uint32_t>* out) const {
+  assert(num_views == 1 && "ServePrefix takes the one pre-merged view");
+  (void)num_views;
   (void)epoch_state;  // stateless: the merged view carries everything
-  if (num_views == 1) {
-    // Pre-merged global view (the cached serve path and the Ranker): the
-    // protected-prefix copy plus the O(m) randomized splice.
-    scratch.pool_sampler.Reset(views[0].pool, views[0].pool_size);
-    return MergePrefixCached(config_, views[0].det, views[0].det_size,
-                             scratch.pool_sampler, m, rng, out);
-  }
-  return ServeSharded(views, num_views, scratch, m, rng, out);
-}
-
-size_t PromotionPolicy::ServeSharded(const ShardView* views, size_t num_views,
-                                     PolicyScratch& scratch, size_t m, Rng& rng,
-                                     std::vector<uint32_t>* out) const {
-  scratch.cursors.resize(num_views);
-  scratch.samplers.resize(num_views);
-  size_t det_remaining = 0;
-  size_t pool_remaining = 0;
-  for (size_t v = 0; v < num_views; ++v) {
-    scratch.cursors[v] = 0;
-    scratch.samplers[v].Reset(views[v].pool, views[v].pool_size);
-    det_remaining += views[v].det_size;
-    pool_remaining += views[v].pool_size;
-  }
-
-  const size_t count = std::min(m, det_remaining + pool_remaining);
-  const size_t base = out->size();
-
-  // Next element of the global deterministic order: the best head among the
-  // views' sorted lists under the global key (BestViewHead — the same
-  // interleave the epoch cache's merge performs). Linear scan over V; the
-  // shard count is small on purpose.
-  auto next_det = [&]() -> uint32_t {
-    const size_t best = BestViewHead(views, scratch.cursors.data(), num_views);
-    assert(best < num_views);
-    --det_remaining;
-    return views[best].det[scratch.cursors[best]++];
-  };
-
-  const size_t protected_prefix = std::min(config_.k - 1, det_remaining);
-  while (out->size() - base < count && out->size() - base < protected_prefix) {
-    out->push_back(next_det());
-  }
-  while (out->size() - base < count) {
-    if (NextSlotFromPool(config_.r, det_remaining, pool_remaining, rng)) {
-      // Uniform draw from the remaining global pool: pick a shard weighted
-      // by its remaining pool mass, then draw without replacement inside it.
-      uint64_t t = rng.NextIndex(pool_remaining);
-      size_t v = 0;
-      while (t >= scratch.samplers[v].remaining()) {
-        t -= scratch.samplers[v].remaining();
-        ++v;
-      }
-      out->push_back(scratch.samplers[v].Next(rng));
-      --pool_remaining;
-    } else {
-      out->push_back(next_det());
-    }
-  }
-  return count;
+  // The protected-prefix copy plus the O(m) randomized splice.
+  scratch.pool_sampler.Reset(views[0].pool, views[0].pool_size);
+  return MergePrefixCached(config_, views[0].det, views[0].det_size,
+                           scratch.pool_sampler, m, rng, out);
 }
 
 std::vector<uint32_t> PromotionPolicy::MaterializeReference(

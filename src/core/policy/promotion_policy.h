@@ -23,11 +23,7 @@ class PromotionPolicy final : public StochasticRankingPolicy {
 
   std::string Label() const override { return config_.Label(); }
   PolicyCapabilities Capabilities() const override {
-    return {.lazy_prefix = true,
-            .epoch_state = true,
-            .sharded_merge = true,
-            .agent_sim = true,
-            .mean_field = true};
+    return {.agent_sim = true, .mean_field = true};
   }
   bool Valid() const override { return config_.Valid(); }
 
@@ -52,12 +48,6 @@ class PromotionPolicy final : public StochasticRankingPolicy {
   const RankPromotionConfig* AsPromotion() const override { return &config_; }
 
  private:
-  /// The PR-1 per-query sharded path: V-way deterministic interleave on the
-  /// global sort key plus shard-mass-weighted pool draws.
-  size_t ServeSharded(const ShardView* views, size_t num_views,
-                      PolicyScratch& scratch, size_t m, Rng& rng,
-                      std::vector<uint32_t>* out) const;
-
   RankPromotionConfig config_;
 };
 

@@ -15,51 +15,31 @@
 
 namespace randrank {
 
-/// What a ranking-policy family supports, declared up front so every layer
-/// can pick its fast path (or refuse) without hardwiring per-family
-/// knowledge. The serving, simulation, and model layers consult this
-/// descriptor instead of switching on a concrete type:
-///
-///  * `ShardedRankServer` materializes the per-epoch pre-merged global view
-///    (and the policy's `BuildEpochState` product) only when `epoch_state`
-///    is set and otherwise serves every query through the per-query sharded
-///    path;
-///  * `Ranker::PageAtRank` uses the O(rank) lazy cascade only under
-///    `lazy_prefix` and falls back to a prefix realization otherwise;
-///  * `AgentSimulator` / `MeanFieldModel` reject families whose
-///    `agent_sim` / `mean_field` bits are clear — explicitly, at
-///    construction, instead of silently computing the wrong dynamics.
+/// What a ranking-policy family supports beyond serving, declared up front
+/// so the simulation and model layers can refuse a family without
+/// hardwiring per-family knowledge: `AgentSimulator` / `MeanFieldModel`
+/// reject families whose `agent_sim` / `mean_field` bits are clear —
+/// explicitly, at construction, instead of silently computing the wrong
+/// dynamics. Serving needs no bit: every family serves from the epoch's
+/// pre-merged global view.
 struct PolicyCapabilities {
-  /// Prefix realizations cost O(m) expected time (and rank resolutions
-  /// O(rank)) — the property behind MergePrefix/ResolveRankLazy.
-  bool lazy_prefix = false;
-  /// Everything invariant across queries within one epoch — the pre-merged
-  /// global deterministic order + pool, and whatever `BuildEpochState`
-  /// derives from them (the promotion family's protected-prefix splice
-  /// state, Plackett-Luce's alias table, epsilon-tail's cached head) — may
-  /// be materialized once per epoch and reused by every query. Generalizes
-  /// the old promotion-only `epoch_prefix_cache` bit.
-  bool epoch_state = false;
-  /// A multi-shard realization reproduces the unsharded law exactly.
-  bool sharded_merge = false;
   /// The agent simulator's ghost placement and visit dynamics apply.
   bool agent_sim = false;
   /// A mean-field visit map exists for this family.
   bool mean_field = false;
 };
 
-/// A borrowed, immutable view of one shard's ranking state: the
-/// deterministically ordered pages (best first, with their scores kept
-/// alongside for weighted families and cross-shard interleaving) plus the
-/// stochastic pool. The serve layer builds these from `RankSnapshot`s or
-/// from the per-epoch cache; the core layer builds one from a `Ranker`.
-/// All arrays are borrowed — the owner must outlive the view.
+/// A borrowed, immutable view of one ranking state: the deterministically
+/// ordered pages (best first, with their scores kept alongside for weighted
+/// families) plus the stochastic pool. The serve layer builds one from the
+/// per-epoch cache (the whole corpus) or from a `RankSnapshot`; the core
+/// layer builds one from a `Ranker`. All arrays are borrowed — the owner
+/// must outlive the view.
 struct ShardView {
   const uint32_t* det = nullptr;
   /// Sort keys of `det` (popularity; ties elsewhere by birth then id).
   /// May be null when no caller needs weights (promotion-family-only use).
   const double* det_score = nullptr;
-  const int64_t* det_birth = nullptr;
   size_t det_size = 0;
   const uint32_t* pool = nullptr;
   size_t pool_size = 0;
@@ -69,35 +49,29 @@ struct ShardView {
 
 /// Opaque, policy-owned state derived once per epoch from the pre-merged
 /// global view and handed back to `ServePrefix` on every query of that
-/// epoch. Each family subclasses this with whatever it can precompute —
-/// Plackett-Luce's Walker/Vose alias table over exp(score/T), epsilon-tail's
-/// cached deterministic head — instead of the serve layer growing a new
-/// bespoke cache per family. Instances must be self-contained (no borrowed
-/// pointers into the view they were built from) and immutable after
-/// construction, so one instance is shared lock-free by all serving threads
-/// and reclaimed with the epoch that built it.
+/// epoch. A family subclasses this with whatever it can precompute —
+/// Plackett-Luce's Walker/Vose alias table over exp(score/T) is the one
+/// shipped today — instead of the serve layer growing a new bespoke cache
+/// per family. Instances must be self-contained (no borrowed pointers into
+/// the view they were built from) and immutable after construction, so one
+/// instance is shared lock-free by all serving threads and reclaimed with
+/// the epoch that built it.
 class PolicyEpochState {
  public:
   virtual ~PolicyEpochState() = default;
 };
 
-/// Reusable per-caller scratch for ServePrefix: samplers, cursors, and
-/// buffers that would otherwise allocate on every query. One scratch per
-/// serving thread; a scratch must not be shared between concurrent calls.
-/// Policies use the subset they need and leave the rest untouched.
+/// Reusable per-caller scratch for ServePrefix: the sampler and buffers that
+/// would otherwise allocate on every query. One scratch per serving thread;
+/// a scratch must not be shared between concurrent calls. Policies use the
+/// subset they need and leave the rest untouched.
 struct PolicyScratch {
-  /// Per-shard pool samplers (promotion family, uncached path).
-  std::vector<PoolPrefixSampler> samplers;
-  /// Single global-pool sampler (promotion family, cached path).
+  /// Global-pool sampler (promotion and ts-promo families).
   PoolPrefixSampler pool_sampler;
-  /// Per-shard deterministic-list cursors.
-  std::vector<size_t> cursors;
-  /// Pages already emitted this query (epsilon-tail rejection tracking).
+  /// Pages already emitted this query (rejection tracking).
   std::unordered_set<uint32_t> emitted;
   /// (key, page) buffer for weighted families (Plackett-Luce top-m).
   std::vector<std::pair<double, uint32_t>> keyed;
-  /// Spare id buffer (explicit-materialization fallbacks).
-  std::vector<uint32_t> ids;
 };
 
 /// A family of stochastic rankers: the policy owns (1) how pages are
@@ -107,11 +81,10 @@ struct PolicyScratch {
 /// interface exists so the next family is a single new class instead of a
 /// cross-cutting surgery through core, serve, sim, and bench.
 ///
-/// Contract: `ServePrefix` over several ShardViews that together partition
-/// the corpus must realize exactly the same distribution as over the single
-/// pre-merged global view, with or without the epoch state (the serve layer
-/// switches between the paths freely, per `Capabilities().epoch_state`).
-/// Every realization drawn with the same policy over the same state is
+/// Contract: `ServePrefix` over the pre-merged global view must realize
+/// exactly the law of `MaterializeReference` over that view (the
+/// chi-squared equivalence tests hold every family to it). Every
+/// realization drawn with the same policy over the same state is
 /// independent given `rng`.
 class StochasticRankingPolicy {
  public:
@@ -167,15 +140,17 @@ class StochasticRankingPolicy {
   }
 
   /// Appends the first min(m, n) slots of a fresh realization over the
-  /// given shard views — which together hold the complete corpus — and
-  /// returns how many were appended. A single view is the pre-merged global
-  /// state (the cached serve path and the Ranker); several views require
-  /// the policy to interleave them per the global law (the per-query
-  /// sharded path). `epoch_state` is either null or the product of this
-  /// policy's BuildEpochState over exactly the single global view being
-  /// served (never over a different epoch's view — the owner of the view
-  /// owns its state); policies with no state ignore it. `scratch` is
-  /// caller-owned and reused across queries.
+  /// pre-merged global view and returns how many were appended.
+  /// Precondition: `num_views == 1` — `views[0]` is the whole ranking state
+  /// being served (the epoch cache's merged view on the serve path, a
+  /// Ranker's or a standalone RankSnapshot's own view elsewhere). The array
+  /// form stays only because the benchmark harness (perfbench/) calls
+  /// `ServePrefix(&view, 1, ...)`; it narrows to one view when that harness
+  /// next changes.
+  /// `epoch_state` is either null or the product of this policy's
+  /// BuildEpochState over exactly that view (never over a different epoch's
+  /// view — the owner of the view owns its state); policies with no state
+  /// ignore it. `scratch` is caller-owned and reused across queries.
   virtual size_t ServePrefix(const ShardView* views, size_t num_views,
                              const PolicyEpochState* epoch_state,
                              PolicyScratch& scratch, size_t m, Rng& rng,
@@ -194,14 +169,6 @@ class StochasticRankingPolicy {
   /// the config after checking Capabilities().
   virtual const RankPromotionConfig* AsPromotion() const { return nullptr; }
 };
-
-/// One step of the V-way deterministic interleave over ShardViews: the index
-/// of the view whose det-list head (at its cursor) is next under the global
-/// sort key RankOrderBefore, or `num_views` when every list is exhausted.
-/// The ShardView twin of BestDetHead (serve/rank_snapshot.h) — both must
-/// interleave identically or the cached order diverges from the served one.
-size_t BestViewHead(const ShardView* views, const size_t* cursors,
-                    size_t num_views);
 
 }  // namespace randrank
 

@@ -88,53 +88,22 @@ size_t ThompsonPromotionPolicy::ServePrefix(const ShardView* views,
                                             PolicyScratch& scratch, size_t m,
                                             Rng& rng,
                                             std::vector<uint32_t>* out) const {
-  // No policy-owned epoch state (the merged view is the invariant); the
-  // cached and sharded paths run the same per-slot cascade, the former with
-  // num_views == 1.
-  (void)epoch_state;
-  assert(num_views > 0);
-
-  scratch.cursors.assign(num_views, 0);
-  scratch.samplers.resize(num_views);
-  size_t det_remaining = 0;
-  size_t pool_remaining = 0;
-  // The duel normalizes head scores by the GLOBAL maximum — the first entry
-  // of each view's (descending) det list, maximized across views — so the
-  // multi-view law matches the single pre-merged view exactly.
-  double max_score = 0.0;
-  for (size_t v = 0; v < num_views; ++v) {
-    det_remaining += views[v].det_size;
-    pool_remaining += views[v].pool_size;
-    scratch.samplers[v].Reset(views[v].pool, views[v].pool_size);
-    if (views[v].det_size > 0) {
-      assert(views[v].det_score != nullptr &&
-             "ts-promo needs det scores for the evidence duel");
-      max_score = std::max(max_score, views[v].det_score[0]);
-    }
-  }
-  const size_t count = std::min(m, det_remaining + pool_remaining);
-
-  const auto take_det = [&]() -> uint32_t {
-    const size_t best = BestViewHead(views, scratch.cursors.data(), num_views);
-    assert(best < num_views);
-    --det_remaining;
-    return views[best].det[scratch.cursors[best]++];
-  };
-  const auto take_pool = [&]() -> uint32_t {
-    // Uniform over the union of the views' pools: pick a view by its
-    // remaining pool mass, then draw without replacement inside it.
-    uint64_t t = rng.NextIndex(pool_remaining);
-    size_t v = 0;
-    while (t >= scratch.samplers[v].remaining()) {
-      t -= scratch.samplers[v].remaining();
-      ++v;
-    }
-    --pool_remaining;
-    return scratch.samplers[v].Next(rng);
-  };
+  assert(num_views == 1 && "ServePrefix takes the one pre-merged view");
+  (void)num_views;
+  (void)epoch_state;  // stateless: the merged view is the invariant
+  const ShardView& view = views[0];
+  scratch.pool_sampler.Reset(view.pool, view.pool_size);
+  size_t det_cursor = 0;
+  size_t pool_remaining = view.pool_size;
+  // The duel normalizes head scores by the global maximum: the first entry
+  // of the (descending) det list.
+  assert(view.det_size == 0 || view.det_score != nullptr);
+  const double max_score = view.det_size > 0 ? view.det_score[0] : 0.0;
+  const size_t count = std::min(m, view.n());
 
   size_t appended = 0;
   while (appended < count) {
+    const size_t det_remaining = view.det_size - det_cursor;
     bool from_pool;
     if (appended < protect_ && det_remaining > 0) {
       from_pool = false;  // protected prefix never duels
@@ -143,16 +112,21 @@ size_t ThompsonPromotionPolicy::ServePrefix(const ShardView* views,
     } else if (pool_remaining == 0) {
       from_pool = false;
     } else {
-      const size_t best =
-          BestViewHead(views, scratch.cursors.data(), num_views);
-      const double s = NormalizedScore(
-          views[best].det_score[scratch.cursors[best]], max_score);
+      const double s =
+          NormalizedScore(view.det_score[det_cursor], max_score);
       const double theta_det =
           SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
       const double theta_pool = SampleBeta(a_, b_, rng);
       from_pool = theta_pool > theta_det;
     }
-    out->push_back(from_pool ? take_pool() : take_det());
+    if (from_pool) {
+      // Once picked the shard; still drawn so seeded lists stay identical.
+      (void)rng.NextIndex(pool_remaining);
+      --pool_remaining;
+      out->push_back(scratch.pool_sampler.Next(rng));
+    } else {
+      out->push_back(view.det[det_cursor++]);
+    }
     ++appended;
   }
   return count;

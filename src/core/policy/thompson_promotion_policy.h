@@ -37,11 +37,7 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
 
   std::string Label() const override;
   PolicyCapabilities Capabilities() const override {
-    return {.lazy_prefix = true,
-            .epoch_state = true,
-            .sharded_merge = true,
-            .agent_sim = false,
-            .mean_field = false};
+    return {.agent_sim = false, .mean_field = false};
   }
   bool Valid() const override {
     return a_ > 0.0 && b_ > 0.0 && evidence_ >= 0.0;

@@ -93,8 +93,8 @@ const RankPromotionConfig& Ranker::config() const {
 }
 
 ShardView Ranker::GlobalView() const {
-  return {det_.data(),   det_score_.data(), det_birth_.data(),
-          det_.size(),   pool_.data(),      pool_.size()};
+  return {det_.data(), det_score_.data(), det_.size(), pool_.data(),
+          pool_.size()};
 }
 
 void Ranker::Update(const std::vector<double>& popularity,
@@ -117,13 +117,8 @@ void Ranker::Update(const std::vector<double>& popularity,
                            birth_step[b], b);
   });
   det_score_.clear();
-  det_birth_.clear();
   det_score_.reserve(det_.size());
-  det_birth_.reserve(det_.size());
-  for (const uint32_t p : det_) {
-    det_score_.push_back(popularity[p]);
-    det_birth_.push_back(birth_step[p]);
-  }
+  for (const uint32_t p : det_) det_score_.push_back(popularity[p]);
   // Per-epoch policy state (no Rng by contract, so promotion-family bit
   // compatibility with pre-policy seeds is unaffected).
   epoch_state_ = policy_->BuildEpochState(GlobalView());

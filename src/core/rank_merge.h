@@ -100,8 +100,8 @@ uint32_t ResolveRankLazy(const RankPromotionConfig& config,
 ///  1. Split pages into the stochastic pool Pp (per the policy's
 ///     PoolMembership hook) and the rest, which forms the deterministic
 ///     list Ld sorted by descending popularity (ties broken by age, older
-///     first, as in Appendix A). Scores and birth steps are kept alongside
-///     for weighted families and cross-shard interleaving.
+///     first, as in Appendix A). Scores are kept alongside for weighted
+///     families.
 ///  2. Produce result lists: either a full materialized permutation, or a
 ///     prefix/per-rank realization through the policy's ServePrefix hook.
 ///
@@ -110,8 +110,7 @@ uint32_t ResolveRankLazy(const RankPromotionConfig& config,
 /// a uniformly shuffled pool is marginally uniform over the pool.
 /// Rank-biased visits concentrate on small j (E[j] ~ 0.77*sqrt(n)), so
 /// resolving one visit is far cheaper than materializing all n slots.
-/// Families without that structure (Capabilities().lazy_prefix clear) fall
-/// back to a length-j prefix realization per visit.
+/// Other families fall back to a length-j prefix realization per visit.
 class Ranker {
  public:
   /// Promotion-family convenience: equivalent to constructing from
@@ -151,7 +150,7 @@ class Ranker {
 
   /// First min(m, n()) slots of an independent random realization, via the
   /// policy's ServePrefix. Marginals match MaterializeList; O(m) expected
-  /// when the policy declares Capabilities().lazy_prefix.
+  /// for every shipped family except in Plackett-Luce's degenerate regimes.
   std::vector<uint32_t> TopM(size_t m, Rng& rng) const;
 
   /// Deterministically ranked pages (Ld), best first.
@@ -175,12 +174,9 @@ class Ranker {
 
   std::shared_ptr<const StochasticRankingPolicy> policy_;
   std::vector<uint32_t> det_;
-  // Scores and birth steps are kept so GlobalView() satisfies the full
-  // ShardView contract (weighted families read scores; births are the
-  // interleave tiebreaker) — pre-paid even where today's single-view calls
-  // never compare, so policies need no null-view special cases.
+  // Scores are kept so GlobalView() satisfies the full ShardView contract
+  // (weighted families read them), so policies need no null-view cases.
   std::vector<double> det_score_;
-  std::vector<int64_t> det_birth_;
   std::vector<uint32_t> pool_;
   // Policy-owned per-epoch state over GlobalView(), rebuilt by Update and
   // handed to every ServePrefix; null for stateless families.

@@ -72,7 +72,6 @@ ExperimentManager::ExperimentManager(const CommunityParams& community,
   for (size_t a = 0; a < arms.size(); ++a) {
     ServeOptions sopts;
     sopts.shards = opts_.shards;
-    sopts.enable_prefix_cache = opts_.enable_prefix_cache;
     sopts.seed = SplitMix64(&mix) + a;
     sopts.metrics = opts_.metrics;
     sopts.trace = opts_.trace;

@@ -42,8 +42,6 @@ struct ExperimentOptions {
   size_t threads = 1;
   /// Rank->visit bias exponent of the click model (paper Eq. 4).
   double rank_bias_exponent = 1.5;
-  /// Per-arm ServeOptions::enable_prefix_cache.
-  bool enable_prefix_cache = true;
   /// Route each arm's queries through a per-arm BatchQueue (async MPSC
   /// consumer) instead of calling ServeTopM inline: results come from the
   /// queue consumer's own serving context, so policy hot-swaps are exercised

@@ -20,7 +20,7 @@ namespace fault {
 /// Deterministic, seeded fault injection: named fault points compiled into
 /// real sites (publish phases, the queue consumer, the daemon's socket
 /// writes), armed at runtime by a FaultPlan. With no injector installed a
-/// site costs one relaxed atomic load and a predicted branch; an armed
+/// site costs one acquire atomic load and a predicted branch; an armed
 /// injector adds a single 64-bit mask test for points its plan does not
 /// mention (bench/perf_fault prices both, gated in check_bench.py).
 ///
@@ -158,9 +158,10 @@ constexpr uint64_t Hash(std::string_view s) {
 
 namespace internal {
 /// The process-global injector (null = everything disabled). Installed by
-/// ScopedFaultInjector / InstallFaultInjector; sites read it relaxed — a
-/// site may see an install/uninstall one hit late, which is fine for fault
-/// schedules.
+/// ScopedFaultInjector / InstallFaultInjector; sites read it with acquire,
+/// so an injector installed while other threads serve is fully constructed
+/// when they see it (a plain load on x86). A site may see an
+/// install/uninstall one hit late, which is fine for fault schedules.
 extern std::atomic<FaultInjector*> g_injector;
 }  // namespace internal
 
@@ -177,7 +178,7 @@ inline FaultInjector* ActiveFaultInjector() {
 inline bool Check(std::string_view point, uint64_t point_hash, uint64_t epoch,
                   Decision* out) {
   FaultInjector* injector =
-      internal::g_injector.load(std::memory_order_relaxed);
+      internal::g_injector.load(std::memory_order_acquire);
   if (injector == nullptr) return false;
   return injector->Evaluate(point_hash, point, epoch, out);
 }

@@ -491,7 +491,7 @@ void NetDaemon::HandleQuery(const std::shared_ptr<Connection>& conn,
   const uint64_t request_id = query.request_id;
   const uint32_t m = query.m;
   const bool accepted = queue_->Submit(
-      m, [this, conn, request_id, m, t0](QueryOutcome outcome,
+      m, [this, conn, request_id, m, t0](QueryOutcome outcome, uint64_t epoch,
                                          std::vector<uint32_t> results) {
         if (outcome == QueryOutcome::kDeadlineExpired) {
           // Explicit timeout instead of a silent empty answer. Encoded here
@@ -511,7 +511,7 @@ void NetDaemon::HandleQuery(const std::shared_ptr<Connection>& conn,
         }
         QueryReplyFrame reply;
         reply.request_id = request_id;
-        reply.epoch = server_.epoch();
+        reply.epoch = epoch;  // the pinned view's, not the live counter
         reply.pages = std::move(results);
         std::vector<uint8_t> bytes;
         AppendQueryReply(reply, &bytes);

@@ -159,8 +159,9 @@ struct MetricsSnapshot {
 };
 
 /// Central metric namespace: every subsystem registers its counters, gauges,
-/// and latency histograms here by slash-separated name ("serve/latency_ns/
-/// cached/selective", "queue/wait_ns", "exp/arm:treatment/click_qpc") and
+/// and latency histograms here by slash-separated name
+/// ("serve/latency_ns/selective", "queue/wait_ns",
+/// "exp/arm:treatment/click_qpc") and
 /// every exporter reads one consistent snapshot of all of them.
 ///
 /// GetX() registers on first use and returns a reference that stays valid

@@ -32,7 +32,7 @@ struct TraceOptions {
 ///   {"bench":"span/serve/query","dur_us":3.1,"m":20,...,"family":"selective"}
 ///
 /// The serve layer emits two span families: per-query spans (service time,
-/// cache branch, policy family, shard fan-out — sampled) and epoch-publish
+/// policy family — sampled) and epoch-publish
 /// phase spans (shard re-sort, merge, BuildEpochState, policy swap, RCU
 /// publish — always emitted). The queue layer adds sampled drain spans
 /// (queue depth, batch size, wait).

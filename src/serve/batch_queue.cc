@@ -45,8 +45,7 @@ std::future<std::vector<uint32_t>> BatchQueue::Submit(size_t m) {
   return result;
 }
 
-bool BatchQueue::Submit(
-    size_t m, std::function<void(QueryOutcome, std::vector<uint32_t>)> done) {
+bool BatchQueue::Submit(size_t m, Callback done) {
   PendingQuery query;
   query.m = m;
   query.callback = std::move(done);
@@ -111,7 +110,7 @@ void BatchQueue::CompleteExpired(PendingQuery& query) {
     query.promise.set_exception(std::make_exception_ptr(
         DeadlineExceededError("query deadline expired before pickup")));
   } else if (query.callback) {
-    query.callback(QueryOutcome::kDeadlineExpired, {});
+    query.callback(QueryOutcome::kDeadlineExpired, 0, {});
   }
 }
 
@@ -229,7 +228,8 @@ void BatchQueue::ConsumerLoop() {
         if (query.has_promise) {
           query.promise.set_value(std::move(batch.results[i]));
         } else if (query.callback) {
-          query.callback(QueryOutcome::kServed, std::move(batch.results[i]));
+          query.callback(QueryOutcome::kServed, batch.epoch,
+                         std::move(batch.results[i]));
         }
       }
       queries_served_.fetch_add(count, std::memory_order_relaxed);

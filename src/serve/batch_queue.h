@@ -128,11 +128,13 @@ class BatchQueue {
   std::future<std::vector<uint32_t>> Submit(size_t m);
 
   /// Callback flavor (no promise/future overhead): `done` runs on the
-  /// consumer thread with the outcome and the served results (empty on
-  /// kDeadlineExpired). Returns false (and drops the query without invoking
-  /// `done`) after Stop().
-  bool Submit(size_t m,
-              std::function<void(QueryOutcome, std::vector<uint32_t>)> done);
+  /// consumer thread with the outcome, the epoch of the view the results
+  /// were drawn from (0 on kDeadlineExpired, or when served before the first
+  /// publish), and the served results (empty on kDeadlineExpired). Returns
+  /// false (and drops the query without invoking `done`) after Stop().
+  using Callback =
+      std::function<void(QueryOutcome, uint64_t epoch, std::vector<uint32_t>)>;
+  bool Submit(size_t m, Callback done);
 
   /// Rejects new submissions, serves everything already queued, and joins
   /// the consumer. Idempotent and safe to call from several threads (one
@@ -169,7 +171,7 @@ class BatchQueue {
     /// when the queue runs without deadlines.
     std::chrono::steady_clock::time_point deadline{};
     std::promise<std::vector<uint32_t>> promise;
-    std::function<void(QueryOutcome, std::vector<uint32_t>)> callback;
+    Callback callback;
   };
 
   /// Completes one expired query with its explicit timeout.

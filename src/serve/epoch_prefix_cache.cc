@@ -31,9 +31,9 @@ std::shared_ptr<const EpochPrefixCache> EpochPrefixCache::Build(
   cache->det_score.reserve(det_total);
   cache->pool.reserve(pool_total);
 
-  // S-way merge on the global sort key — BestDetHead is the same merge step
-  // the uncached per-query path takes, run here once to completion. Linear
-  // scan over S per element; S is small and this runs off the serving path.
+  // S-way merge on the global sort key (BestDetHead), run once to
+  // completion. Linear scan over S per element; S is small and this runs
+  // off the serving path.
   std::vector<const RankSnapshot*> snaps;
   snaps.reserve(shards);
   for (const auto& shard : view.shards) snaps.push_back(shard.get());
@@ -59,9 +59,9 @@ std::shared_ptr<const EpochPrefixCache> EpochPrefixCache::Build(
                         fault::Hash(fault::kPublishEpochState), view.epoch);
 
   // Policy-owned per-epoch state over the *merged* global view — distinct
-  // from the per-shard states the snapshots carry, because the cached serve
-  // path realizes over this cache's concatenated arrays. Built last so the
-  // view handed to the hook is final.
+  // from the per-shard states the snapshots carry, because the serve path
+  // realizes over this cache's concatenated arrays. Built last so the view
+  // handed to the hook is final.
   if (!view.shards.empty()) {
     cache->policy_state =
         view.shards.front()->policy->BuildEpochState(cache->AsView());

@@ -13,8 +13,8 @@ namespace randrank {
 /// invariant across queries: the cross-shard deterministic merge order, the
 /// concatenated global pool, and — via the policy's BuildEpochState hook —
 /// whatever per-epoch serving state the family derives from that merged
-/// view (Plackett-Luce's alias table, epsilon-tail's cached head; the
-/// promotion family needs nothing beyond the merged view itself).
+/// view (Plackett-Luce's alias table; the other shipped families need
+/// nothing beyond the merged view itself).
 ///
 /// Within one snapshot epoch every query realizes over the *same* global
 /// deterministic order, pool, and policy state; only the per-query draws
@@ -25,7 +25,8 @@ namespace randrank {
 /// single-view ServePrefix against `AsView()` + `policy_state` — for the
 /// promotion family a protected-prefix copy plus an O(m) randomized splice,
 /// for Plackett-Luce O(m) expected alias draws — independent of the shard
-/// count either way.
+/// count. Every published epoch carries one; it is the only view queries
+/// read.
 ///
 /// Lifecycle / invalidation: a cache is built by ShardedRankServer::Update
 /// and owned by the ServingView it describes, so it is immutable after
@@ -41,26 +42,24 @@ struct EpochPrefixCache {
   /// entries are the protected prefix — the serve path (MergePrefixCached)
   /// derives that bound from the config, the one source of truth for k.
   std::vector<uint32_t> det;
-  /// Sort keys of `det`, carried through the merge so cache-capable
-  /// weighted families see a complete global view.
+  /// Sort keys of `det`, carried through the merge so weighted families see
+  /// a complete global view.
   std::vector<double> det_score;
   /// Global stochastic pool (all shards concatenated, unshuffled; order is
   /// irrelevant because every draw path shuffles uniformly).
   std::vector<uint32_t> pool;
   /// The policy's opaque per-epoch state over the merged global view
-  /// (BuildEpochState product); handed back to ServePrefix on every cached
-  /// query. Null for families whose epoch-invariant state is the merged
-  /// view alone (promotion).
+  /// (BuildEpochState product); handed back to ServePrefix on every query.
+  /// Null for families whose epoch-invariant state is the merged view alone
+  /// (promotion, epsilon-tail, ts-promo).
   std::shared_ptr<const PolicyEpochState> policy_state;
 
   size_t n() const { return det.size() + pool.size(); }
 
-  /// The cached global state as a borrowed single policy view. `det_birth`
-  /// is null: birth steps only break ties while merging, which already
-  /// happened when this cache was built.
+  /// The cached global state as a borrowed single policy view.
   ShardView AsView() const {
-    return {det.data(), det_score.data(), nullptr,
-            det.size(), pool.data(),      pool.size()};
+    return {det.data(), det_score.data(), det.size(), pool.data(),
+            pool.size()};
   }
 
   /// Wall-clock split of one Build call, for the publish-phase trace spans:

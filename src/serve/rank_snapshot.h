@@ -12,12 +12,12 @@
 namespace randrank {
 
 /// An immutable snapshot of one shard's ranking state: the deterministic
-/// order Ld (best first, with the sort keys kept alongside for cross-shard
-/// merging) plus the promotion pool Pp. Built off the serving path by the
-/// writer, published via SnapshotStore, and shared read-only by every worker
-/// thread — queries against a snapshot take no locks and perform no writes,
-/// so a snapshot may be read concurrently by any number of threads while the
-/// writer assembles its successor.
+/// order Ld (best first, with the sort keys kept alongside for the
+/// cross-shard merge) plus the promotion pool Pp. Built off the serving path
+/// by the writer and merged into the epoch's EpochPrefixCache, which is what
+/// queries read; a snapshot may also be served standalone (TopM /
+/// PageAtRank). Immutable after Build, so any number of threads may read it
+/// while the writer assembles its successor.
 struct RankSnapshot {
   /// Monotone publish generation; every shard snapshot in one ServingView
   /// carries the same epoch.
@@ -37,8 +37,8 @@ struct RankSnapshot {
   /// Policy-owned per-epoch state over this shard's own view (Build calls
   /// the policy's BuildEpochState hook), reused by every TopM/PageAtRank
   /// against this snapshot. Null for stateless families, and when the
-  /// builder opted out (ShardedRankServer does — see Build). The *global*
-  /// cross-shard state lives with the EpochPrefixCache, not here.
+  /// builder opted out (ShardedRankServer does — see Build). The state the
+  /// server's queries use is the EpochPrefixCache's, over the merged view.
   std::shared_ptr<const PolicyEpochState> epoch_state;
 
   size_t n() const { return det.size() + pool.size(); }
@@ -46,13 +46,13 @@ struct RankSnapshot {
   /// This shard's state as a borrowed policy view (valid while the snapshot
   /// lives — snapshots are immutable after Build).
   ShardView AsView() const {
-    return {det.data(),  det_score.data(), det_birth.data(),
-            det.size(),  pool.data(),      pool.size()};
+    return {det.data(), det_score.data(), det.size(), pool.data(),
+            pool.size()};
   }
 
   /// First min(m, n()) slots of a fresh random realization of this shard's
-  /// merged list, appended to `out`; O(m) expected time for policies with
-  /// the lazy_prefix capability.
+  /// merged list, appended to `out`; O(m) expected time for the promotion
+  /// family, the policy's ServePrefix over AsView() for the others.
   size_t TopM(size_t m, Rng& rng, std::vector<uint32_t>* out) const;
 
   /// Page at `rank` (1-based) in an independent realization.
@@ -66,9 +66,8 @@ struct RankSnapshot {
   /// `build_epoch_state` controls whether the per-shard BuildEpochState
   /// product is materialized: callers that serve this snapshot directly
   /// (TopM/PageAtRank) want it; ShardedRankServer passes false because its
-  /// queries only ever consume the EpochPrefixCache's *global* state (or
-  /// none on the per-query path), so S per-shard alias tables per epoch
-  /// would be pure waste.
+  /// queries only ever consume the EpochPrefixCache's *global* state, so S
+  /// per-shard alias tables per epoch would be pure waste.
   static std::shared_ptr<const RankSnapshot> Build(
       std::shared_ptr<const StochasticRankingPolicy> policy, uint64_t epoch,
       const std::vector<uint32_t>& pages, const std::vector<double>& popularity,
@@ -87,10 +86,8 @@ struct RankSnapshot {
 
 /// One step of the S-way deterministic merge: the index of the shard whose
 /// det-list head (at its cursor) is next under the global sort key
-/// RankOrderBefore, or `shards` when every list is exhausted. The single
-/// implementation of the merge step — the per-query uncached serve path and
-/// the per-epoch EpochPrefixCache::Build must interleave identically or the
-/// cached order silently diverges from the served one.
+/// RankOrderBefore, or `shards` when every list is exhausted.
+/// EpochPrefixCache::Build runs it to completion once per epoch.
 size_t BestDetHead(const RankSnapshot* const* snaps, const size_t* cursors,
                    size_t shards);
 
@@ -111,13 +108,13 @@ struct ServingView {
   std::shared_ptr<const StochasticRankingPolicy> policy;
   std::vector<std::shared_ptr<const RankSnapshot>> shards;
   /// Per-epoch materialization of the cross-shard deterministic merge order
-  /// and global pool (see serve/epoch_prefix_cache.h). Built by the writer
-  /// at publish time; null when the server runs with the cache disabled.
-  /// Immutable after publish and invalidated only by the next epoch's view.
+  /// and global pool (see serve/epoch_prefix_cache.h) — what every query
+  /// realizes against. Built by the writer at every publish; immutable
+  /// after it and invalidated only by the next epoch's view.
   std::shared_ptr<const EpochPrefixCache> cache;
   /// Observability endpoints resolved at publish time (the per-query
-  /// latency histogram for this epoch's cache branch + policy family, the
-  /// trace sink, span attributes — see ServeObsHooks in
+  /// latency histogram for this epoch's policy family, the trace sink, span
+  /// attributes — see ServeObsHooks in
   /// serve/sharded_rank_server.h). Carried by the view, not the server, so
   /// a query pinned to an old epoch during a hot-swap records into the
   /// metrics that match what actually served it. Null when the server runs

@@ -72,11 +72,6 @@ const RankPromotionConfig& ShardedRankServer::config() const {
   return *config;
 }
 
-bool ShardedRankServer::PrefixCacheActive() const {
-  const std::shared_ptr<const ServingView> view = store_.Load(nullptr);
-  return view != nullptr && view->cache != nullptr;
-}
-
 bool ShardedRankServer::Update(const std::vector<double>& popularity,
                                const std::vector<uint8_t>& zero_awareness,
                                const std::vector<int64_t>& birth_step,
@@ -134,8 +129,7 @@ bool ShardedRankServer::Update(
 
     auto build_shard = [&](size_t s) {
       // Per-shard epoch state is skipped: server queries consume only the
-      // EpochPrefixCache's global state (cached path) or none (per-query
-      // path), never a shard-local one.
+      // EpochPrefixCache's global state, never a shard-local one.
       view->shards[s] = RankSnapshot::Build(
           policy_, epoch, shard_pages_[s], popularity, zero_awareness,
           birth_step, build_rngs[s], /*build_epoch_state=*/false);
@@ -148,20 +142,15 @@ bool ShardedRankServer::Update(
     }
     const Clock::time_point shards_done = Clock::now();
 
-    // The cache participates only when the policy declares the epoch_state
-    // capability: the materialized global merge order plus whatever the
-    // policy's BuildEpochState derives from it (promotion's splice inputs,
-    // Plackett-Luce's alias table, epsilon-tail's cached head). Families
-    // without it fall back to the per-query sharded path. Carries the
+    // The materialized global merge order plus whatever the policy's
+    // BuildEpochState derives from it (Plackett-Luce's alias table) — the
+    // one view every query of this epoch realizes against. Carries the
     // publish.merge / publish.epoch_state fault sites internally.
     EpochPrefixCache::BuildPhaseTimings cache_timings;
-    if (opts_.enable_prefix_cache && policy_->Capabilities().epoch_state) {
-      view->cache =
-          EpochPrefixCache::Build(*view, tracing ? &cache_timings : nullptr);
-    }
-    const bool cached = view->cache != nullptr;
+    view->cache =
+        EpochPrefixCache::Build(*view, tracing ? &cache_timings : nullptr);
 
-    view->obs = BuildObsHooks(cached);
+    view->obs = BuildObsHooks();
     // Fault site: the last abort point before the irreversible RCU swap —
     // past here the epoch is published and cannot roll back by design.
     fault::CheckAbortable(fault::kPublishRcu, fault::Hash(fault::kPublishRcu),
@@ -193,21 +182,19 @@ bool ShardedRankServer::Update(
     }
     if (tracing) {
       // Per-phase publish spans, one line each, always emitted (publishes are
-      // rare): shard re-sort, merge + BuildEpochState (zero-duration when the
-      // cache is off), the policy swap when one rode this publish, the RCU
-      // pointer swap, and the whole publish as the parent span.
+      // rare): shard re-sort, merge, BuildEpochState, the policy swap when
+      // one rode this publish, the RCU pointer swap, and the whole publish
+      // as the parent span.
       const auto e = static_cast<double>(epoch);
       const auto s = static_cast<double>(shard_pages_.size());
       const double sw = swapping ? 1.0 : 0.0;
       obs::TraceLog& trace = *opts_.trace;
       trace.EmitSpan("publish/shards", MicrosBetween(shards_start, shards_done),
                      {{"epoch", e}, {"shards", s}});
-      if (cached) {
-        trace.EmitSpan("publish/merge", cache_timings.merge_us,
-                       {{"epoch", e}, {"shards", s}});
-        trace.EmitSpan("publish/epoch_state", cache_timings.epoch_state_us,
-                       {{"epoch", e}});
-      }
+      trace.EmitSpan("publish/merge", cache_timings.merge_us,
+                     {{"epoch", e}, {"shards", s}});
+      trace.EmitSpan("publish/epoch_state", cache_timings.epoch_state_us,
+                     {{"epoch", e}});
       if (swapping) {
         trace.EmitSpan("publish/policy_swap", swap_us, {{"epoch", e}},
                        {{"family", FamilySlug(policy_->Label())}});
@@ -216,10 +203,7 @@ bool ShardedRankServer::Update(
                      MicrosBetween(rcu_start, publish_done), {{"epoch", e}});
       trace.EmitSpan("publish/total",
                      MicrosBetween(publish_start, publish_done),
-                     {{"epoch", e},
-                      {"shards", s},
-                      {"swap", sw},
-                      {"cached", cached ? 1.0 : 0.0}},
+                     {{"epoch", e}, {"shards", s}, {"swap", sw}},
                      {{"family", FamilySlug(policy_->Label())}});
     }
     return true;
@@ -248,16 +232,13 @@ bool ShardedRankServer::Update(
   }
 }
 
-std::shared_ptr<const ServeObsHooks> ShardedRankServer::BuildObsHooks(
-    bool cached) const {
+std::shared_ptr<const ServeObsHooks> ShardedRankServer::BuildObsHooks()
+    const {
   if (opts_.metrics == nullptr) return nullptr;
   auto hooks = std::make_shared<ServeObsHooks>();
-  hooks->cached = cached;
-  hooks->fanout = static_cast<double>(shard_pages_.size());
   hooks->family = FamilySlug(policy_->Label());
-  hooks->latency = &opts_.metrics->GetHistogram(
-      opts_.obs_prefix + "/latency_ns/" + (cached ? "cached/" : "sharded/") +
-      hooks->family);
+  hooks->latency = &opts_.metrics->GetHistogram(opts_.obs_prefix +
+                                                "/latency_ns/" + hooks->family);
   hooks->queries = &opts_.metrics->GetCounter(opts_.obs_prefix + "/queries");
   hooks->slots = &opts_.metrics->GetCounter(opts_.obs_prefix + "/slots");
   if (opts_.trace != nullptr && opts_.trace->sample_every() > 0) {
@@ -275,10 +256,6 @@ ShardedRankServer::Context ShardedRankServer::CreateContext() const {
       1 + context_seq_.fetch_add(1, std::memory_order_relaxed);
   ctx.rng_ = Rng::ForStream(opts_.seed, stream);
   ctx.visit_batch_.reserve(opts_.feedback_batch);
-  const size_t shards = shard_pages_.size();
-  ctx.views_.reserve(shards);
-  ctx.scratch_.samplers.reserve(shards);
-  ctx.scratch_.cursors.reserve(shards);
   return ctx;
 }
 
@@ -293,6 +270,7 @@ size_t ShardedRankServer::ServeTopM(Context& ctx, size_t m,
 size_t ShardedRankServer::ServeBatch(Context& ctx, QueryBatch* batch) const {
   for (auto& result : batch->results) result.clear();
   const ServingView* view = ctx.handle_.Get();
+  batch->epoch = view != nullptr ? view->epoch : 0;
   if (view == nullptr || batch->m == 0) return 0;
   const ServeObsHooks* hooks = view->obs.get();
   const size_t queries = batch->results.size();
@@ -327,9 +305,7 @@ size_t ShardedRankServer::ServeBatch(Context& ctx, QueryBatch* batch) const {
                            {{"epoch", static_cast<double>(view->epoch)},
                             {"m", static_cast<double>(batch->m)},
                             {"queries", static_cast<double>(queries)},
-                            {"served", static_cast<double>(total)},
-                            {"cached", hooks->cached ? 1.0 : 0.0},
-                            {"fanout", hooks->fanout}},
+                            {"served", static_cast<double>(total)}},
                            {{"family", hooks->family}});
   }
   return total;
@@ -354,9 +330,7 @@ size_t ShardedRankServer::ServeOne(Context& ctx, const ServingView& view,
                            static_cast<double>(service_ns) * 1e-3,
                            {{"epoch", static_cast<double>(view.epoch)},
                             {"m", static_cast<double>(m)},
-                            {"served", static_cast<double>(served)},
-                            {"cached", hooks->cached ? 1.0 : 0.0},
-                            {"fanout", hooks->fanout}},
+                            {"served", static_cast<double>(served)}},
                            {{"family", hooks->family}});
   }
   return served;
@@ -367,9 +341,9 @@ size_t ShardedRankServer::ServeUninstrumented(
     std::vector<uint32_t>* out) const {
   // Hot-path fault site, delay-only (slow-shard simulation) — queries are
   // never failed here, so a chaos run's answers stay correct. Disabled cost
-  // is one relaxed load + branch; an armed-but-inert injector adds a single
-  // mask test. Both are priced by bench/perf_fault and gated <= 1% in
-  // check_bench.py.
+  // is one acquire load (a plain load on x86) + branch; an armed-but-inert
+  // injector adds a single mask test. Both are priced by bench/perf_fault
+  // and gated <= 1% in check_bench.py.
   {
     static constexpr uint64_t kHash = fault::Hash(fault::kServeQuery);
     fault::Decision decision;
@@ -379,27 +353,16 @@ size_t ShardedRankServer::ServeUninstrumented(
   }
   // Dispatch through the policy the pinned view was built with — not any
   // server-level member — so a concurrent hot-swap Update can never pair a
-  // query with a policy that mismatches its ranking state.
-  const StochasticRankingPolicy& policy = *view.policy;
-  const EpochPrefixCache* cache = view.cache.get();
-  if (cache != nullptr) {
-    // Cached path: the cross-shard deterministic merge, the global pool,
-    // and the policy's per-epoch state were materialized once when this
-    // epoch was published; the policy realizes against the single
-    // pre-merged global view (promotion: protected-prefix copy + O(m)
-    // splice; Plackett-Luce: O(m) expected alias draws; epsilon-tail:
-    // head memcpy + explored slots only).
-    const ShardView global = cache->AsView();
-    return policy.ServePrefix(&global, 1, cache->policy_state.get(),
-                              ctx.scratch_, m, ctx.rng_, out);
-  }
-  // Per-query path: the policy realizes directly over the shard views,
-  // with no per-epoch state.
-  const size_t shards = view.shards.size();
-  ctx.views_.resize(shards);
-  for (size_t s = 0; s < shards; ++s) ctx.views_[s] = view.shards[s]->AsView();
-  return policy.ServePrefix(ctx.views_.data(), shards, nullptr, ctx.scratch_,
-                            m, ctx.rng_, out);
+  // query with a policy that mismatches its ranking state. The cross-shard
+  // deterministic merge, the global pool, and the policy's per-epoch state
+  // were materialized once when this epoch was published; the policy
+  // realizes against that single pre-merged global view (promotion:
+  // protected-prefix copy + O(m) splice; Plackett-Luce: O(m) expected alias
+  // draws; epsilon-tail: head copy + explored slots only).
+  const EpochPrefixCache& cache = *view.cache;
+  const ShardView global = cache.AsView();
+  return view.policy->ServePrefix(&global, 1, cache.policy_state.get(),
+                                  ctx.scratch_, m, ctx.rng_, out);
 }
 
 void ShardedRankServer::RecordVisit(Context& ctx, uint32_t page) {

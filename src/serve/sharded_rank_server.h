@@ -35,29 +35,19 @@ struct ServeOptions {
   size_t feedback_batch = 256;
   /// Base seed; each serving context gets its own non-overlapping stream.
   uint64_t seed = 0x5eedULL;
-  /// Build an EpochPrefixCache per published ServingView: the cross-shard
-  /// deterministic merge (and the policy's BuildEpochState product — e.g.
-  /// Plackett-Luce's alias table) runs once per epoch instead of once per
-  /// query, and the serve path becomes O(m) work independent of the shard
-  /// count. Off reproduces the per-query sharded path (kept for ablation;
-  /// both paths realize exactly the MaterializeList distribution).
-  /// Effective only when the policy's Capabilities() also declare
-  /// epoch_state; otherwise every query takes the per-query path regardless.
-  bool enable_prefix_cache = true;
   /// Observability (optional, borrowed — the registry/trace must outlive the
   /// server). With `metrics` set, every query records its true service time
   /// into a per-epoch-resolved log-bucketed histogram
-  /// `<obs_prefix>/latency_ns/<cached|sharded>/<family>` (split by cache
-  /// branch and policy family), publishes record into
-  /// `<obs_prefix>/publish_ns`, and counters/gauges under `<obs_prefix>/`
-  /// track queries, slots, publishes, and the live epoch. Null (default)
-  /// keeps the hot path identical to the uninstrumented server except for
-  /// one pointer test per query.
+  /// `<obs_prefix>/latency_ns/<family>` (split by policy family),
+  /// publishes record into `<obs_prefix>/publish_ns`, and counters/gauges
+  /// under `<obs_prefix>/` track queries, slots, publishes, and the live
+  /// epoch. Null (default) keeps the hot path identical to the
+  /// uninstrumented server except for one pointer test per query.
   obs::MetricsRegistry* metrics = nullptr;
   /// With `trace` also set, Update() emits epoch-publish phase spans (shard
   /// re-sort, merge, BuildEpochState, policy swap, RCU publish) and the
-  /// query path emits sampled per-query spans (service time, cache branch,
-  /// policy family, shard fan-out) at the TraceLog's sample_every stride.
+  /// query path emits sampled per-query spans (service time, policy family)
+  /// at the TraceLog's sample_every stride.
   obs::TraceLog* trace = nullptr;
   /// Metric-name prefix, so several servers (e.g. experiment arms) can share
   /// one registry without colliding.
@@ -65,7 +55,7 @@ struct ServeOptions {
 };
 
 /// Observability endpoints of one published epoch, resolved once per
-/// Update() (registry lookups, family slug, fan-out) and carried by the
+/// Update() (registry lookups, family slug) and carried by the
 /// ServingView so the query path records through plain pointers — and so
 /// metric attribution follows the pinned view across policy hot-swaps.
 struct ServeObsHooks {
@@ -75,9 +65,7 @@ struct ServeObsHooks {
   obs::TraceLog* trace = nullptr;  // null when tracing is off
   /// Per-context span sampling stride (TraceLog's sample_every); 0 = never.
   uint64_t sample_every = 0;
-  /// Span attributes, fixed for the epoch.
-  bool cached = false;
-  double fanout = 1.0;
+  /// Span attribute, fixed for the epoch.
   std::string family;
 };
 
@@ -93,6 +81,9 @@ struct QueryBatch {
   /// One entry per query in the batch; each is cleared and refilled with the
   /// first min(m, n) slots of that query's fresh realization.
   std::vector<std::vector<uint32_t>> results;
+  /// Output: the epoch of the view every result was drawn from; 0 before
+  /// the first publish.
+  uint64_t epoch = 0;
 
   size_t size() const { return results.size(); }
   void Resize(size_t count) { results.resize(count); }
@@ -112,7 +103,7 @@ struct QueryBatch {
 ///    queries are snapshot-isolated across shards: a query never mixes
 ///    ranking state from two different epochs.
 ///  * Each serving thread owns a Context (per-thread Rng stream, cached
-///    snapshot handle, merge scratch, feedback batch). The query hot path
+///    snapshot handle, policy scratch, feedback batch). The query hot path
 ///    performs one atomic version check and otherwise touches only
 ///    immutable snapshot data and context-local scratch — no locks.
 ///  * Observed result clicks flow back through RecordVisit(); the writer
@@ -122,12 +113,8 @@ struct QueryBatch {
 ///
 /// Distribution guarantee: ServeTopM over S shards is distributed exactly as
 /// the first m slots of Ranker::MaterializeList over the same global page
-/// state, for every policy family. With the per-epoch prefix cache (default,
-/// taken iff the policy's Capabilities() permit it) queries realize against
-/// the cached pre-merged global view; with the cache absent the policy
-/// realizes directly over the S shard views (for the promotion family: an
-/// S-way interleave on the global sort key plus shard-mass-weighted pool
-/// draws) — both are precisely the MaterializeList prefix law.
+/// state, for every policy family: every query realizes against the epoch's
+/// EpochPrefixCache, the pre-merged global view the S shards publish as.
 ///
 /// Amortization layers on the read path: (1) the EpochPrefixCache makes
 /// per-query cost O(m) independent of S, (2) ServeBatch answers B queries
@@ -152,10 +139,8 @@ class ShardedRankServer {
     /// Queries this context has served with observability on; drives the
     /// deterministic 1-in-sample_every trace sampling stride.
     uint64_t obs_seq_ = 0;
-    // Per-query policy scratch and borrowed shard views, reused across
-    // queries to avoid allocation.
+    // Per-query policy scratch, reused across queries to avoid allocation.
     PolicyScratch scratch_;
-    std::vector<ShardView> views_;
   };
 
   /// Serves the given ranking-policy family.
@@ -189,8 +174,8 @@ class ShardedRankServer {
   /// Policy hot-swap: like Update, but the new epoch is ranked and served
   /// under `new_policy` (which becomes the server's policy for every later
   /// Update too). The swap is published atomically with the epoch — the
-  /// snapshots, the epoch cache (rebuilt iff the *new* policy's capabilities
-  /// allow), and the policy itself swap in as one ServingView, so a query
+  /// snapshots, the epoch cache (rebuilt for the *new* policy), and the
+  /// policy itself swap in as one ServingView, so a query
   /// pinned to the old view keeps realizing under the old policy and a query
   /// pinned to the new one under the new: no query is ever dropped, and none
   /// is served by a policy that mismatches its ranking state. This is the
@@ -224,7 +209,8 @@ class ShardedRankServer {
   /// realization drawn from the context's Rng stream in submission order, so
   /// a batch of B is bit-identical to B sequential ServeTopM calls on the
   /// same context — batching changes throughput, never results. Clears every
-  /// result vector; before the first Update() all stay empty.
+  /// result vector and sets `batch->epoch` to the pinned view's epoch; before
+  /// the first Update() the results stay empty and the epoch is 0.
   size_t ServeBatch(Context& ctx, QueryBatch* batch) const;
 
   /// Records a served-result click for the feedback loop. Batched per
@@ -264,12 +250,6 @@ class ShardedRankServer {
   /// only stable while no hot-swap Update retires that policy.
   const RankPromotionConfig& config() const;
 
-  /// True when the currently published epoch carries an EpochPrefixCache —
-  /// i.e. queries are taking the cached O(m) splice rather than the
-  /// per-query sharded path. False before the first Update. The observable
-  /// the capability-gating tests assert on.
-  bool PrefixCacheActive() const;
-
   /// The observability endpoints this server was constructed with (null when
   /// off). The query workload uses these to derive its latency percentiles
   /// from the server's own per-query histograms.
@@ -287,7 +267,7 @@ class ShardedRankServer {
   size_t ServeUninstrumented(Context& ctx, const ServingView& view, size_t m,
                              std::vector<uint32_t>* out) const;
   /// Builds the epoch's resolved obs endpoints (null when metrics are off).
-  std::shared_ptr<const ServeObsHooks> BuildObsHooks(bool cached) const;
+  std::shared_ptr<const ServeObsHooks> BuildObsHooks() const;
 
   /// Writer-owned: the policy the *next* Update will rank and publish under
   /// (reassigned by a hot-swap Update). Never read on the query path — the

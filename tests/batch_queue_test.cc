@@ -93,14 +93,17 @@ TEST(BatchQueueTest, CallbackModeDeliversOnConsumerThread) {
 
   std::promise<std::vector<uint32_t>> delivered;
   ASSERT_TRUE(
-      queue.Submit(5, [&](QueryOutcome outcome, std::vector<uint32_t> results) {
+      queue.Submit(5, [&](QueryOutcome outcome, uint64_t epoch,
+                          std::vector<uint32_t> results) {
         EXPECT_EQ(outcome, QueryOutcome::kServed);
+        EXPECT_EQ(epoch, 1u);  // the view the results were drawn from
         delivered.set_value(std::move(results));
       }));
   const std::vector<uint32_t> results = delivered.get_future().get();
   EXPECT_EQ(results.size(), 5u);
   queue.Stop();
-  EXPECT_FALSE(queue.Submit(5, [](QueryOutcome, std::vector<uint32_t>) {}));
+  EXPECT_FALSE(
+      queue.Submit(5, [](QueryOutcome, uint64_t, std::vector<uint32_t>) {}));
 }
 
 TEST(BatchQueueTest, StopDrainsAcceptedQueries) {

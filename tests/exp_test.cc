@@ -333,130 +333,121 @@ TEST(LiveMetricsTest, AbsorbResolvesClicksAndNewbornClocks) {
 // A hot-swap publishes atomically with the epoch: the published policy, the
 // ranking state, and the epoch cache all flip together, and the server's
 // accessors observe the new policy only after the publish.
-TEST(HotSwapTest, SwapPublishesWithTheEpochOnBothCacheBranches) {
+TEST(HotSwapTest, SwapPublishesWithTheEpoch) {
   const size_t n = 240;
   Fixture fx(n, 40);
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.enable_prefix_cache = cache;
-    ShardedRankServer server(
-        MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    EXPECT_EQ(server.epoch(), 1u);
-    EXPECT_EQ(server.policy()->Label(), "selective(r=0.30,k=2)");
-    EXPECT_EQ(server.PrefixCacheActive(), cache);
+  ServeOptions opts;
+  opts.shards = 4;
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
+  server.Update(fx.popularity, fx.zero, fx.birth);
+  EXPECT_EQ(server.epoch(), 1u);
+  EXPECT_EQ(server.policy()->Label(), "selective(r=0.30,k=2)");
 
-    // Swap to Plackett-Luce: one publish, epoch advances by one, the cache
-    // (when enabled) is rebuilt for the NEW policy (alias-table state).
-    server.Update(fx.popularity, fx.zero, fx.birth, MakePlackettLucePolicy(0.1));
-    EXPECT_EQ(server.epoch(), 2u);
-    EXPECT_EQ(server.policy()->Label(), "plackett-luce(T=0.10)");
-    EXPECT_EQ(server.PrefixCacheActive(), cache);
-    auto ctx = server.CreateContext();
-    std::vector<uint32_t> out;
-    ASSERT_EQ(server.ServeTopM(ctx, n, &out), n);
-    EXPECT_EQ(std::set<uint32_t>(out.begin(), out.end()).size(), n);
+  // Swap to Plackett-Luce: one publish, epoch advances by one, the cache is
+  // rebuilt for the NEW policy (alias-table state).
+  server.Update(fx.popularity, fx.zero, fx.birth, MakePlackettLucePolicy(0.1));
+  EXPECT_EQ(server.epoch(), 2u);
+  EXPECT_EQ(server.policy()->Label(), "plackett-luce(T=0.10)");
+  auto ctx = server.CreateContext();
+  std::vector<uint32_t> out;
+  ASSERT_EQ(server.ServeTopM(ctx, n, &out), n);
+  EXPECT_EQ(std::set<uint32_t>(out.begin(), out.end()).size(), n);
 
-    // Swap to strict deterministic ranking: serving must now reproduce the
-    // deterministic order exactly — the swapped-in policy is really the one
-    // serving, not a stale member.
-    server.Update(fx.popularity, fx.zero, fx.birth,
-                  MakePromotionPolicy(RankPromotionConfig::None()));
-    EXPECT_EQ(server.epoch(), 3u);
-    std::vector<uint32_t> det_a;
-    std::vector<uint32_t> det_b;
-    ASSERT_EQ(server.ServeTopM(ctx, n, &det_a), n);
-    ASSERT_EQ(server.ServeTopM(ctx, n, &det_b), n);
-    EXPECT_EQ(det_a, det_b);  // r=0: no randomness left
-    // Null policy keeps the current one (the 4-arg overload's behavior).
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    EXPECT_EQ(server.policy()->Label(), "none");
-  }
+  // Swap to strict deterministic ranking: serving must now reproduce the
+  // deterministic order exactly — the swapped-in policy is really the one
+  // serving, not a stale member.
+  server.Update(fx.popularity, fx.zero, fx.birth,
+                MakePromotionPolicy(RankPromotionConfig::None()));
+  EXPECT_EQ(server.epoch(), 3u);
+  std::vector<uint32_t> det_a;
+  std::vector<uint32_t> det_b;
+  ASSERT_EQ(server.ServeTopM(ctx, n, &det_a), n);
+  ASSERT_EQ(server.ServeTopM(ctx, n, &det_b), n);
+  EXPECT_EQ(det_a, det_b);  // r=0: no randomness left
+  // Null policy keeps the current one (the 4-arg overload's behavior).
+  server.Update(fx.popularity, fx.zero, fx.birth);
+  EXPECT_EQ(server.policy()->Label(), "none");
 }
 
 // The acceptance property: hot-swaps under full concurrent query load drop
 // nothing and misroute nothing — every query returns a complete, duplicate-
 // free result realized under exactly one epoch's policy. Runs under TSan in
-// CI on both cache branches (the swap also flips epoch-cache contents).
+// CI (the swap also flips epoch-cache contents).
 TEST(HotSwapTest, ConcurrentQueriesSurviveContinuousSwaps) {
   const size_t n = 300;
   const size_t m = 12;
   Fixture fx(n, 60);
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.enable_prefix_cache = cache;
-    ShardedRankServer server(
-        MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 2)), n, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
+  ServeOptions opts;
+  opts.shards = 4;
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 2)), n, opts);
+  server.Update(fx.popularity, fx.zero, fx.birth);
 
-    std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> malformed{0};
-    std::atomic<size_t> running{0};
-    const size_t kReaders = 4;
-    const size_t kQuotaPerReader = 2000;
-    std::vector<std::thread> readers;
-    readers.reserve(kReaders);
-    for (size_t t = 0; t < kReaders; ++t) {
-      readers.emplace_back([&] {
-        running.fetch_add(1, std::memory_order_release);
-        auto ctx = server.CreateContext();
-        std::vector<uint32_t> out;
-        std::set<uint32_t> seen;
-        for (size_t q = 0; q < kQuotaPerReader; ++q) {
-          const size_t got = server.ServeTopM(ctx, m, &out);
-          if (got != m || out.size() != m) {
-            malformed.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          seen.clear();
-          seen.insert(out.begin(), out.end());
-          if (seen.size() != m) {
-            malformed.fetch_add(1, std::memory_order_relaxed);
-          }
-          served.fetch_add(1, std::memory_order_relaxed);
-          server.RecordVisit(ctx, out.front());
+  std::atomic<uint64_t> served{0};
+  std::atomic<uint64_t> malformed{0};
+  std::atomic<size_t> running{0};
+  const size_t kReaders = 4;
+  const size_t kQuotaPerReader = 2000;
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      running.fetch_add(1, std::memory_order_release);
+      auto ctx = server.CreateContext();
+      std::vector<uint32_t> out;
+      std::set<uint32_t> seen;
+      for (size_t q = 0; q < kQuotaPerReader; ++q) {
+        const size_t got = server.ServeTopM(ctx, m, &out);
+        if (got != m || out.size() != m) {
+          malformed.fetch_add(1, std::memory_order_relaxed);
+          continue;
         }
-        server.FlushFeedback(ctx);
-        running.fetch_sub(1, std::memory_order_release);
-      });
-    }
-
-    // The writer cycles through every family (promotion, Plackett-Luce,
-    // epsilon-tail, strict-deterministic) plus plain republishes, swapping
-    // continuously until every reader has finished its quota — so swaps and
-    // queries genuinely overlap for the whole run.
-    const std::vector<std::shared_ptr<const StochasticRankingPolicy>> cycle = {
-        MakePlackettLucePolicy(0.1),
-        nullptr,  // republish, no swap
-        MakeEpsilonTailPolicy(0.3, 3),
-        MakePromotionPolicy(RankPromotionConfig::None()),
-        MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 2)),
-    };
-    // At least kMinSwaps publishes always happen (even if a loaded machine
-    // lets the readers drain their quota early), and swapping continues for
-    // as long as any reader is still querying.
-    const size_t kMinSwaps = 10;
-    size_t swaps = 0;
-    while (swaps < kMinSwaps || running.load(std::memory_order_acquire) > 0) {
-      server.Update(fx.popularity, fx.zero, fx.birth,
-                    cycle[swaps % cycle.size()]);
-      ++swaps;
-    }
-    for (auto& th : readers) th.join();
-
-    EXPECT_EQ(server.epoch(), 1u + swaps);
-    EXPECT_EQ(malformed.load(), 0u)
-        << "cache=" << cache << ": a query was dropped or mixed epochs";
-    EXPECT_EQ(served.load(), kReaders * kQuotaPerReader);
-    // The policy being served is the one the last swap published (a trailing
-    // republish — the nullptr cycle slot — keeps its predecessor, cycle[0]).
-    ASSERT_GE(swaps, 1u);
-    const size_t last = (swaps - 1) % cycle.size();
-    const auto& expected = cycle[last] != nullptr ? cycle[last] : cycle[0];
-    EXPECT_EQ(server.policy()->Label(), expected->Label());
+        seen.clear();
+        seen.insert(out.begin(), out.end());
+        if (seen.size() != m) {
+          malformed.fetch_add(1, std::memory_order_relaxed);
+        }
+        served.fetch_add(1, std::memory_order_relaxed);
+        server.RecordVisit(ctx, out.front());
+      }
+      server.FlushFeedback(ctx);
+      running.fetch_sub(1, std::memory_order_release);
+    });
   }
+
+  // The writer cycles through every family (promotion, Plackett-Luce,
+  // epsilon-tail, strict-deterministic) plus plain republishes, swapping
+  // continuously until every reader has finished its quota — so swaps and
+  // queries genuinely overlap for the whole run.
+  const std::vector<std::shared_ptr<const StochasticRankingPolicy>> cycle = {
+      MakePlackettLucePolicy(0.1),
+      nullptr,  // republish, no swap
+      MakeEpsilonTailPolicy(0.3, 3),
+      MakePromotionPolicy(RankPromotionConfig::None()),
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 2)),
+  };
+  // At least kMinSwaps publishes always happen (even if a loaded machine
+  // lets the readers drain their quota early), and swapping continues for
+  // as long as any reader is still querying.
+  const size_t kMinSwaps = 10;
+  size_t swaps = 0;
+  while (swaps < kMinSwaps || running.load(std::memory_order_acquire) > 0) {
+    server.Update(fx.popularity, fx.zero, fx.birth,
+                  cycle[swaps % cycle.size()]);
+    ++swaps;
+  }
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(server.epoch(), 1u + swaps);
+  EXPECT_EQ(malformed.load(), 0u) << "a query was dropped or mixed epochs";
+  EXPECT_EQ(served.load(), kReaders * kQuotaPerReader);
+  // The policy being served is the one the last swap published (a trailing
+  // republish — the nullptr cycle slot — keeps its predecessor, cycle[0]).
+  ASSERT_GE(swaps, 1u);
+  const size_t last = (swaps - 1) % cycle.size();
+  const auto& expected = cycle[last] != nullptr ? cycle[last] : cycle[0];
+  EXPECT_EQ(server.policy()->Label(), expected->Label());
 }
 
 // --- ExperimentManager ---------------------------------------------------

@@ -225,7 +225,6 @@ void ExpectPublishRollsBackAt(std::string_view point) {
   auto twin = MakeServer(n, &twin_reg);
   ASSERT_TRUE(faulty->Update(fx.popularity, fx.zero, fx.birth));
   ASSERT_TRUE(twin->Update(fx.popularity, fx.zero, fx.birth));
-  ASSERT_TRUE(faulty->PrefixCacheActive());  // merge/epoch_state sites reached
 
   Fixture doomed(n, 40, /*seed=*/9);
   {
@@ -422,7 +421,9 @@ TEST(QueueDeadlineTest, ExpiredCallbackReportsOutcomeWithEmptyResults) {
   BatchQueue queue(*server, qopts);
   std::promise<QueryOutcome> outcome;
   ASSERT_TRUE(
-      queue.Submit(5, [&](QueryOutcome o, std::vector<uint32_t> results) {
+      queue.Submit(5, [&](QueryOutcome o, uint64_t epoch,
+                          std::vector<uint32_t> results) {
+        EXPECT_EQ(epoch, 0u);
         EXPECT_TRUE(results.empty());
         outcome.set_value(o);
       }));

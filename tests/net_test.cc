@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -787,6 +788,46 @@ TEST(NetDaemonTest, DeadlineExpiredQueriesGetExplicitTimeout) {
   NetClient::QueryResult result;
   ASSERT_EQ(client.Query(10, 2, &result), NetClient::Status::kOk);
   EXPECT_EQ(result.pages.size(), 10u);
+  EXPECT_TRUE(harness.daemon->Drain());
+}
+
+// QUERY_REPLY.epoch names the epoch the realization was drawn from, not
+// whatever epoch is live when the reply is encoded: a publish landing while
+// the query is being served must not relabel the reply.
+TEST(NetDaemonTest, ReplyEpochIsThePinnedViewsEvenAcrossAPublish) {
+  DaemonHarness harness(2000);
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+
+  // Hold the first query inside the serve path, after its view is pinned.
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::Parse(
+      "point=serve.query,action=delay,nth=1,delay_us=500000", &plan,
+      nullptr));
+  fault::FaultInjector injector(std::move(plan));
+  fault::ScopedFaultInjector scoped(&injector);
+
+  NetClient::Status status = NetClient::Status::kIoError;
+  NetClient::QueryResult result;
+  std::thread query([&] { status = client.Query(10, 1, &result); });
+  for (int i = 0; i < 5000 && injector.fired(fault::kServeQuery) == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t fired_before_publish = injector.fired(fault::kServeQuery);
+  // Publish epoch 2 while the query is still delayed on epoch 1's view.
+  const bool published = harness.server->Update(harness.fixture.popularity,
+                                                harness.fixture.zero,
+                                                harness.fixture.birth);
+  // Join before any fatal assertion: a joinable std::thread would terminate
+  // the whole binary on the early return.
+  query.join();
+
+  ASSERT_EQ(fired_before_publish, 1u);
+  ASSERT_TRUE(published);
+  ASSERT_EQ(status, NetClient::Status::kOk);
+  EXPECT_EQ(result.pages.size(), 10u);
+  EXPECT_EQ(harness.server->epoch(), 2u);
+  EXPECT_EQ(result.epoch, 1u);
   EXPECT_TRUE(harness.daemon->Drain());
 }
 

@@ -284,15 +284,15 @@ TEST(ExportTest, PrometheusTextShape) {
   MetricsRegistry reg;
   reg.GetCounter("serve/queries").Add(7);
   reg.GetGauge("queue/depth").Set(3.5);
-  reg.GetHistogram("serve/latency_ns/cached/selective").Record(100);
+  reg.GetHistogram("serve/latency_ns/selective").Record(100);
   const std::string text = obs::PrometheusText(reg.Snapshot());
   EXPECT_NE(text.find("serve_queries_total 7"), std::string::npos) << text;
   EXPECT_NE(text.find("queue_depth 3.5"), std::string::npos) << text;
-  EXPECT_NE(text.find("serve_latency_ns_cached_selective_bucket"),
+  EXPECT_NE(text.find("serve_latency_ns_selective_bucket"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos) << text;
-  EXPECT_NE(text.find("serve_latency_ns_cached_selective_count 1"),
+  EXPECT_NE(text.find("serve_latency_ns_selective_count 1"),
             std::string::npos)
       << text;
 }
@@ -393,7 +393,6 @@ TEST(ServeObsTest, PublishEmitsAllPhaseSpans) {
   opts.trace = &trace;
   ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
-  EXPECT_TRUE(server.PrefixCacheActive());
 
   std::set<std::string> names = SpanNames(trace);
   EXPECT_TRUE(names.count("publish/shards")) << "got " << names.size();
@@ -442,9 +441,9 @@ TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
   EXPECT_TRUE(names.count("serve/batch"));
 
   const MetricsSnapshot snap = reg.Snapshot();
-  // Cached path + selective family, per the histogram naming convention.
+  // Selective family, per the histogram naming convention.
   const HistogramSnapshot& lat =
-      snap.histograms.at("serve/latency_ns/cached/selective");
+      snap.histograms.at("serve/latency_ns/selective");
   EXPECT_EQ(lat.total, 14u);  // 10 single + 4 batched
   EXPECT_EQ(snap.counters.at("serve/queries"), 14u);
   EXPECT_EQ(snap.counters.at("serve/slots"), 14u * 10u);

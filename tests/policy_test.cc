@@ -33,45 +33,40 @@ namespace {
 
 using testutil::Fixture;
 
+/// The Ranker's state as the pre-merged global view ServePrefix takes.
+ShardView RankerView(const Ranker& ranker) {
+  return {ranker.deterministic_order().data(),
+          ranker.deterministic_scores().data(),
+          ranker.deterministic_order().size(), ranker.pool().data(),
+          ranker.pool().size()};
+}
+
 TEST(PolicyCapabilitiesTest, FamiliesDeclareTheExpectedMatrix) {
   const auto promo = MakePromotionPolicy(RankPromotionConfig::Recommended(2));
-  EXPECT_TRUE(promo->Capabilities().lazy_prefix);
-  EXPECT_TRUE(promo->Capabilities().epoch_state);
-  EXPECT_TRUE(promo->Capabilities().sharded_merge);
   EXPECT_TRUE(promo->Capabilities().agent_sim);
   EXPECT_TRUE(promo->Capabilities().mean_field);
   ASSERT_NE(promo->AsPromotion(), nullptr);
   EXPECT_EQ(promo->AsPromotion()->rule, PromotionRule::kSelective);
 
   const auto pl = MakePlackettLucePolicy(0.1);
-  EXPECT_FALSE(pl->Capabilities().lazy_prefix);
-  // The per-epoch alias table flipped this on: PL now rides the cached
-  // single-view path like the promotion family.
-  EXPECT_TRUE(pl->Capabilities().epoch_state);
-  EXPECT_TRUE(pl->Capabilities().sharded_merge);
   EXPECT_FALSE(pl->Capabilities().agent_sim);
   EXPECT_FALSE(pl->Capabilities().mean_field);
   EXPECT_EQ(pl->AsPromotion(), nullptr);
 
   const auto eps = MakeEpsilonTailPolicy(0.2, 5);
-  EXPECT_TRUE(eps->Capabilities().lazy_prefix);
-  EXPECT_TRUE(eps->Capabilities().epoch_state);
-  EXPECT_TRUE(eps->Capabilities().sharded_merge);
   EXPECT_FALSE(eps->Capabilities().agent_sim);
+  EXPECT_FALSE(eps->Capabilities().mean_field);
   EXPECT_EQ(eps->AsPromotion(), nullptr);
 
   const auto ts = MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1);
-  EXPECT_TRUE(ts->Capabilities().lazy_prefix);
-  EXPECT_TRUE(ts->Capabilities().epoch_state);
-  EXPECT_TRUE(ts->Capabilities().sharded_merge);
   EXPECT_FALSE(ts->Capabilities().agent_sim);
   EXPECT_FALSE(ts->Capabilities().mean_field);
   EXPECT_EQ(ts->AsPromotion(), nullptr);
 }
 
-// Which families actually produce opaque per-epoch state (the promotion
-// family's epoch-invariant state is the merged view itself, so its hook
-// returns null and the serve layer passes nothing extra).
+// Which families actually produce opaque per-epoch state (for every family
+// but Plackett-Luce the epoch-invariant state is the merged view itself, so
+// the hook returns null and the serve layer passes nothing extra).
 TEST(PolicyCapabilitiesTest, BuildEpochStateProducesStateWhereExpected) {
   const size_t n = 60;
   Fixture fx(n, 0);
@@ -79,20 +74,13 @@ TEST(PolicyCapabilitiesTest, BuildEpochStateProducesStateWhereExpected) {
     Ranker ranker(p);
     Rng rng(17);
     ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-    const ShardView view = {ranker.deterministic_order().data(),
-                            ranker.deterministic_scores().data(),
-                            nullptr,
-                            ranker.deterministic_order().size(),
-                            ranker.pool().data(),
-                            ranker.pool().size()};
-    return p->BuildEpochState(view);
+    return p->BuildEpochState(RankerView(ranker));
   };
   EXPECT_EQ(build(MakePromotionPolicy(RankPromotionConfig::None())), nullptr);
   EXPECT_NE(build(MakePlackettLucePolicy(0.2)), nullptr);
-  EXPECT_NE(build(MakeEpsilonTailPolicy(0.3, 4)), nullptr);
-  // A zero protected head leaves epsilon-tail stateless too.
-  EXPECT_EQ(build(MakeEpsilonTailPolicy(0.3, 0)), nullptr);
+  // Epsilon-tail's protected head is a prefix of the merged order, and
   // ts-promo duels over the merged view itself — nothing extra to build.
+  EXPECT_EQ(build(MakeEpsilonTailPolicy(0.3, 4)), nullptr);
   EXPECT_EQ(build(MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1)), nullptr);
 }
 
@@ -346,12 +334,11 @@ TEST(PlackettLucePolicyTest, FullRealizationIsAPermutation) {
 template <typename Stat>
 std::vector<double> ServeCounts(
     std::shared_ptr<const StochasticRankingPolicy> policy, const Fixture& fx,
-    size_t n, size_t shards, bool enable_cache, size_t m, int trials,
-    size_t cells, uint64_t seed, const Stat& stat) {
+    size_t n, size_t shards, size_t m, int trials, size_t cells,
+    uint64_t seed, const Stat& stat) {
   ServeOptions opts;
   opts.shards = shards;
   opts.seed = seed;
-  opts.enable_prefix_cache = enable_cache;
   ShardedRankServer server(std::move(policy), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
@@ -384,6 +371,29 @@ std::vector<double> MaterializeCounts(
   return counts;
 }
 
+/// Calls ServePrefix directly on a Ranker's view with a null epoch state —
+/// a case no server reaches, since every epoch builds its state — and
+/// accumulates the statistic over `trials` top-m prefixes.
+template <typename Stat>
+std::vector<double> NullStateCounts(
+    std::shared_ptr<const StochasticRankingPolicy> policy, const Fixture& fx,
+    size_t m, int trials, size_t cells, uint64_t seed, const Stat& stat) {
+  Ranker ranker(policy);
+  Rng rng(seed);
+  ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+  const ShardView view = RankerView(ranker);
+  PolicyScratch scratch;
+  std::vector<double> counts(cells, 0.0);
+  std::vector<uint32_t> out;
+  for (int t = 0; t < trials; ++t) {
+    out.clear();
+    EXPECT_EQ(policy->ServePrefix(&view, 1, nullptr, scratch, m, rng, &out),
+              m);
+    counts[stat(out)] += 1.0;
+  }
+  return counts;
+}
+
 void ExpectChiSquaredAgreement(std::vector<double> a, std::vector<double> b,
                                const char* what) {
   MergeSparseCells(&a, &b, 32.0);
@@ -395,44 +405,45 @@ void ExpectChiSquaredAgreement(std::vector<double> a, std::vector<double> b,
       << ")";
 }
 
-// The acceptance property for the epsilon-tail family: the sharded serve
-// path (both cache branches) realizes exactly the law of the naive
-// materialized reference. Statistic: how many of the deterministic top-m
-// pages appear in the served top-m (a categorical in 0..m).
+// The acceptance property for the epsilon-tail family: the served top-m
+// realizes exactly the law of the naive materialized reference, with a
+// protected head and without one (k = 0: every slot may explore).
+// Statistic: how many of the deterministic top-m pages appear in the served
+// top-m (a categorical in 0..m).
 TEST(PolicyEquivalenceTest, EpsilonTailServeMatchesMaterializeChiSquared) {
   const size_t n = 90;
   const size_t m = 10;
   const int kTrials = 20000;
   Fixture fx(n, 0);
-  const auto policy = MakeEpsilonTailPolicy(0.35, 3);
+  for (const size_t protect : {3u, 0u}) {
+    SCOPED_TRACE("k=" + std::to_string(protect));
+    const auto policy = MakeEpsilonTailPolicy(0.35, protect);
 
-  Ranker ranker(policy);
-  Rng rng(2);
-  ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-  const std::set<uint32_t> det_top(ranker.deterministic_order().begin(),
-                                   ranker.deterministic_order().begin() + m);
-  const auto stat = [&](const std::vector<uint32_t>& prefix) {
-    size_t hits = 0;
-    for (const uint32_t page : prefix) hits += det_top.count(page);
-    return hits;
-  };
+    Ranker ranker(policy);
+    Rng rng(2);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+    const std::set<uint32_t> det_top(ranker.deterministic_order().begin(),
+                                     ranker.deterministic_order().begin() + m);
+    const auto stat = [&](const std::vector<uint32_t>& prefix) {
+      size_t hits = 0;
+      for (const uint32_t page : prefix) hits += det_top.count(page);
+      return hits;
+    };
 
-  const std::vector<double> reference =
-      MaterializeCounts(policy, fx, m, kTrials, m + 1, 101, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 4, cache, m, kTrials, m + 1, cache ? 102 : 103, stat);
-    ExpectChiSquaredAgreement(served, reference,
-                              cache ? "eps-tail cached" : "eps-tail uncached");
+    const std::vector<double> reference =
+        MaterializeCounts(policy, fx, m, kTrials, m + 1, 101, stat);
+    const std::vector<double> served =
+        ServeCounts(policy, fx, n, 4, m, kTrials, m + 1, 102, stat);
+    ExpectChiSquaredAgreement(served, reference, "eps-tail");
   }
 }
 
-// Same acceptance property for Plackett-Luce, on both cache branches:
-// cache on serves through the per-epoch alias table (rejection against the
-// served set), cache off through the per-query Gumbel-max path — both must
-// realize exactly the sequential-softmax reference law. Statistic: the
-// identity of the page served at rank 1 (categorical over all n pages;
-// sparse cells are merged before the test).
+// Same acceptance property for Plackett-Luce, on both draw paths: the
+// server serves through the per-epoch alias table (rejection against the
+// served set), and ServePrefix with a null epoch state runs the Gumbel-max
+// fallback from slot 0 — both must realize exactly the sequential-softmax
+// reference law. Statistic: the identity of the page served at rank 1
+// (categorical over all n pages; sparse cells are merged before the test).
 TEST(PolicyEquivalenceTest, PlackettLuceServeMatchesMaterializeChiSquared) {
   const size_t n = 40;
   const size_t m = 5;
@@ -445,13 +456,12 @@ TEST(PolicyEquivalenceTest, PlackettLuceServeMatchesMaterializeChiSquared) {
   };
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, n, 201, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 3, cache, m, kTrials, n, cache ? 202 : 203, stat);
-    ExpectChiSquaredAgreement(
-        served, reference,
-        cache ? "plackett-luce rank 1 (alias)" : "plackett-luce rank 1");
-  }
+  ExpectChiSquaredAgreement(
+      ServeCounts(policy, fx, n, 3, m, kTrials, n, 202, stat), reference,
+      "plackett-luce rank 1 (alias)");
+  ExpectChiSquaredAgreement(
+      NullStateCounts(policy, fx, m, kTrials, n, 203, stat), reference,
+      "plackett-luce rank 1 (null state)");
 }
 
 // Cross-check at a deeper rank so the without-replacement coupling is
@@ -469,13 +479,12 @@ TEST(PolicyEquivalenceTest, PlackettLuceRankMarginalsMatchAtDepth) {
   };
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, n, 301, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 3, cache, m, kTrials, n, cache ? 302 : 303, stat);
-    ExpectChiSquaredAgreement(
-        served, reference,
-        cache ? "plackett-luce rank m (alias)" : "plackett-luce rank m");
-  }
+  ExpectChiSquaredAgreement(
+      ServeCounts(policy, fx, n, 3, m, kTrials, n, 302, stat), reference,
+      "plackett-luce rank m (alias)");
+  ExpectChiSquaredAgreement(
+      NullStateCounts(policy, fx, m, kTrials, n, 303, stat), reference,
+      "plackett-luce rank m (null state)");
 }
 
 // A temperature small enough that the softmax mass concentrates on the top
@@ -495,16 +504,15 @@ TEST(PolicyEquivalenceTest, PlackettLuceAliasFallbackPreservesTheLawChiSquared) 
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, n, 401, stat);
   const std::vector<double> served =
-      ServeCounts(policy, fx, n, 2, true, m, kTrials, n, 402, stat);
+      ServeCounts(policy, fx, n, 2, m, kTrials, n, 402, stat);
   ExpectChiSquaredAgreement(served, reference, "plackett-luce fallback");
 }
 
-// Same acceptance property for the Thompson-promotion family, on both cache
-// branches: the cached path serves the single merged view, the uncached
-// path duels across per-shard views (where the score normalizer is the max
-// head over all views) — both must realize exactly the naive reference law.
-// Statistic: how many of the deterministic top-m pages survive in the
-// served top-m (the duel decides exactly this exchange).
+// Same acceptance property for the Thompson-promotion family: the served
+// top-m duels over the merged view (the score normalizer is its best head)
+// and must realize exactly the naive reference law. Statistic: how many of
+// the deterministic top-m pages survive in the served top-m (the duel
+// decides exactly this exchange).
 TEST(PolicyEquivalenceTest, ThompsonPromoServeMatchesMaterializeChiSquared) {
   const size_t n = 90;
   const size_t m = 10;
@@ -526,52 +534,9 @@ TEST(PolicyEquivalenceTest, ThompsonPromoServeMatchesMaterializeChiSquared) {
 
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, m + 1, 501, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 4, cache, m, kTrials, m + 1, cache ? 502 : 503, stat);
-    ExpectChiSquaredAgreement(served, reference,
-                              cache ? "ts-promo cached" : "ts-promo uncached");
-  }
-}
-
-// --- Acceptance: the epoch cache is used iff the capabilities allow it ---
-
-TEST(PolicyServingTest, PrefixCacheActiveIffPolicyCapabilitiesAllow) {
-  const size_t n = 120;
-  Fixture fx(n, 24);
-  struct Case {
-    std::shared_ptr<const StochasticRankingPolicy> policy;
-    bool enable;
-    bool expect_active;
-  };
-  const std::vector<Case> cases = {
-      {MakePromotionPolicy(RankPromotionConfig::Recommended(2)), true, true},
-      {MakePromotionPolicy(RankPromotionConfig::Recommended(2)), false, false},
-      {MakeEpsilonTailPolicy(0.2, 4), true, true},
-      {MakeEpsilonTailPolicy(0.2, 4), false, false},
-      // Plackett-Luce's alias table made it cache-capable (PR 4); the
-      // server ablation switch still disables it.
-      {MakePlackettLucePolicy(0.1), true, true},
-      {MakePlackettLucePolicy(0.1), false, false},
-      {MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1), true, true},
-      {MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1), false, false},
-  };
-  for (const Case& c : cases) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.enable_prefix_cache = c.enable;
-    ShardedRankServer server(c.policy, n, opts);
-    EXPECT_FALSE(server.PrefixCacheActive());  // nothing published yet
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    EXPECT_EQ(server.PrefixCacheActive(), c.expect_active)
-        << c.policy->Label() << " enable=" << c.enable;
-    // Whichever branch is taken, queries are well-formed permutations.
-    auto ctx = server.CreateContext();
-    std::vector<uint32_t> out;
-    ASSERT_EQ(server.ServeTopM(ctx, n, &out), n) << c.policy->Label();
-    const std::set<uint32_t> seen(out.begin(), out.end());
-    EXPECT_EQ(seen.size(), n) << c.policy->Label();
-  }
+  const std::vector<double> served =
+      ServeCounts(policy, fx, n, 4, m, kTrials, m + 1, 502, stat);
+  ExpectChiSquaredAgreement(served, reference, "ts-promo");
 }
 
 TEST(PolicyServingTest, AllStandardFamiliesServeThroughBatchesAndWorkload) {

@@ -134,21 +134,40 @@ TEST(ServeTest, FullListIsPermutationAcrossShardCounts) {
 }
 
 TEST(ServeTest, NoneRuleMatchesGlobalDeterministicOrderShardedOrNot) {
-  Fixture fx(300, 0);
-  Ranker ranker(RankPromotionConfig::None());
-  Rng rng(3);
-  ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+  struct Case {
+    size_t n;
+    size_t zeros;
+    size_t shards;
+    bool coarse_births;
+  };
+  // The second corpus ties 60 pages at popularity 0, spread over all 7
+  // shards (ids 0, 5, 10, ... mod 7). Its births fall with the id and are
+  // shared by neighbouring pages, so the merge must apply both levels of
+  // the tie-break: earlier birth first, then the lower id.
+  for (const Case c : {Case{300, 0, 7, false}, Case{311, 60, 7, true}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " zeros=" << c.zeros
+                                    << " shards=" << c.shards);
+    Fixture fx(c.n, c.zeros);
+    if (c.coarse_births) {
+      for (size_t i = 0; i < c.n; ++i) {
+        fx.birth[i] = static_cast<int64_t>((c.n - i) / 10);
+      }
+    }
+    Ranker ranker(RankPromotionConfig::None());
+    Rng rng(3);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
 
-  ServeOptions opts;
-  opts.shards = 7;
-  ShardedRankServer server(RankPromotionConfig::None(), 300, opts);
-  server.Update(fx.popularity, fx.zero, fx.birth);
-  auto ctx = server.CreateContext();
-  std::vector<uint32_t> out;
-  server.ServeTopM(ctx, 300, &out);
-  // With no randomization the cross-shard merge must reproduce the global
-  // sort exactly.
-  EXPECT_EQ(out, ranker.deterministic_order());
+    ServeOptions opts;
+    opts.shards = c.shards;
+    ShardedRankServer server(RankPromotionConfig::None(), c.n, opts);
+    server.Update(fx.popularity, fx.zero, fx.birth);
+    auto ctx = server.CreateContext();
+    std::vector<uint32_t> out;
+    EXPECT_EQ(server.ServeTopM(ctx, c.n, &out), c.n);
+    // With no randomization the cross-shard merge must reproduce the global
+    // sort exactly.
+    EXPECT_EQ(out, ranker.deterministic_order());
+  }
 }
 
 TEST(ServeTest, ProtectedPrefixIsStableAcrossRealizations) {
@@ -220,35 +239,31 @@ TEST(ServeTest, ServeBatchIsPairwiseIdenticalToSequentialQueries) {
   const size_t m = 15;
   const size_t kBatch = 32;
   Fixture fx(n, 100);
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.seed = 77;
-    opts.enable_prefix_cache = cache;
+  ServeOptions opts;
+  opts.shards = 4;
+  opts.seed = 77;
 
-    // Two identical servers; contexts created identically get identical
-    // per-query Rng streams.
-    ShardedRankServer sequential(RankPromotionConfig::Selective(0.4, 3), n,
-                                 opts);
-    ShardedRankServer batched(RankPromotionConfig::Selective(0.4, 3), n, opts);
-    sequential.Update(fx.popularity, fx.zero, fx.birth);
-    batched.Update(fx.popularity, fx.zero, fx.birth);
-    auto seq_ctx = sequential.CreateContext();
-    auto batch_ctx = batched.CreateContext();
+  // Two identical servers; contexts created identically get identical
+  // per-query Rng streams.
+  ShardedRankServer sequential(RankPromotionConfig::Selective(0.4, 3), n,
+                               opts);
+  ShardedRankServer batched(RankPromotionConfig::Selective(0.4, 3), n, opts);
+  sequential.Update(fx.popularity, fx.zero, fx.birth);
+  batched.Update(fx.popularity, fx.zero, fx.birth);
+  auto seq_ctx = sequential.CreateContext();
+  auto batch_ctx = batched.CreateContext();
 
-    std::vector<std::vector<uint32_t>> expected(kBatch);
-    size_t expected_total = 0;
-    for (size_t q = 0; q < kBatch; ++q) {
-      expected_total += sequential.ServeTopM(seq_ctx, m, &expected[q]);
-    }
+  std::vector<std::vector<uint32_t>> expected(kBatch);
+  size_t expected_total = 0;
+  for (size_t q = 0; q < kBatch; ++q) {
+    expected_total += sequential.ServeTopM(seq_ctx, m, &expected[q]);
+  }
 
-    QueryBatch batch(m, kBatch);
-    ASSERT_EQ(batched.ServeBatch(batch_ctx, &batch), expected_total)
-        << "cache=" << cache;
-    for (size_t q = 0; q < kBatch; ++q) {
-      EXPECT_EQ(batch.results[q], expected[q])
-          << "cache=" << cache << " query " << q;
-    }
+  QueryBatch batch(m, kBatch);
+  ASSERT_EQ(batched.ServeBatch(batch_ctx, &batch), expected_total);
+  EXPECT_EQ(batch.epoch, 1u);
+  for (size_t q = 0; q < kBatch; ++q) {
+    EXPECT_EQ(batch.results[q], expected[q]) << "query " << q;
   }
 }
 
@@ -257,74 +272,61 @@ TEST(ServeTest, ServeBatchBeforeFirstUpdateServesNothing) {
   auto ctx = server.CreateContext();
   QueryBatch batch(10, 4);
   batch.results[0].push_back(42);  // stale content must be cleared
+  batch.epoch = 9;
   EXPECT_EQ(server.ServeBatch(ctx, &batch), 0u);
   for (const auto& result : batch.results) EXPECT_TRUE(result.empty());
+  EXPECT_EQ(batch.epoch, 0u);
 }
 
-// The epoch cache's deterministic half admits an exact test: its merged
-// global order must equal the per-query S-way merge output (observable as
-// the full served list under r=0), not merely match in distribution.
-TEST(ServeTest, EpochPrefixCacheDetOrderMatchesUncachedMergeExactly) {
-  const size_t n = 311;
-  Fixture fx(n, 60);
-  std::vector<std::vector<uint32_t>> lists;
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 5;
-    opts.enable_prefix_cache = cache;
-    ShardedRankServer server(RankPromotionConfig::None(), n, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    auto ctx = server.CreateContext();
-    std::vector<uint32_t> out;
-    EXPECT_EQ(server.ServeTopM(ctx, n, &out), n);
-    lists.push_back(out);
-  }
-  EXPECT_EQ(lists[0], lists[1]);
-}
-
-// Satellite acceptance test: the cached randomized tail must draw from the
-// same law as the uncached tail. Statistic: pool pages among the served
-// top-m (sparse-merged cells, two-sample chi-squared at alpha = 1e-3), plus
-// a per-rank marginal cross-check against the uncached path.
-TEST(ServeTest, CachedTailMatchesUncachedTailChiSquared) {
+// Satellite acceptance test: the served randomized tail must draw from the
+// law of Ranker::MaterializeList over the same global page state.
+// Statistic: pool pages among the served top-m (sparse-merged cells,
+// two-sample chi-squared at alpha = 1e-3), plus a per-rank marginal
+// cross-check against the reference.
+TEST(ServeTest, ServedTailMatchesMaterializeListChiSquared) {
   const size_t n = 600;
   const size_t m = 12;
   const int kTrials = 20000;
   Fixture fx(n, 120);
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.35, 2);
 
-  std::vector<std::vector<double>> pool_counts(2);
-  std::vector<std::vector<double>> rank_freq(2);
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.seed = cache ? 900 : 901;
-    opts.enable_prefix_cache = cache;
-    ShardedRankServer server(config, n, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    auto ctx = server.CreateContext();
-    std::vector<uint32_t> out;
-    auto& counts = pool_counts[cache ? 0 : 1];
-    auto& freq = rank_freq[cache ? 0 : 1];
-    counts.assign(m + 1, 0.0);
-    freq.assign(m, 0.0);
-    for (int t = 0; t < kTrials; ++t) {
-      ASSERT_EQ(server.ServeTopM(ctx, m, &out), m);
-      size_t hits = 0;
-      for (size_t j = 0; j < m; ++j) {
-        hits += fx.zero[out[j]];
-        freq[j] += fx.zero[out[j]];
-      }
-      counts[hits] += 1.0;
+  // Index 0: served by the sharded server; index 1: the reference.
+  std::vector<std::vector<double>> pool_counts(2,
+                                               std::vector<double>(m + 1, 0.0));
+  std::vector<std::vector<double>> rank_freq(2, std::vector<double>(m, 0.0));
+  const auto tally = [&](size_t side, const std::vector<uint32_t>& list) {
+    size_t hits = 0;
+    for (size_t j = 0; j < m; ++j) {
+      hits += fx.zero[list[j]];
+      rank_freq[side][j] += fx.zero[list[j]];
     }
+    pool_counts[side][hits] += 1.0;
+  };
+
+  ServeOptions opts;
+  opts.shards = 4;
+  opts.seed = 900;
+  ShardedRankServer server(config, n, opts);
+  server.Update(fx.popularity, fx.zero, fx.birth);
+  auto ctx = server.CreateContext();
+  std::vector<uint32_t> out;
+  for (int t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(server.ServeTopM(ctx, m, &out), m);
+    tally(0, out);
   }
+
+  Ranker ranker(config);
+  Rng rng(901);
+  ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+  for (int t = 0; t < kTrials; ++t) tally(1, ranker.MaterializeList(rng));
 
   MergeSparseCells(&pool_counts[0], &pool_counts[1], 32.0);
   size_t df = 0;
   const double chi2 = TwoSampleChiSquared(pool_counts[0], pool_counts[1], &df);
   ASSERT_GT(df, 0u);
   EXPECT_LE(chi2, ChiSquaredCritical(df, 0.001))
-      << "cached tail distribution drifted from uncached (df=" << df << ")";
+      << "served tail distribution drifted from MaterializeList (df=" << df
+      << ")";
 
   for (size_t j = 0; j < m; ++j) {
     EXPECT_NEAR(rank_freq[0][j] / kTrials, rank_freq[1][j] / kTrials, 0.02)

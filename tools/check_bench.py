@@ -7,18 +7,15 @@ Compares a perf_serve --smoke JSONL run against the checked-in baseline
   * unparseable or empty JSONL (a crashed bench must not pass),
   * any baseline bench missing from the run (a silently shrunk sweep),
   * QPS regression beyond the tolerance on any baseline bench,
-  * statistical drift between the cached and uncached serve paths
-    (the serve/equivalence record: chi2 must stay under its critical
-    value and the deterministic-order check must be exact),
+  * statistical drift between the served lists and the
+    Ranker::MaterializeList reference (the serve/equivalence record: chi2
+    must stay under its critical value, and the r=0 served list must equal
+    the deterministic order exactly),
   * a policy family missing from the serve/policy: sweep (the baseline's
     policy_families list records which ranking families the run must
     cover; bench names embed the policy label, e.g.
     "serve/policy:plackett-luce(T=0.05)", so points are keyed by the
     exact policy string and parse back via MakePolicyFromLabel),
-  * a missing serve/pl_alias:{on,off} ablation point, or an alias-table
-    speedup under min_pl_alias_speedup (the within-run ratio of
-    alias-path Plackett-Luce QPS over the O(n) Gumbel path — hardware
-    independent, like min_speedup_vs_percall),
   * a missing serve/epoch_publish point, or one without positive publish
     latencies (the epoch_publish list records the Update()-latency
     coverage: snapshot rebuild + BuildEpochState + cache build is the
@@ -148,53 +145,6 @@ def check(records, spans, baseline, tolerance):
                 f"{name}: qps {qps:.0f} fell below {floor:.0f} "
                 f"(baseline {base:.0f}, tolerance {tol:.0%})"
             )
-
-    # Hardware-independent gate: the within-run speedup of the batched+cached
-    # path over the per-query uncached path (the PR acceptance criterion is
-    # >= 2x). Absolute QPS floors above depend on runner hardware; this ratio
-    # does not, so it catches a cache/batching regression even on a runner
-    # much faster or slower than the baseline recording machine.
-    cached = records.get("serve/cache:on/batch:16")
-    min_speedup = baseline.get("min_speedup_vs_percall", 2.0)
-    if cached is None:
-        failures.append("serve/cache:on/batch:16 record missing from run")
-        rows.append(("serve/cache:on/batch:16 speedup", None, min_speedup, None,
-                     "MISSING"))
-    else:
-        speedup = cached.get("speedup_vs_percall", 0.0)
-        ok = speedup >= min_speedup
-        rows.append(("serve/cache:on/batch:16 speedup", speedup, min_speedup,
-                     None, "ok" if ok else "REGRESSION"))
-        if not ok:
-            failures.append(
-                f"batched+cached speedup {speedup:.2f}x fell below "
-                f"{min_speedup:.1f}x over the per-query uncached path"
-            )
-
-    # Alias-table ablation coverage + hardware-independent speedup gate: the
-    # Plackett-Luce serve/pl_alias pair must be present, and the alias path
-    # must clear the configured within-run speedup over the O(n) Gumbel path
-    # (the PR-4 acceptance criterion is >= 3x; like min_speedup_vs_percall
-    # this ratio does not depend on runner hardware).
-    min_alias = baseline.get("min_pl_alias_speedup", 0.0)
-    for name in baseline.get("alias_ablation", []):
-        record = records.get(name)
-        if record is None:
-            failures.append(f"{name}: alias-ablation record missing from run")
-            rows.append((name, None, None, None, "MISSING"))
-            continue
-        if name.endswith(":on") and min_alias > 0.0:
-            speedup = record.get("speedup_vs_gumbel", 0.0)
-            ok = speedup >= min_alias
-            rows.append((f"{name} speedup", speedup, min_alias, None,
-                         "ok" if ok else "REGRESSION"))
-            if not ok:
-                failures.append(
-                    f"pl alias speedup {speedup:.2f}x fell below "
-                    f"{min_alias:.1f}x over the per-query Gumbel path"
-                )
-        else:
-            rows.append((name, record.get("qps"), None, None, "ok"))
 
     # Observability-overhead ablation: the serve/obs pair must be present and
     # the instrumented point must retain at least min_obs_qps_ratio of the
@@ -329,7 +279,7 @@ def check(records, spans, baseline, tolerance):
     # each bai/decide point must carry a positive decision latency, and the
     # epoch-overhead point must show the adaptive loop (BaiController::Step)
     # staying within max_bai_epoch_overhead_pct of the fixed A/B loop — a
-    # hardware-independent within-run ratio, like the speedup gates above.
+    # hardware-independent within-run ratio, like the obs and fault gates.
     max_overhead = baseline.get("max_bai_epoch_overhead_pct", 0.0)
     for name in baseline.get("bai", []):
         record = records.get(name)
@@ -397,12 +347,12 @@ def check(records, spans, baseline, tolerance):
         if drifted:
             failures.append(
                 f"serve/equivalence: chi2 {chi2} exceeds critical {critical} "
-                "(cached tail distribution drifted from uncached)"
+                "(served tail distribution drifted from MaterializeList)"
             )
         if inexact:
             failures.append(
-                "serve/equivalence: cached deterministic order no longer "
-                "matches the uncached S-way merge exactly"
+                "serve/equivalence: the r=0 served list no longer matches "
+                "the deterministic order exactly"
             )
         status = "ok" if not (drifted or inexact) else "DRIFT"
         rows.append(("serve/equivalence", chi2, critical, None, status))
@@ -423,7 +373,7 @@ def write_summary(path, rows, failures):
     lines.append("")
     lines.append(
         "**GATE FAILED**" if failures else "**gate passed** "
-        "(QPS within tolerance, cached/uncached distributions equivalent)"
+        "(QPS within tolerance, served distribution matches the reference)"
     )
     text = "\n".join(lines) + "\n"
     if path:
@@ -466,24 +416,19 @@ def update_baseline(records, spans, path, tolerance, headroom):
             "Absolute QPS depends on runner hardware — record the baseline "
             "on (or conservatively below) the hardware the gate runs on, "
             "from the min of several runs: tools/check_bench.py r1.jsonl "
-            "r2.jsonl r3.jsonl --update. The min_speedup_vs_percall, "
-            "distribution-drift, policy_families coverage, and bai "
-            "epoch-overhead checks are hardware-independent; "
+            "r2.jsonl r3.jsonl --update. The distribution-drift, "
+            "policy_families coverage, and bai epoch-overhead checks are "
+            "hardware-independent; "
             "publish_phase_budget_us records 25x the observed per-phase "
             "median, a budget alert rather than a tight bound."
         ),
         "tolerance": tolerance if tolerance is not None else 0.30,
-        "min_speedup_vs_percall": 2.0,
-        "min_pl_alias_speedup": 3.0,
         "min_obs_qps_ratio": 0.95,
         "min_fault_qps_ratio": 0.99,
         "max_bai_epoch_overhead_pct": 50.0,
         "publish_phase_budget_us": phase_budget,
         "bai": sorted(
             name for name in records if name.startswith("bai/")
-        ),
-        "alias_ablation": sorted(
-            name for name in records if name.startswith("serve/pl_alias:")
         ),
         "obs_ablation": sorted(
             name for name in records if name.startswith("serve/obs:")

@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
 
   Rng rng(7);
 
-  // Serve layer, cached path (the default "serve" prefix): promotion-family
-  // histogram under latency_ns/cached/.
+  // Serve layer (the default "serve" prefix): promotion-family histogram
+  // under latency_ns/.
   {
     ServingPageState state = MakeServingPageState(community, rng);
     ServeOptions opts;
@@ -109,19 +109,6 @@ int main(int argc, char** argv) {
       client.Health(&health);
     }
     daemon.Drain();
-  }
-
-  // Serve layer, sharded (uncached) path: latency_ns/sharded/ for a
-  // non-promotion family.
-  {
-    ServingPageState state = MakeServingPageState(community, rng);
-    ServeOptions opts;
-    opts.shards = 2;
-    opts.enable_prefix_cache = false;
-    opts.metrics = &registry;
-    ShardedRankServer server(MakePolicyFromLabel("plackett-luce(T=0.25)"),
-                             community.n, opts);
-    ExerciseServer(server, state, rng);
   }
 
   // Fault layer: an armed injector eagerly registers fault/fired_total plus

@@ -37,9 +37,9 @@ import sys
 # markdown table stays readable; --bench overrides.
 DEFAULT_BENCHES = [
     "serve/threads:8",
-    "serve/cache:on/batch:16",
+    "serve/batch:16",
     "serve/policy:selective(r=0.10,k=2)",
-    "serve/pl_alias:on",
+    "serve/policy:plackett-luce(T=0.05)",
     "serve/obs:on",
 ]
 
