@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "fault/fault.h"
 #include "serve/query_workload.h"
@@ -71,8 +72,9 @@ WorkloadResult MeasurePoint(const Corpus& corpus, size_t queries) {
   ServeOptions opts;
   opts.shards = 8;
   opts.seed = 0xfa17ULL;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.1, 2),
-                           corpus.popularity.size(), opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.1, 2)),
+      corpus.popularity.size(), opts);
   server.Update(corpus.popularity, corpus.zero, corpus.birth);
 
   WorkloadOptions wl;

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
 #include "util/distributions.h"
@@ -13,6 +14,7 @@
 
 namespace {
 
+using randrank::MakePromotionPolicy;
 using randrank::RankBiasSampler;
 using randrank::Ranker;
 using randrank::RankPromotionConfig;
@@ -42,7 +44,7 @@ PageState MakePages(size_t n, double zero_fraction, uint64_t seed) {
 void BM_RankerUpdate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PageState pages = MakePages(n, 0.1, 7);
-  Ranker ranker(RankPromotionConfig::Selective(0.1, 1));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.1, 1)));
   Rng rng(13);
   for (auto _ : state) {
     ranker.Update(pages.popularity, pages.zero, pages.birth, rng);
@@ -56,7 +58,7 @@ BENCHMARK(BM_RankerUpdate)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_MaterializeList(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PageState pages = MakePages(n, 0.1, 11);
-  Ranker ranker(RankPromotionConfig::Selective(0.1, 1));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.1, 1)));
   Rng rng(17);
   ranker.Update(pages.popularity, pages.zero, pages.birth, rng);
   for (auto _ : state) {
@@ -71,13 +73,15 @@ BENCHMARK(BM_MaterializeList)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_LazyPageAtRank(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PageState pages = MakePages(n, 0.1, 19);
-  Ranker ranker(RankPromotionConfig::Selective(0.1, 1));
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.1, 1));
+  Ranker ranker(policy);
   Rng rng(23);
   ranker.Update(pages.popularity, pages.zero, pages.birth, rng);
   RankBiasSampler sampler(n);
   for (auto _ : state) {
     const size_t rank = sampler.Sample(rng);
-    benchmark::DoNotOptimize(ranker.PageAtRank(rank, rng));
+    benchmark::DoNotOptimize(policy->PageAtRank(ranker.view(), rank, rng));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -91,7 +95,7 @@ void BM_MergeByRule(benchmark::State& state) {
       rule == 0   ? RankPromotionConfig::None()
       : rule == 1 ? RankPromotionConfig::Uniform(0.1, 1)
                   : RankPromotionConfig::Selective(0.1, 1);
-  Ranker ranker(config);
+  Ranker ranker(MakePromotionPolicy(config));
   Rng rng(31);
   for (auto _ : state) {
     ranker.Update(pages.popularity, pages.zero, pages.birth, rng);

@@ -127,7 +127,8 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
   const size_t n = 2000;
   const size_t m = 20;
   const Corpus corpus = MakeCorpus(n, 0.2, 7);
-  const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2));
   const auto tally = [&](const std::vector<uint32_t>& list,
                          std::vector<double>* pool_counts) {
     size_t pool_hits = 0;
@@ -144,7 +145,7 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
     ServeOptions opts;
     opts.shards = 8;
     opts.seed = 1000;
-    ShardedRankServer server(config, n, opts);
+    ShardedRankServer server(policy, n, opts);
     server.Update(corpus.popularity, corpus.zero, corpus.birth);
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
@@ -155,7 +156,7 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
   }
   std::vector<double> reference(m + 1, 0.0);
   {
-    Ranker ranker(config);
+    Ranker ranker(policy);
     Rng rng(1001);
     ranker.Update(corpus.popularity, corpus.zero, corpus.birth, rng);
     for (size_t t = 0; t < trials; ++t) {
@@ -175,12 +176,13 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
   {
     ServeOptions opts;
     opts.shards = 8;
-    ShardedRankServer server(RankPromotionConfig::None(), n, opts);
+    ShardedRankServer server(MakePromotionPolicy(RankPromotionConfig::None()),
+                             n, opts);
     server.Update(corpus.popularity, corpus.zero, corpus.birth);
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
     server.ServeTopM(ctx, n, &out);
-    Ranker ranker(RankPromotionConfig::None());
+    Ranker ranker(MakePromotionPolicy(RankPromotionConfig::None()));
     Rng rng(0);
     ranker.Update(corpus.popularity, corpus.zero, corpus.birth, rng);
     det_exact = (out == ranker.deterministic_order());

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -120,7 +121,8 @@ int main(int argc, char** argv) {
   sopts.shards = 4;
   sopts.seed = 11;
   sopts.metrics = &registry;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, sopts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, sopts);
   Check(server.Update(base.popularity, base.zero, base.birth),
         "initial publish must succeed (no faults armed yet)");
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
 #include "graph/evolution.h"
@@ -45,7 +46,7 @@ DemoResult RunOnce(const RankPromotionConfig& config, bool use_indegree,
 
   const size_t n = options.num_nodes;
   RankBiasSampler rank_bias(n);
-  Ranker ranker(config);
+  Ranker ranker(MakePromotionPolicy(config));
   std::vector<double> visit_share(n, 1.0 / static_cast<double>(n));
   std::vector<uint8_t> never_visited(n, 1);
   std::vector<int64_t> birth(n, 0);

@@ -1,7 +1,8 @@
 // Appendix A's live user study as a runnable sandbox: a joke/quotation site
 // with two randomized user groups -- strict popularity ranking vs rank
 // promotion of never-viewed items below position 20 -- reporting the
-// funny-vote ratio over the final 15 days (Figure 1).
+// funny-vote ratio over the final 15 days (Figure 1). Self-checking: exits 1
+// unless the mean lift over the seeds exceeds 1.
 //
 //   ./build/examples/live_study [--seeds N]
 
@@ -52,5 +53,10 @@ int main(int argc, char** argv) {
             << FormatFixed(control.mean(), 4) << ", promoted "
             << FormatFixed(promoted.mean(), 4) << ", lift "
             << FormatFixed(lift.mean(), 2) << " (paper: ~1.6)\n";
-  return 0;
+  if (lift.mean() > 1.0) {
+    std::cout << "VERDICT: promotion lifts the funny-vote ratio.\n";
+    return 0;
+  }
+  std::cout << "VERDICT: FAILED — mean lift is not above 1.\n";
+  return 1;
 }

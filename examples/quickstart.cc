@@ -1,6 +1,8 @@
 // Quickstart: simulate the paper's default Web community with and without
 // randomized rank promotion, and print the headline quality-per-click and
-// time-to-become-popular comparison.
+// time-to-become-popular comparison. Self-checking: exits 1 unless both
+// selective rows beat strict popularity ranking on normalized QPC (the
+// paper's Section 6.4 claim).
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -8,6 +10,7 @@
 
 #include <cstring>
 #include <iostream>
+#include <vector>
 
 #include "core/community.h"
 #include "core/ranking_policy.h"
@@ -45,11 +48,13 @@ int main(int argc, char** argv) {
 
   Table table({"ranking policy", "QPC (normalized)", "mean TBP (days)",
                "TBP probes (done/censored)", "zero-awareness pages"});
+  std::vector<double> qpc;  // none, then the two selective rows
   for (const RankPromotionConfig& config :
        {RankPromotionConfig::None(), RankPromotionConfig::Recommended(1),
         RankPromotionConfig::Recommended(2)}) {
     AgentSimulator sim(community, config, options);
     const SimResult r = sim.Run();
+    qpc.push_back(r.normalized_qpc);
     table.Row()
         .Cell(config.Label())
         .Cell(r.normalized_qpc, 3)
@@ -64,5 +69,12 @@ int main(int argc, char** argv) {
                "promotion of zero-awareness\npages with 10% randomization "
                "(k=1 or 2) raises amortized result quality while\n"
                "discovering new high-quality pages far sooner.\n";
-  return 0;
+  if (qpc[1] > qpc[0] && qpc[2] > qpc[0]) {
+    std::cout << "\nVERDICT: both selective rows beat none on normalized "
+                 "QPC.\n";
+    return 0;
+  }
+  std::cout << "\nVERDICT: FAILED — selective promotion did not beat none "
+               "on normalized QPC.\n";
+  return 1;
 }

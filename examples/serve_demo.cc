@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "core/community.h"
+#include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "serve/feedback.h"
 #include "serve/query_workload.h"
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     ServeOptions opts;
     opts.shards = kShards;
     opts.seed = 7;
-    ShardedRankServer server(config, community.n, opts);
+    ShardedRankServer server(MakePromotionPolicy(config), community.n, opts);
 
     Table table({"round", "epoch", "QPS", "p50 (us)", "p99 (us)",
                  "unknown pages", "aware users (total)"});

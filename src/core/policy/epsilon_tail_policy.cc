@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cstdio>
 
 namespace randrank {
@@ -17,10 +18,13 @@ bool EpsilonTailPolicy::ParseLabel(const std::string& label, double* epsilon,
                                    size_t* protect) {
   double eps = 0.0;
   size_t k = 0;
+  // `k_at` rejects a sign or blank before k, which %zu accepts.
+  int k_at = 0;
   int consumed = 0;
-  if (std::sscanf(label.c_str(), "eps-tail(eps=%lf,k=%zu)%n", &eps, &k,
-                  &consumed) != 2 ||
-      static_cast<size_t>(consumed) != label.size()) {
+  if (std::sscanf(label.c_str(), "eps-tail(eps=%lf,k=%n%zu)%n", &eps, &k_at,
+                  &k, &consumed) != 2 ||
+      static_cast<size_t>(consumed) != label.size() ||
+      !std::isdigit(static_cast<unsigned char>(label[k_at]))) {
     return false;
   }
   *epsilon = eps;

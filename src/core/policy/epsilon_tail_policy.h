@@ -28,9 +28,6 @@ class EpsilonTailPolicy final : public StochasticRankingPolicy {
       : epsilon_(epsilon), protect_(protect) {}
 
   std::string Label() const override;
-  PolicyCapabilities Capabilities() const override {
-    return {.agent_sim = false, .mean_field = false};
-  }
   bool Valid() const override {
     return epsilon_ >= 0.0 && epsilon_ <= 1.0;
   }

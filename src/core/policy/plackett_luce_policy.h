@@ -33,9 +33,6 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
       : temperature_(temperature) {}
 
   std::string Label() const override;
-  PolicyCapabilities Capabilities() const override {
-    return {.agent_sim = false, .mean_field = false};
-  }
   bool Valid() const override { return temperature_ > 0.0; }
 
   /// Weighted sampling needs every page's score on the deterministic list;

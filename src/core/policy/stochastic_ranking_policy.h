@@ -10,24 +10,9 @@
 #include <vector>
 
 #include "core/pool_prefix_sampler.h"
-#include "core/ranking_policy.h"
 #include "util/rng.h"
 
 namespace randrank {
-
-/// What a ranking-policy family supports beyond serving, declared up front
-/// so the simulation and model layers can refuse a family without
-/// hardwiring per-family knowledge: `AgentSimulator` / `MeanFieldModel`
-/// reject families whose `agent_sim` / `mean_field` bits are clear —
-/// explicitly, at construction, instead of silently computing the wrong
-/// dynamics. Serving needs no bit: every family serves from the epoch's
-/// pre-merged global view.
-struct PolicyCapabilities {
-  /// The agent simulator's ghost placement and visit dynamics apply.
-  bool agent_sim = false;
-  /// A mean-field visit map exists for this family.
-  bool mean_field = false;
-};
 
 /// A borrowed, immutable view of one ranking state: the deterministically
 /// ordered pages (best first, with their scores kept alongside for weighted
@@ -37,8 +22,8 @@ struct PolicyCapabilities {
 /// must outlive the view.
 struct ShardView {
   const uint32_t* det = nullptr;
-  /// Sort keys of `det` (popularity; ties elsewhere by birth then id).
-  /// May be null when no caller needs weights (promotion-family-only use).
+  /// Sort keys of `det` (popularity; ties elsewhere by birth then id), read
+  /// by weighted families. Every view in the program carries them.
   const double* det_score = nullptr;
   size_t det_size = 0;
   const uint32_t* pool = nullptr;
@@ -95,29 +80,27 @@ class StochasticRankingPolicy {
   /// MakePolicyFromLabel() inverts it.
   virtual std::string Label() const = 0;
 
-  virtual PolicyCapabilities Capabilities() const = 0;
-
   /// True when the family's parameters are in range and consistent.
   virtual bool Valid() const { return true; }
 
-  /// Partition hook (subsumes PromoteToPool): whether a page with the given
-  /// zero-awareness flag enters the stochastic pool Pp rather than the
-  /// deterministic list Ld. Single source of truth — Ranker::Update,
-  /// RankSnapshot::Build, and the simulator's ghost placement all consult
-  /// it, or sharded serving silently diverges from the simulated
-  /// distribution. Must draw from `rng` a per-page-deterministic number of
-  /// times (zero for most families).
+  /// Partition hook: whether a page with the given zero-awareness flag
+  /// enters the stochastic pool Pp rather than the deterministic list Ld.
+  /// Single source of truth — Ranker::Update, RankSnapshot::Build, and the
+  /// simulator's ghost placement all consult it, or sharded serving
+  /// silently diverges from the simulated distribution. Must draw from
+  /// `rng` a per-page-deterministic number of times (zero for most
+  /// families).
   virtual bool PoolMembership(bool zero_awareness, Rng& rng) const = 0;
 
   /// Leading slots of the realization that are always filled from the
   /// deterministic order (the paper's protected top k-1).
   virtual size_t ProtectedPrefix() const { return 0; }
 
-  /// Merge hook (subsumes NextSlotFromPool): whether the next result-list
-  /// slot is filled from the pool (true) or the deterministic list (false),
-  /// given how many entries each side still has. Only meaningful for
-  /// families whose realization is the two-list cascade; others may ignore
-  /// it (the default never takes from the pool).
+  /// Merge hook: whether the next result-list slot is filled from the pool
+  /// (true) or the deterministic list (false), given how many entries each
+  /// side still has. Only meaningful for families whose realization is the
+  /// two-list cascade; others may ignore it (the default never takes from
+  /// the pool).
   virtual bool NextSlot(size_t det_remaining, size_t pool_remaining,
                         Rng& rng) const {
     (void)det_remaining;
@@ -162,12 +145,6 @@ class StochasticRankingPolicy {
   /// two. Not a hot path.
   virtual std::vector<uint32_t> MaterializeReference(const ShardView& global,
                                                      Rng& rng) const = 0;
-
-  /// Downcast hook: the promotion family's configuration, or nullptr for
-  /// every other family. The simulation and analytic layers — whose ghost
-  /// placement and visit maps are promotion-specific — use this to extract
-  /// the config after checking Capabilities().
-  virtual const RankPromotionConfig* AsPromotion() const { return nullptr; }
 };
 
 }  // namespace randrank

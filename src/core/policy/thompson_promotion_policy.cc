@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -69,10 +70,13 @@ bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
   double pb = 0.0;
   double pc = 0.0;
   size_t k = 0;
+  // `k_at` rejects a sign or blank before k, which %zu accepts.
+  int k_at = 0;
   int consumed = 0;
-  if (std::sscanf(label.c_str(), "ts-promo(a=%lf,b=%lf,c=%lf,k=%zu)%n", &pa,
-                  &pb, &pc, &k, &consumed) != 4 ||
-      static_cast<size_t>(consumed) != label.size()) {
+  if (std::sscanf(label.c_str(), "ts-promo(a=%lf,b=%lf,c=%lf,k=%n%zu)%n", &pa,
+                  &pb, &pc, &k_at, &k, &consumed) != 4 ||
+      static_cast<size_t>(consumed) != label.size() ||
+      !std::isdigit(static_cast<unsigned char>(label[k_at]))) {
     return false;
   }
   *a = pa;

@@ -36,9 +36,6 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
       : a_(a), b_(b), evidence_(evidence), protect_(protect) {}
 
   std::string Label() const override;
-  PolicyCapabilities Capabilities() const override {
-    return {.agent_sim = false, .mean_field = false};
-  }
   bool Valid() const override {
     return a_ > 0.0 && b_ > 0.0 && evidence_ >= 0.0;
   }

@@ -1,5 +1,6 @@
 #include "core/ranking_policy.h"
 
+#include <cctype>
 #include <cstdio>
 
 namespace randrank {
@@ -26,7 +27,7 @@ RankPromotionConfig RankPromotionConfig::FixedPosition(size_t position) {
 
 bool RankPromotionConfig::Valid() const {
   if (k < 1) return false;
-  if (r < 0.0 || r > 1.0) return false;
+  if (!(r >= 0.0 && r <= 1.0)) return false;  // also rejects NaN
   if (rule == PromotionRule::kNone) return r == 0.0;
   return true;
 }
@@ -39,19 +40,24 @@ bool RankPromotionConfig::ParseLabel(const std::string& label,
   }
   double r = 0.0;
   size_t k = 0;
-  // %n guards against trailing garbage ("uniform(r=0.10,k=1)x" must fail).
+  // %n guards against trailing garbage ("uniform(r=0.10,k=1)x" must fail);
+  // `k_at` against a sign or blank before k, which %zu accepts (glibc
+  // wraps "-1" to SIZE_MAX).
+  int k_at = 0;
   int consumed = 0;
-  if (std::sscanf(label.c_str(), "uniform(r=%lf,k=%zu)%n", &r, &k,
+  if (std::sscanf(label.c_str(), "uniform(r=%lf,k=%n%zu)%n", &r, &k_at, &k,
                   &consumed) == 2 &&
-      static_cast<size_t>(consumed) == label.size()) {
+      static_cast<size_t>(consumed) == label.size() &&
+      std::isdigit(static_cast<unsigned char>(label[k_at]))) {
     const RankPromotionConfig parsed = Uniform(r, k);
     if (!parsed.Valid()) return false;
     *out = parsed;
     return true;
   }
-  if (std::sscanf(label.c_str(), "selective(r=%lf,k=%zu)%n", &r, &k,
+  if (std::sscanf(label.c_str(), "selective(r=%lf,k=%n%zu)%n", &r, &k_at, &k,
                   &consumed) == 2 &&
-      static_cast<size_t>(consumed) == label.size()) {
+      static_cast<size_t>(consumed) == label.size() &&
+      std::isdigit(static_cast<unsigned char>(label[k_at]))) {
     const RankPromotionConfig parsed = Selective(r, k);
     if (!parsed.Valid()) return false;
     *out = parsed;

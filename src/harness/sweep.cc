@@ -11,12 +11,7 @@ std::vector<SweepOutcome> RunAgentSweep(const std::vector<SweepPoint>& points,
   std::vector<SweepOutcome> outcomes(points.size());
   ThreadPool pool(threads);
   ParallelFor(pool, points.size(), [&](size_t i) {
-    AgentSimulator sim =
-        points[i].policy != nullptr
-            ? AgentSimulator(points[i].params, points[i].policy,
-                             points[i].options)
-            : AgentSimulator(points[i].params, points[i].config,
-                             points[i].options);
+    AgentSimulator sim(points[i].params, points[i].config, points[i].options);
     outcomes[i] = SweepOutcome{points[i], sim.Run()};
   });
   return outcomes;

@@ -1,19 +1,18 @@
 #ifndef RANDRANK_HARNESS_SWEEP_H_
 #define RANDRANK_HARNESS_SWEEP_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/community.h"
-#include "core/policy/stochastic_ranking_policy.h"
 #include "core/ranking_policy.h"
 #include "sim/agent_sim.h"
 #include "sim/sim_result.h"
 
 namespace randrank {
 
-/// One point of a figure sweep: a (community, policy) pair plus run options.
+/// One point of a figure sweep: a (community, promotion config) pair plus
+/// run options.
 struct SweepPoint {
   std::string label;
   /// Numeric x-axis value the point corresponds to (r, n, l, ...).
@@ -21,10 +20,6 @@ struct SweepPoint {
   CommunityParams params;
   /// Promotion-family configuration (the paper's figures sweep this).
   RankPromotionConfig config;
-  /// General ranking policy; when set it overrides `config`. The simulator
-  /// still rejects families without the agent_sim capability, so a sweep
-  /// over mixed families fails loudly rather than plotting wrong dynamics.
-  std::shared_ptr<const StochasticRankingPolicy> policy;
   SimOptions options;
 };
 

@@ -29,7 +29,8 @@ JokeSiteGroup::JokeSiteGroup(const ItemSchedule& schedule,
     : schedule_(schedule),
       opts_(options),
       rng_(options.seed),
-      ranker_(config),
+      policy_(MakePromotionPolicy(config)),
+      ranker_(policy_),
       rank_sampler_(schedule.funniness.size(), 1.5) {
   const size_t items = schedule_.funniness.size();
   funny_count_.assign(items, 0);
@@ -75,7 +76,7 @@ void JokeSiteGroup::StepDay() {
   for (size_t v = 0; v < views; ++v) {
     const size_t user = rng_.NextIndex(opts_.users);
     const size_t rank = rank_sampler_.Sample(rng_);
-    const uint32_t item = ranker_.PageAtRank(rank, rng_);
+    const uint32_t item = policy_->PageAtRank(ranker_.view(), rank, rng_);
     viewed_[item] = 1;
     uint8_t& has_rated = rated_[static_cast<size_t>(item) * opts_.users + user];
     if (!has_rated && rng_.NextBernoulli(opts_.vote_probability)) {

@@ -2,8 +2,10 @@
 #define RANDRANK_LIVESTUDY_JOKE_SITE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
 #include "util/distributions.h"
@@ -67,6 +69,7 @@ class JokeSiteGroup {
   const ItemSchedule& schedule_;
   Options opts_;
   Rng rng_;
+  std::shared_ptr<const PromotionPolicy> policy_;
   Ranker ranker_;
   RankBiasSampler rank_sampler_;
 

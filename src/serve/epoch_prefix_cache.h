@@ -38,9 +38,9 @@ struct EpochPrefixCache {
   /// Epoch of the ServingView this cache was built from.
   uint64_t epoch = 0;
   /// Global deterministic merge order (all shards interleaved by the global
-  /// sort key RankOrderBefore), best first. Its leading min(k-1, |det|)
-  /// entries are the protected prefix — the serve path (MergePrefixCached)
-  /// derives that bound from the config, the one source of truth for k.
+  /// sort key RankOrderBefore), best first. Its leading entries are the
+  /// protected head; each policy's ServePrefix derives the head's length
+  /// from its own parameters (k - 1 for the promotion family).
   std::vector<uint32_t> det;
   /// Sort keys of `det`, carried through the merge so weighted families see
   /// a complete global view.

@@ -3,22 +3,19 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 
 namespace randrank {
 
 size_t RankSnapshot::TopM(size_t m, Rng& rng, std::vector<uint32_t>* out) const {
-  const RankPromotionConfig* config = policy->AsPromotion();
-  if (config != nullptr) return MergePrefix(*config, det, pool, m, rng, out);
   const ShardView view = AsView();
   PolicyScratch scratch;
   return policy->ServePrefix(&view, 1, epoch_state.get(), scratch, m, rng, out);
 }
 
 uint32_t RankSnapshot::PageAtRank(size_t rank, Rng& rng) const {
-  const RankPromotionConfig* config = policy->AsPromotion();
-  if (config != nullptr) return ResolveRankLazy(*config, det, pool, rank, rng);
+  // The marginal of rank j in a length-j prefix realization equals the
+  // full-list marginal.
   std::vector<uint32_t> prefix;
   TopM(rank, rng, &prefix);
   assert(prefix.size() == rank);
@@ -60,15 +57,6 @@ std::shared_ptr<const RankSnapshot> RankSnapshot::Build(
     snap->epoch_state = snap->policy->BuildEpochState(snap->AsView());
   }
   return snap;
-}
-
-std::shared_ptr<const RankSnapshot> RankSnapshot::Build(
-    const RankPromotionConfig& config, uint64_t epoch,
-    const std::vector<uint32_t>& pages, const std::vector<double>& popularity,
-    const std::vector<uint8_t>& zero_awareness,
-    const std::vector<int64_t>& birth_step, Rng& rng) {
-  return Build(MakePromotionPolicy(config), epoch, pages, popularity,
-               zero_awareness, birth_step, rng);
 }
 
 size_t BestDetHead(const RankSnapshot* const* snaps, const size_t* cursors,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/policy/stochastic_ranking_policy.h"
-#include "core/ranking_policy.h"
 #include "util/rng.h"
 
 namespace randrank {
@@ -51,11 +50,11 @@ struct RankSnapshot {
   }
 
   /// First min(m, n()) slots of a fresh random realization of this shard's
-  /// merged list, appended to `out`; O(m) expected time for the promotion
-  /// family, the policy's ServePrefix over AsView() for the others.
+  /// merged list, appended to `out`: the policy's ServePrefix over AsView().
   size_t TopM(size_t m, Rng& rng, std::vector<uint32_t>* out) const;
 
-  /// Page at `rank` (1-based) in an independent realization.
+  /// Page at `rank` (1-based) in an independent realization: the last slot
+  /// of a length-`rank` TopM.
   uint32_t PageAtRank(size_t rank, Rng& rng) const;
 
   /// Builds a snapshot for the shard owning `pages` from global page state,
@@ -74,14 +73,6 @@ struct RankSnapshot {
       const std::vector<uint8_t>& zero_awareness,
       const std::vector<int64_t>& birth_step, Rng& rng,
       bool build_epoch_state = true);
-
-  /// Promotion-family convenience, bit-identical to the policy overload
-  /// with MakePromotionPolicy(config).
-  static std::shared_ptr<const RankSnapshot> Build(
-      const RankPromotionConfig& config, uint64_t epoch,
-      const std::vector<uint32_t>& pages, const std::vector<double>& popularity,
-      const std::vector<uint8_t>& zero_awareness,
-      const std::vector<int64_t>& birth_step, Rng& rng);
 };
 
 /// One step of the S-way deterministic merge: the index of the shard whose

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 
-#include "core/policy/promotion_policy.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -56,20 +55,10 @@ ShardedRankServer::ShardedRankServer(
   }
 }
 
-ShardedRankServer::ShardedRankServer(RankPromotionConfig config,
-                                     size_t num_pages, ServeOptions options)
-    : ShardedRankServer(MakePromotionPolicy(config), num_pages, options) {}
-
 std::shared_ptr<const StochasticRankingPolicy> ShardedRankServer::policy()
     const {
   const std::shared_ptr<const ServingView> view = store_.Load(nullptr);
   return view != nullptr ? view->policy : initial_policy_;
-}
-
-const RankPromotionConfig& ShardedRankServer::config() const {
-  const RankPromotionConfig* config = policy()->AsPromotion();
-  assert(config != nullptr && "config() is promotion-family-only");
-  return *config;
 }
 
 bool ShardedRankServer::Update(const std::vector<double>& popularity,

@@ -10,7 +10,6 @@
 
 #include "core/policy/stochastic_ranking_policy.h"
 #include "core/rank_merge.h"
-#include "core/ranking_policy.h"
 #include "serve/rank_snapshot.h"
 #include "serve/snapshot_store.h"
 #include "util/rng.h"
@@ -147,11 +146,6 @@ class ShardedRankServer {
   ShardedRankServer(std::shared_ptr<const StochasticRankingPolicy> policy,
                     size_t num_pages, ServeOptions options = {});
 
-  /// Promotion-family convenience: bit-identical (including every Rng
-  /// stream) to constructing with MakePromotionPolicy(config).
-  ShardedRankServer(RankPromotionConfig config, size_t num_pages,
-                    ServeOptions options = {});
-
   // --- Writer API (one thread at a time) ---
 
   /// Rebuilds every shard snapshot from global page state and publishes them
@@ -245,10 +239,6 @@ class ShardedRankServer {
   /// Update. Thread-safe, including concurrently with a hot-swap Update —
   /// the returned shared_ptr keeps the policy alive past any swap.
   std::shared_ptr<const StochasticRankingPolicy> policy() const;
-  /// Promotion-family configuration; must only be called when the currently
-  /// published policy is the promotion family, and the returned reference is
-  /// only stable while no hot-swap Update retires that policy.
-  const RankPromotionConfig& config() const;
 
   /// The observability endpoints this server was constructed with (null when
   /// off). The query workload uses these to derive its latency percentiles

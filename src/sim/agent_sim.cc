@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace randrank {
 
@@ -31,36 +30,16 @@ uint32_t RoundStochastic(double x, Rng& rng) {
 
 }  // namespace
 
-AgentSimulator::AgentSimulator(
-    const CommunityParams& params,
-    std::shared_ptr<const StochasticRankingPolicy> policy,
-    const SimOptions& options)
-    : AgentSimulator(params,
-                     [&]() -> RankPromotionConfig {
-                       if (policy == nullptr ||
-                           !policy->Capabilities().agent_sim ||
-                           policy->AsPromotion() == nullptr) {
-                         throw std::invalid_argument(
-                             "AgentSimulator supports only policies with the "
-                             "agent_sim capability (the promotion family); "
-                             "got " +
-                             (policy ? policy->Label() : "null"));
-                       }
-                       return *policy->AsPromotion();
-                     }(),
-                     options) {}
-
 AgentSimulator::AgentSimulator(const CommunityParams& params,
                                const RankPromotionConfig& config,
                                const SimOptions& options)
     : params_(params),
-      config_(config),
+      policy_(MakePromotionPolicy(config)),
       opts_(options),
       rng_(options.seed),
-      ranker_(config),
+      ranker_(policy_),
       rank_sampler_(params.n, params.rank_bias_exponent) {
   assert(params_.Valid());
-  assert(config_.Valid());
   assert(opts_.surf_fraction >= 0.0 && opts_.surf_fraction <= 1.0);
 
   quality_ = params_.QualityValues();
@@ -241,8 +220,9 @@ void AgentSimulator::DistributeVisitsSampled(
       }
     } else {
       const size_t rank = rank_sampler_.Sample(rng_);
-      page = opts_.per_visit_lists ? ranker_.PageAtRank(rank, rng_)
-                                   : list[rank - 1];
+      page = opts_.per_visit_lists
+                 ? policy_->PageAtRank(ranker_.view(), rank, rng_)
+                 : list[rank - 1];
       if (opts_.per_visit_lists) {
         // No materialized list: accumulate QPC from the sampled visit.
         qpc_num_ += quality_[page];
@@ -305,13 +285,17 @@ size_t AgentSimulator::GhostListPosition(const Ghost& ghost, Rng& rng) const {
   const bool ghost_zero =
       opts_.measured_ranking ? ghost.aware_monitored == 0
                              : (ghost.aware_monitored + ghost.aware_unmonitored) == 0;
-  const bool in_pool = PromoteToPool(config_, ghost_zero, rng);
+  const bool in_pool = policy_->PoolMembership(ghost_zero, rng);
   if (in_pool) {
     if (pool_positions_.empty()) {
-      const size_t hop = GeometricOneBased(rng, config_.r);
-      return std::min(
-          n, std::min(config_.k - 1, ranker_.deterministic_order().size()) +
-                 hop);
+      // The ghost is the pool's only page: it lands `hop` slots below the
+      // protected prefix. At r = 0 it never lands (hop is SIZE_MAX), which
+      // the sum below would wrap.
+      const size_t hop = GeometricOneBased(rng, policy_->config().r);
+      if (hop >= n) return n;
+      return std::min(n, std::min(policy_->ProtectedPrefix(),
+                                  ranker_.deterministic_order().size()) +
+                             hop);
     }
     const size_t slot = rng.NextIndex(pool_positions_.size());
     return std::min<size_t>(n, pool_positions_[slot] + 1);
@@ -456,8 +440,9 @@ void AgentSimulator::StepDay(bool measuring) {
   ranker_.Update(score_, zero_flag_, birth_day_, rng_);
   std::vector<uint32_t> list;
   if (!opts_.per_visit_lists) {
-    list = ranker_.MaterializeWithPositions(rng_, &det_positions_,
-                                            &pool_positions_);
+    list = policy_->MaterializeWithPositions(ranker_.view(), rng_,
+                                             &det_positions_,
+                                             &pool_positions_);
   }
 
   if (measuring && !opts_.per_visit_lists) AccumulateQpc(list);

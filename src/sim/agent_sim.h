@@ -7,7 +7,7 @@
 
 #include "core/age_policies.h"
 #include "core/community.h"
-#include "core/policy/stochastic_ranking_policy.h"
+#include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
 #include "sim/sim_result.h"
@@ -50,8 +50,9 @@ struct SimOptions {
   /// this flag keeps the subsampled estimator instead.
   bool measured_ranking = false;
 
-  /// Ablation: resolve each visit lazily via Ranker::PageAtRank instead of
-  /// materializing one list per day (a fresh list realization per visit).
+  /// Ablation: resolve each visit lazily via PromotionPolicy::PageAtRank
+  /// instead of materializing one list per day (a fresh list realization
+  /// per visit).
   bool per_visit_lists = false;
 
   /// Mixed surfing (Section 8): fraction x of visits made by random surfing
@@ -98,17 +99,11 @@ struct SimOptions {
 ///    sampling noise from the metric while preserving list randomness.
 class AgentSimulator {
  public:
+  /// The simulator's ghost placement and per-visit resolution are the
+  /// promotion family's math, so it takes that family's parameters: no
+  /// other family can be passed in.
   AgentSimulator(const CommunityParams& params,
                  const RankPromotionConfig& config,
-                 const SimOptions& options = {});
-
-  /// Policy-interface constructor. The simulator's ghost placement and
-  /// visit dynamics are promotion-family math, so a policy whose
-  /// Capabilities() lack `agent_sim` is rejected *explicitly* — this throws
-  /// std::invalid_argument naming the policy — rather than silently
-  /// simulating the wrong dynamics.
-  AgentSimulator(const CommunityParams& params,
-                 std::shared_ptr<const StochasticRankingPolicy> policy,
                  const SimOptions& options = {});
 
   /// Runs warmup + measurement and returns the aggregated result.
@@ -152,7 +147,7 @@ class AgentSimulator {
   size_t GhostListPosition(const Ghost& ghost, Rng& rng) const;
 
   CommunityParams params_;
-  RankPromotionConfig config_;
+  std::shared_ptr<const PromotionPolicy> policy_;
   SimOptions opts_;
   Rng rng_;
 

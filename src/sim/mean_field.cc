@@ -4,28 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace randrank {
-
-MeanFieldModel::MeanFieldModel(
-    const CommunityParams& params,
-    std::shared_ptr<const StochasticRankingPolicy> policy,
-    const MeanFieldOptions& options)
-    : MeanFieldModel(params,
-                     [&]() -> RankPromotionConfig {
-                       if (policy == nullptr ||
-                           !policy->Capabilities().mean_field ||
-                           policy->AsPromotion() == nullptr) {
-                         throw std::invalid_argument(
-                             "MeanFieldModel supports only policies with the "
-                             "mean_field capability (the promotion family); "
-                             "got " +
-                             (policy ? policy->Label() : "null"));
-                       }
-                       return *policy->AsPromotion();
-                     }(),
-                     options) {}
 
 MeanFieldModel::MeanFieldModel(const CommunityParams& params,
                                const RankPromotionConfig& config,

@@ -2,11 +2,9 @@
 #define RANDRANK_SIM_MEAN_FIELD_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "core/community.h"
-#include "core/policy/stochastic_ranking_policy.h"
 #include "core/ranking_policy.h"
 #include "model/quality_classes.h"
 #include "model/rank_maps.h"
@@ -69,17 +67,11 @@ struct MeanFieldState {
 /// exactly, and Z_c plus the discovered mass telescopes to n_c.
 class MeanFieldModel {
  public:
+  /// The fixed point couples trajectories to ranks through the promotion
+  /// family's closed-form visit map in (rule, r, k) (PromotionVisitMap), so
+  /// the model takes that family's parameters.
   MeanFieldModel(const CommunityParams& params,
                  const RankPromotionConfig& config,
-                 const MeanFieldOptions& options = {});
-
-  /// Policy-interface constructor. The fixed point couples trajectories to
-  /// ranks through the promotion family's visit map (PromotionVisitMap), so
-  /// a policy whose Capabilities() lack `mean_field` is rejected explicitly
-  /// — std::invalid_argument naming the policy — instead of converging to a
-  /// wrong steady state.
-  MeanFieldModel(const CommunityParams& params,
-                 std::shared_ptr<const StochasticRankingPolicy> policy,
                  const MeanFieldOptions& options = {});
 
   const MeanFieldState& Solve();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "harness/presets.h"
@@ -232,6 +233,48 @@ TEST(AgentSimTest, TopPageOccupancyRecorded) {
   double total = 0.0;
   for (const double o : r.top_page_awareness_occupancy) total += o;
   EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+// Selective promotion at r = 0 never takes a pool page while Ld has one
+// left, so a zero-awareness probe that enters the pool on a day the real
+// pool is empty is the pool's only page and belongs at rank n. Adding the
+// never-landing hop (SIZE_MAX at r = 0) to the protected prefix would wrap
+// to rank k - 2: rank 0 for k = 2, whose infinite visit rate hangs the
+// Poisson draw, and rank 1 for k = 3. This community's real pool empties
+// after day 0 (no churn; 5000 visits/day over 50 pages and 10 users), and a
+// 10-day probe age keeps respawning zero-awareness probes into it. With
+// k = 1 the protected prefix is empty and nothing can wrap, so it is the
+// yardstick.
+TEST(AgentSimTest, ZeroRatePromotionPlacesALonePoolProbeLast) {
+  CommunityParams community = CommunityParams::Default();
+  community.n = 50;
+  community.u = 10;
+  community.m = 10;
+  community.visits_per_day = 5000.0;
+  community.lifetime_days = 1e7;
+  SimOptions options;
+  options.warmup_days = 30;
+  options.measure_days = 30;
+  options.ghost_count = 4;
+  options.ghost_max_age = 10;
+  options.tbp_threshold = 2.0;  // no probe counts as popular; visits matter
+  const auto peak_ghost_visits = [&](size_t k) {
+    AgentSimulator sim(community, RankPromotionConfig::Selective(0.0, k),
+                       options);
+    const SimResult r = sim.Run();
+    double peak = 0.0;
+    for (const double visits : r.ghost_visits_by_age) {
+      EXPECT_TRUE(std::isfinite(visits)) << "k=" << k;
+      peak = std::max(peak, visits);
+    }
+    return peak;
+  };
+  const double yardstick = peak_ghost_visits(1);
+  ASSERT_GT(yardstick, 0.0);
+  for (const size_t k : {2u, 3u}) {
+    EXPECT_NEAR(peak_ghost_visits(k), yardstick, 0.1 * yardstick)
+        << "k=" << k;
+  }
 }
 
 class SimPolicySweepTest

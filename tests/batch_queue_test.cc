@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "obs/metrics.h"
 #include "serve/sharded_rank_server.h"
@@ -26,7 +27,7 @@ std::unique_ptr<ShardedRankServer> MakeServer(const Fixture& fx, size_t n) {
   ServeOptions opts;
   opts.shards = 4;
   auto server = std::make_unique<ShardedRankServer>(
-      RankPromotionConfig::Selective(0.3, 2), n, opts);
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server->Update(fx.popularity, fx.zero, fx.birth);
   return server;
 }

@@ -208,7 +208,7 @@ std::unique_ptr<ShardedRankServer> MakeServer(size_t n,
   opts.seed = 11;
   opts.metrics = metrics;
   return std::make_unique<ShardedRankServer>(
-      RankPromotionConfig::Selective(0.3, 2), n, opts);
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
 }
 
 // Injects one kFail at `point` during the second publish and proves the
@@ -301,7 +301,8 @@ TEST(PublishRollbackTest, FailedHotSwapRollsThePolicyBack) {
   ASSERT_TRUE(server->Update(fx.popularity, fx.zero, fx.birth));
   const std::string old_label = server->policy()->Label();
 
-  auto replacement = MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 3));
+  auto replacement =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 3));
   ASSERT_NE(replacement->Label(), old_label);
   {
     FaultPlan plan;

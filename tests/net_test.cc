@@ -428,7 +428,7 @@ struct DaemonHarness {
     sopts.shards = 4;
     sopts.seed = 11;
     server = std::make_unique<ShardedRankServer>(
-        RankPromotionConfig::Selective(0.3, 2), n, sopts);
+        MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, sopts);
     server->Update(fixture.popularity, fixture.zero, fixture.birth);
     daemon = std::make_unique<NetDaemon>(*server, options);
     daemon->Start();
@@ -451,8 +451,8 @@ TEST(NetDaemonTest, SocketRepliesAreBitIdenticalToInProcess) {
   ServeOptions sopts;
   sopts.shards = 4;
   sopts.seed = 11;
-  ShardedRankServer reference(RankPromotionConfig::Selective(0.3, 2), kN,
-                              sopts);
+  ShardedRankServer reference(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), kN, sopts);
   reference.Update(fixture.popularity, fixture.zero, fixture.birth);
   auto ref_ctx = reference.CreateContext();
 

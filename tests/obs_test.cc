@@ -391,7 +391,8 @@ TEST(ServeObsTest, PublishEmitsAllPhaseSpans) {
   opts.shards = 4;
   opts.metrics = &reg;
   opts.trace = &trace;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   std::set<std::string> names = SpanNames(trace);
@@ -426,7 +427,8 @@ TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
   opts.shards = 4;
   opts.metrics = &reg;
   opts.trace = &trace;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   trace.Drain();  // discard the publish spans
 
@@ -454,7 +456,8 @@ TEST(ServeObsTest, UninstrumentedServerStaysBare) {
   Fixture fx(n, 30);
   ServeOptions opts;
   opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
@@ -470,7 +473,8 @@ TEST(ServeObsTest, WorkloadDerivesPercentilesFromHistogram) {
   ServeOptions opts;
   opts.shards = 4;
   opts.metrics = &reg;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -487,7 +491,9 @@ TEST(ServeObsTest, WorkloadDerivesPercentilesFromHistogram) {
   // Without a registry the wall-clock estimate still fills the fields.
   ServeOptions bare_opts;
   bare_opts.shards = 4;
-  ShardedRankServer bare(RankPromotionConfig::Selective(0.3, 2), n, bare_opts);
+  ShardedRankServer bare(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n,
+      bare_opts);
   bare.Update(fx.popularity, fx.zero, fx.birth);
   const WorkloadResult bare_res = RunQueryWorkload(bare, wl);
   EXPECT_FALSE(bare_res.histogram_latency);

@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
-#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/community.h"
 #include "core/policy/epsilon_tail_policy.h"
 #include "core/policy/plackett_luce_policy.h"
 #include "core/policy/policy_factory.h"
@@ -21,8 +21,6 @@
 #include "harness/presets.h"
 #include "serve/query_workload.h"
 #include "serve/sharded_rank_server.h"
-#include "sim/agent_sim.h"
-#include "sim/mean_field.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -33,48 +31,17 @@ namespace {
 
 using testutil::Fixture;
 
-/// The Ranker's state as the pre-merged global view ServePrefix takes.
-ShardView RankerView(const Ranker& ranker) {
-  return {ranker.deterministic_order().data(),
-          ranker.deterministic_scores().data(),
-          ranker.deterministic_order().size(), ranker.pool().data(),
-          ranker.pool().size()};
-}
-
-TEST(PolicyCapabilitiesTest, FamiliesDeclareTheExpectedMatrix) {
-  const auto promo = MakePromotionPolicy(RankPromotionConfig::Recommended(2));
-  EXPECT_TRUE(promo->Capabilities().agent_sim);
-  EXPECT_TRUE(promo->Capabilities().mean_field);
-  ASSERT_NE(promo->AsPromotion(), nullptr);
-  EXPECT_EQ(promo->AsPromotion()->rule, PromotionRule::kSelective);
-
-  const auto pl = MakePlackettLucePolicy(0.1);
-  EXPECT_FALSE(pl->Capabilities().agent_sim);
-  EXPECT_FALSE(pl->Capabilities().mean_field);
-  EXPECT_EQ(pl->AsPromotion(), nullptr);
-
-  const auto eps = MakeEpsilonTailPolicy(0.2, 5);
-  EXPECT_FALSE(eps->Capabilities().agent_sim);
-  EXPECT_FALSE(eps->Capabilities().mean_field);
-  EXPECT_EQ(eps->AsPromotion(), nullptr);
-
-  const auto ts = MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1);
-  EXPECT_FALSE(ts->Capabilities().agent_sim);
-  EXPECT_FALSE(ts->Capabilities().mean_field);
-  EXPECT_EQ(ts->AsPromotion(), nullptr);
-}
-
 // Which families actually produce opaque per-epoch state (for every family
 // but Plackett-Luce the epoch-invariant state is the merged view itself, so
 // the hook returns null and the serve layer passes nothing extra).
-TEST(PolicyCapabilitiesTest, BuildEpochStateProducesStateWhereExpected) {
+TEST(PolicyEpochStateTest, BuildEpochStateProducesStateWhereExpected) {
   const size_t n = 60;
   Fixture fx(n, 0);
   const auto build = [&](std::shared_ptr<const StochasticRankingPolicy> p) {
     Ranker ranker(p);
     Rng rng(17);
     ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-    return p->BuildEpochState(RankerView(ranker));
+    return p->BuildEpochState(ranker.view());
   };
   EXPECT_EQ(build(MakePromotionPolicy(RankPromotionConfig::None())), nullptr);
   EXPECT_NE(build(MakePlackettLucePolicy(0.2)), nullptr);
@@ -162,6 +129,22 @@ std::string FamilySlug(const std::string& label) {
   return label.substr(0, label.find('('));
 }
 
+// `label` with the value of its parameter `key` — or of its first parameter
+// when `key` is empty — replaced by `value`; empty when the label has no
+// such parameter. ("eps-tail(eps=0.25,k=7)", "k", "-1") ->
+// "eps-tail(eps=0.25,k=-1)".
+std::string WithParam(const std::string& label, const std::string& key,
+                      const std::string& value) {
+  const size_t open = label.find('(');
+  if (open == std::string::npos) return "";
+  const size_t name =
+      key.empty() ? open + 1 : label.find("," + key + "=", open);
+  if (name == std::string::npos) return "";
+  const size_t begin = label.find('=', name) + 1;
+  const size_t end = label.find_first_of(",)", begin);
+  return label.substr(0, begin) + value + label.substr(end);
+}
+
 // The label vocabulary, swept generically instead of per-family statics:
 // every family MakePolicyFromLabel knows (KnownPolicyFamilyPrefixes) must
 // have representative labels here that (a) round-trip exactly and (b)
@@ -206,12 +189,18 @@ TEST(PolicyFactoryTest, EveryKnownFamilyRoundTripsAndRejectsMalformedLabels) {
     EXPECT_TRUE(parsed->Valid()) << label;
 
     // Malformation battery, derived from the label so every family gets the
-    // same treatment: trailing garbage, truncation, and a bare parameter
-    // list must all be rejected (strict parsing — a mangled label must
+    // same treatment: trailing garbage, truncation, a bare parameter list, a
+    // negative integer k (which %zu would wrap to SIZE_MAX), and a NaN first
+    // parameter must all be rejected (strict parsing — a mangled label must
     // never silently map to a policy whose Label() differs from the input).
+    std::vector<std::string> malformed = {
+        label + "x", label + " ", label.substr(0, label.size() - 1),
+        FamilySlug(label) + "(", "x" + label};
     for (const std::string& bad :
-         {label + "x", label + " ", label.substr(0, label.size() - 1),
-          FamilySlug(label) + "(", "x" + label}) {
+         {WithParam(label, "k", "-1"), WithParam(label, "", "nan")}) {
+      if (!bad.empty()) malformed.push_back(bad);
+    }
+    for (const std::string& bad : malformed) {
       EXPECT_EQ(MakePolicyFromLabel(bad), nullptr)
           << "malformed \"" << bad << "\" (from \"" << label
           << "\") was accepted";
@@ -230,29 +219,51 @@ TEST(PolicyFactoryTest, StandardFamiliesAreValidAndDistinct) {
   EXPECT_EQ(labels.size(), families.size());
 }
 
-// RankPromotionConfig is now a thin factory over PromotionPolicy: a Ranker
-// built either way must consume its Rng identically, so existing seeds
-// reproduce bit-for-bit.
-TEST(PromotionPolicyTest, RankerFromConfigAndFromPolicyAreBitIdentical) {
-  const size_t n = 200;
-  Fixture fx(n, 40);
-  const RankPromotionConfig config = RankPromotionConfig::Uniform(0.3, 3);
-
-  Ranker from_config(config);
-  Ranker from_policy(MakePromotionPolicy(config));
-  Rng rng_a(11);
-  Rng rng_b(11);
-  from_config.Update(fx.popularity, fx.zero, fx.birth, rng_a);
-  from_policy.Update(fx.popularity, fx.zero, fx.birth, rng_b);
-  EXPECT_EQ(from_config.deterministic_order(),
-            from_policy.deterministic_order());
-  EXPECT_EQ(from_config.pool(), from_policy.pool());
-  for (int trial = 0; trial < 50; ++trial) {
-    EXPECT_EQ(from_config.MaterializeList(rng_a),
-              from_policy.MaterializeList(rng_b));
-    EXPECT_EQ(from_config.TopM(17, rng_a), from_policy.TopM(17, rng_b));
-    EXPECT_EQ(from_config.PageAtRank(9, rng_a),
-              from_policy.PageAtRank(9, rng_b));
+// Seeded streams pinned across commits. Per promotion config: two Updates,
+// each followed by 50 rounds of every realization the Ranker and the
+// PromotionPolicy offer over its view (full list, prefix, lazy rank, list
+// with positions), folded into one FNV-1a digest. A change to any seeded
+// stream changes a digest; update a constant only in a change that means to
+// alter that stream.
+TEST(PromotionPolicyTest, SeededStreamsMatchPinnedDigests) {
+  const auto fold = [](uint64_t* h, uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      *h ^= (value >> (8 * byte)) & 0xff;
+      *h *= 0x100000001b3ULL;
+    }
+  };
+  const auto fold_all = [&](uint64_t* h, const std::vector<uint32_t>& list) {
+    fold(h, list.size());
+    for (const uint32_t page : list) fold(h, page);
+  };
+  const std::pair<RankPromotionConfig, uint64_t> cases[] = {
+      {RankPromotionConfig::None(), 0x69d1059b17b48aa5ULL},
+      {RankPromotionConfig::Uniform(0.3, 3), 0xe3c93919807115beULL},
+      {RankPromotionConfig::Selective(0.1, 2), 0x9d7f1a4c3eeba049ULL},
+      {RankPromotionConfig::FixedPosition(21), 0x1ba5fd24045605a5ULL},
+  };
+  for (const auto& [config, expected] : cases) {
+    const auto policy = MakePromotionPolicy(config);
+    Ranker ranker(policy);
+    Fixture fx(200, 40);
+    Rng rng(11);
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (int update = 0; update < 2; ++update) {
+      ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+      for (int round = 0; round < 50; ++round) {
+        fold_all(&h, ranker.MaterializeList(rng));
+        fold_all(&h, ranker.TopM(17, rng));
+        fold(&h, policy->PageAtRank(ranker.view(), 9, rng));
+        std::vector<uint32_t> det_pos;
+        std::vector<uint32_t> pool_pos;
+        fold_all(&h, policy->MaterializeWithPositions(ranker.view(), rng,
+                                                      &det_pos, &pool_pos));
+        fold_all(&h, det_pos);
+        fold_all(&h, pool_pos);
+      }
+    }
+    EXPECT_EQ(h, expected) << config.Label() << ": digest 0x" << std::hex
+                           << h;
   }
 }
 
@@ -381,7 +392,7 @@ std::vector<double> NullStateCounts(
   Ranker ranker(policy);
   Rng rng(seed);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-  const ShardView view = RankerView(ranker);
+  const ShardView view = ranker.view();
   PolicyScratch scratch;
   std::vector<double> counts(cells, 0.0);
   std::vector<uint32_t> out;
@@ -564,37 +575,6 @@ TEST(PolicyServingTest, AllStandardFamiliesServeThroughBatchesAndWorkload) {
     EXPECT_EQ(res.queries, 400u) << policy->Label();
     EXPECT_EQ(res.visits, 400u) << policy->Label();
   }
-}
-
-// --- Explicit rejection by the simulation layers -------------------------
-
-TEST(PolicySimRejectionTest, AgentSimulatorRejectsNonPromotionFamilies) {
-  const CommunityParams params = CommunityParams::Default();
-  EXPECT_THROW(AgentSimulator(params, MakePlackettLucePolicy(0.1)),
-               std::invalid_argument);
-  EXPECT_THROW(AgentSimulator(params, MakeEpsilonTailPolicy(0.1, 5)),
-               std::invalid_argument);
-  // The promotion family passes through the same constructor.
-  SimOptions sim_opts;
-  sim_opts.warmup_days = 1;
-  sim_opts.measure_days = 1;
-  sim_opts.ghost_count = 0;
-  AgentSimulator sim(params,
-                     MakePromotionPolicy(RankPromotionConfig::Recommended(1)),
-                     sim_opts);
-  sim.StepDay(false);
-  EXPECT_EQ(sim.day(), 1u);
-}
-
-TEST(PolicySimRejectionTest, MeanFieldModelRejectsNonPromotionFamilies) {
-  const CommunityParams params = CommunityParams::Default();
-  EXPECT_THROW(MeanFieldModel(params, MakePlackettLucePolicy(0.1)),
-               std::invalid_argument);
-  EXPECT_THROW(MeanFieldModel(params, MakeEpsilonTailPolicy(0.1, 5)),
-               std::invalid_argument);
-  MeanFieldModel model(params,
-                       MakePromotionPolicy(RankPromotionConfig::None()));
-  (void)model;
 }
 
 }  // namespace

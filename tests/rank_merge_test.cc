@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "util/rng.h"
 
@@ -44,7 +45,7 @@ bool IsPermutation(const std::vector<uint32_t>& list, size_t n) {
 
 TEST(RankMergeTest, NoneRuleSortsByPopularityDescending) {
   Fixture fx(100, 10);
-  Ranker ranker(RankPromotionConfig::None());
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::None()));
   Rng rng(1);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);
@@ -58,7 +59,7 @@ TEST(RankMergeTest, NoneRuleTieBreaksByAge) {
   std::vector<double> pop{0.0, 0.0, 0.0};
   std::vector<uint8_t> zero{1, 1, 1};
   std::vector<int64_t> birth{5, 1, 3};
-  Ranker ranker(RankPromotionConfig::None());
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::None()));
   Rng rng(2);
   ranker.Update(pop, zero, birth, rng);
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);
@@ -67,7 +68,7 @@ TEST(RankMergeTest, NoneRuleTieBreaksByAge) {
 
 TEST(RankMergeTest, SelectivePoolIsExactlyZeroAwareness) {
   Fixture fx(200, 37);
-  Ranker ranker(RankPromotionConfig::Selective(0.2, 1));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 1)));
   Rng rng(3);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   EXPECT_EQ(ranker.pool().size(), 37u);
@@ -83,7 +84,7 @@ TEST(RankMergeTest, MaterializedListIsPermutation) {
        {RankPromotionConfig::None(), RankPromotionConfig::Uniform(0.3, 2),
         RankPromotionConfig::Selective(0.15, 4),
         RankPromotionConfig::Selective(1.0, 21)}) {
-    Ranker ranker(config);
+    Ranker ranker(MakePromotionPolicy(config));
     Rng rng(4);
     ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
     EXPECT_TRUE(IsPermutation(ranker.MaterializeList(rng), 500))
@@ -94,8 +95,8 @@ TEST(RankMergeTest, MaterializedListIsPermutation) {
 TEST(RankMergeTest, TopKMinusOneProtected) {
   Fixture fx(300, 50);
   const size_t k = 6;
-  Ranker deterministic(RankPromotionConfig::None());
-  Ranker promoted(RankPromotionConfig::Selective(0.9, k));
+  Ranker deterministic(MakePromotionPolicy(RankPromotionConfig::None()));
+  Ranker promoted(MakePromotionPolicy(RankPromotionConfig::Selective(0.9, k)));
   Rng rng_a(5);
   Rng rng_b(5);
   deterministic.Update(fx.popularity, fx.zero, fx.birth, rng_a);
@@ -113,7 +114,7 @@ TEST(RankMergeTest, RZeroSelectiveEqualsDeterministicOrderOfNonZeroPages) {
   // With r = 0 no pool page is ever taken before Ld empties, so promoted
   // pages land at the bottom -- identical to deterministic ranking with ties.
   Fixture fx(100, 20);
-  Ranker ranker(RankPromotionConfig::Selective(0.0, 1));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.0, 1)));
   Rng rng(6);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);
@@ -125,7 +126,7 @@ TEST(RankMergeTest, RZeroSelectiveEqualsDeterministicOrderOfNonZeroPages) {
 TEST(RankMergeTest, FixedPositionPlacesPoolContiguously) {
   // Appendix A: selective r=1, k=21 puts all pool items at ranks 21..20+z.
   Fixture fx(100, 15);
-  Ranker ranker(RankPromotionConfig::FixedPosition(21));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::FixedPosition(21)));
   Rng rng(7);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);
@@ -136,7 +137,7 @@ TEST(RankMergeTest, FixedPositionPlacesPoolContiguously) {
 
 TEST(RankMergeTest, PoolOrderIsShuffledAcrossRealizations) {
   Fixture fx(60, 30);
-  Ranker ranker(RankPromotionConfig::FixedPosition(1));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::FixedPosition(1)));
   Rng rng(8);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   const std::vector<uint32_t> a = ranker.MaterializeList(rng);
@@ -146,7 +147,7 @@ TEST(RankMergeTest, PoolOrderIsShuffledAcrossRealizations) {
 
 TEST(RankMergeTest, UniformPoolMembershipFrequency) {
   Fixture fx(2000, 0);
-  Ranker ranker(RankPromotionConfig::Uniform(0.25, 1));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Uniform(0.25, 1)));
   Rng rng(9);
   double pool_total = 0.0;
   const int kTrials = 200;
@@ -162,7 +163,9 @@ TEST(RankMergeTest, PageAtRankMatchesMaterializedMarginals) {
   // full materialization. Compare the frequency that pool pages occupy a
   // given rank under both methods.
   Fixture fx(50, 10);
-  Ranker ranker(RankPromotionConfig::Selective(0.3, 2));
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2));
+  Ranker ranker(policy);
   Rng rng(10);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
 
@@ -171,7 +174,7 @@ TEST(RankMergeTest, PageAtRankMatchesMaterializedMarginals) {
   int lazy_pool_hits = 0;
   int full_pool_hits = 0;
   for (int t = 0; t < kTrials; ++t) {
-    const uint32_t lazy = ranker.PageAtRank(kRank, rng);
+    const uint32_t lazy = policy->PageAtRank(ranker.view(), kRank, rng);
     lazy_pool_hits += fx.zero[lazy];
     const std::vector<uint32_t> list = ranker.MaterializeList(rng);
     full_pool_hits += fx.zero[list[kRank - 1]];
@@ -182,13 +185,17 @@ TEST(RankMergeTest, PageAtRankMatchesMaterializedMarginals) {
 
 TEST(RankMergeTest, PageAtRankUniformOverPool) {
   Fixture fx(40, 8);
-  Ranker ranker(RankPromotionConfig::FixedPosition(1));
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::FixedPosition(1));
+  Ranker ranker(policy);
   Rng rng(11);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   // With r=1,k=1 rank 1 is always a pool page, uniform across the pool.
   std::vector<int> counts(40, 0);
   const int kTrials = 80000;
-  for (int t = 0; t < kTrials; ++t) ++counts[ranker.PageAtRank(1, rng)];
+  for (int t = 0; t < kTrials; ++t) {
+    ++counts[policy->PageAtRank(ranker.view(), 1, rng)];
+  }
   for (uint32_t p = 0; p < 40; ++p) {
     if (fx.zero[p]) {
       EXPECT_NEAR(static_cast<double>(counts[p]) / kTrials, 1.0 / 8.0, 0.01);
@@ -201,31 +208,35 @@ TEST(RankMergeTest, PageAtRankUniformOverPool) {
 TEST(RankMergeTest, PageAtRankDeterministicTail) {
   // Beyond pool exhaustion the tail is the deterministic order.
   Fixture fx(30, 2);
-  Ranker ranker(RankPromotionConfig::Selective(1.0, 1));
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(1.0, 1));
+  Ranker ranker(policy);
   Rng rng(12);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   // Ranks 1..2 are the pool; rank 3.. are det order.
   for (size_t rank = 3; rank <= 30; ++rank) {
-    EXPECT_EQ(ranker.PageAtRank(rank, rng),
+    EXPECT_EQ(policy->PageAtRank(ranker.view(), rank, rng),
               ranker.deterministic_order()[rank - 3]);
   }
 }
 
 TEST(RankMergeTest, EmptyPoolFallsBackToDeterministic) {
   Fixture fx(25, 0);
-  Ranker ranker(RankPromotionConfig::Selective(0.5, 1));
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 1));
+  Ranker ranker(policy);
   Rng rng(13);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   EXPECT_TRUE(ranker.pool().empty());
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);
   for (size_t rank = 1; rank <= 25; ++rank) {
-    EXPECT_EQ(ranker.PageAtRank(rank, rng), list[rank - 1]);
+    EXPECT_EQ(policy->PageAtRank(ranker.view(), rank, rng), list[rank - 1]);
   }
 }
 
 TEST(RankMergeTest, AllPagesInPool) {
   Fixture fx(25, 25);
-  Ranker ranker(RankPromotionConfig::Selective(0.4, 3));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.4, 3)));
   Rng rng(14);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   EXPECT_EQ(ranker.pool().size(), 25u);
@@ -234,13 +245,16 @@ TEST(RankMergeTest, AllPagesInPool) {
 
 TEST(RankMergeTest, MaterializeWithPositionsConsistent) {
   Fixture fx(120, 30);
-  Ranker ranker(RankPromotionConfig::Selective(0.25, 2));
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.25, 2));
+  Ranker ranker(policy);
   Rng rng(15);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   std::vector<uint32_t> det_pos;
   std::vector<uint32_t> pool_pos;
   const std::vector<uint32_t> list =
-      ranker.MaterializeWithPositions(rng, &det_pos, &pool_pos);
+      policy->MaterializeWithPositions(ranker.view(), rng, &det_pos,
+                                       &pool_pos);
   ASSERT_EQ(det_pos.size(), ranker.deterministic_order().size());
   ASSERT_EQ(pool_pos.size(), ranker.pool().size());
   for (size_t j = 0; j < det_pos.size(); ++j) {
@@ -252,8 +266,8 @@ TEST(RankMergeTest, MaterializeWithPositionsConsistent) {
   }
 }
 
-// Satellite property test for the lazy path: over many realizations, the
-// page occupying each probed rank under PageAtRank must match the frequency
+// Property test for the lazy path: over many realizations, the page
+// occupying each probed rank under PageAtRank must match the frequency
 // observed from full MaterializeList realizations — per page, not just
 // pool-vs-det — for both promotion rules and k in {1, 2}.
 class LazyMarginalsTest
@@ -267,7 +281,8 @@ TEST_P(LazyMarginalsTest, PageAtRankMatchesMaterializeFrequencies) {
   const RankPromotionConfig config =
       rule == PromotionRule::kUniform ? RankPromotionConfig::Uniform(0.3, k)
                                       : RankPromotionConfig::Selective(0.3, k);
-  Ranker ranker(config);
+  const auto policy = MakePromotionPolicy(config);
+  Ranker ranker(policy);
   Rng rng(200 + k);
   // One Update fixes the pool (the uniform rule re-samples membership per
   // Update, so marginals are compared over a single fixed pool).
@@ -281,7 +296,7 @@ TEST_P(LazyMarginalsTest, PageAtRankMatchesMaterializeFrequencies) {
   std::vector<std::vector<int>> full_freq = lazy_freq;
   for (int t = 0; t < kTrials; ++t) {
     for (size_t i = 0; i < probe_ranks.size(); ++i) {
-      ++lazy_freq[i][ranker.PageAtRank(probe_ranks[i], rng)];
+      ++lazy_freq[i][policy->PageAtRank(ranker.view(), probe_ranks[i], rng)];
     }
     const std::vector<uint32_t> list = ranker.MaterializeList(rng);
     for (size_t i = 0; i < probe_ranks.size(); ++i) {
@@ -305,7 +320,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RankMergeTest, TopMFullLengthIsPermutation) {
   Fixture fx(200, 40);
-  Ranker ranker(RankPromotionConfig::Selective(0.3, 2));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)));
   Rng rng(51);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   EXPECT_TRUE(IsPermutation(ranker.TopM(200, rng), 200));
@@ -316,7 +331,7 @@ TEST(RankMergeTest, TopMFullLengthIsPermutation) {
 
 TEST(RankMergeTest, TopMPrefixHasNoDuplicates) {
   Fixture fx(150, 50);
-  Ranker ranker(RankPromotionConfig::Selective(0.8, 1));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.8, 1)));
   Rng rng(52);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   for (int trial = 0; trial < 200; ++trial) {
@@ -331,7 +346,7 @@ TEST(RankMergeTest, TopMMarginalsMatchMaterializePrefix) {
   // O(m) prefix realization must be distributed exactly as the first m slots
   // of a full materialization.
   Fixture fx(50, 10);
-  Ranker ranker(RankPromotionConfig::Selective(0.3, 2));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)));
   Rng rng(53);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   const size_t m = 8;
@@ -354,7 +369,7 @@ TEST(RankMergeTest, TopMMarginalsMatchMaterializePrefix) {
 
 TEST(RankMergeTest, TopMUnderNoneRuleIsDeterministicPrefix) {
   Fixture fx(80, 0);
-  Ranker ranker(RankPromotionConfig::None());
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::None()));
   Rng rng(54);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   const std::vector<uint32_t> top = ranker.TopM(15, rng);
@@ -397,7 +412,7 @@ class MergePropertyTest
 TEST_P(MergePropertyTest, AlwaysPermutationAndProtected) {
   const auto [r, k, zeros] = GetParam();
   Fixture fx(150, zeros, /*seed=*/99 + k);
-  Ranker ranker(RankPromotionConfig::Selective(r, k));
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(r, k)));
   Rng rng(17 + static_cast<uint64_t>(r * 100));
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);

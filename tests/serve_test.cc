@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
 #include "serve/epoch_prefix_cache.h"
@@ -56,12 +57,13 @@ TEST(RankSnapshotTest, BuildMatchesRankerOverSamePages) {
   Fixture fx(120, 24);
   std::vector<uint32_t> all_pages(120);
   for (uint32_t p = 0; p < 120; ++p) all_pages[p] = p;
-  const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
-  Ranker ranker(config);
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2));
+  Ranker ranker(policy);
   Rng rng_a(8);
   Rng rng_b(8);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng_a);
-  const auto snap = RankSnapshot::Build(config, 1, all_pages, fx.popularity,
+  const auto snap = RankSnapshot::Build(policy, 1, all_pages, fx.popularity,
                                         fx.zero, fx.birth, rng_b);
   EXPECT_EQ(snap->det, ranker.deterministic_order());
   EXPECT_EQ(snap->pool, ranker.pool());
@@ -78,11 +80,12 @@ TEST(RankSnapshotTest, TopMAndPageAtRankMatchMaterializeMarginals) {
   Fixture fx(40, 8);
   std::vector<uint32_t> all_pages(40);
   for (uint32_t p = 0; p < 40; ++p) all_pages[p] = p;
-  const RankPromotionConfig config = RankPromotionConfig::Selective(0.4, 2);
-  Ranker ranker(config);
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.4, 2));
+  Ranker ranker(policy);
   Rng rng(9);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-  const auto snap = RankSnapshot::Build(config, 1, all_pages, fx.popularity,
+  const auto snap = RankSnapshot::Build(policy, 1, all_pages, fx.popularity,
                                         fx.zero, fx.birth, rng);
 
   const size_t m = 6;
@@ -110,7 +113,8 @@ TEST(RankSnapshotTest, TopMAndPageAtRankMatchMaterializeMarginals) {
 }
 
 TEST(ServeTest, ServesNothingBeforeFirstUpdate) {
-  ShardedRankServer server(RankPromotionConfig::Recommended(1), 100);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(1)), 100);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
   EXPECT_EQ(server.ServeTopM(ctx, 10, &out), 0u);
@@ -122,7 +126,8 @@ TEST(ServeTest, FullListIsPermutationAcrossShardCounts) {
   for (const size_t shards : {1u, 2u, 5u, 8u}) {
     ServeOptions opts;
     opts.shards = shards;
-    ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), 211, opts);
+    ShardedRankServer server(
+        MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), 211, opts);
     server.Update(fx.popularity, fx.zero, fx.birth);
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
@@ -153,13 +158,14 @@ TEST(ServeTest, NoneRuleMatchesGlobalDeterministicOrderShardedOrNot) {
         fx.birth[i] = static_cast<int64_t>((c.n - i) / 10);
       }
     }
-    Ranker ranker(RankPromotionConfig::None());
+    Ranker ranker(MakePromotionPolicy(RankPromotionConfig::None()));
     Rng rng(3);
     ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
 
     ServeOptions opts;
     opts.shards = c.shards;
-    ShardedRankServer server(RankPromotionConfig::None(), c.n, opts);
+    ShardedRankServer server(MakePromotionPolicy(RankPromotionConfig::None()),
+                             c.n, opts);
     server.Update(fx.popularity, fx.zero, fx.birth);
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
@@ -175,7 +181,8 @@ TEST(ServeTest, ProtectedPrefixIsStableAcrossRealizations) {
   const size_t k = 6;
   ServeOptions opts;
   opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.9, k), 150, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.9, k)), 150, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> first;
@@ -198,9 +205,10 @@ TEST(ServeTest, ServedTopMMatchesMaterializeListMarginals) {
   const size_t m = 10;
   const int kTrials = 30000;
   Fixture fx(n, zeros);
-  const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2));
 
-  Ranker ranker(config);
+  Ranker ranker(policy);
   Rng rng(21);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   std::vector<double> reference_pool_freq(m, 0.0);
@@ -213,7 +221,7 @@ TEST(ServeTest, ServedTopMMatchesMaterializeListMarginals) {
     ServeOptions opts;
     opts.shards = shards;
     opts.seed = 1000 + shards;
-    ShardedRankServer server(config, n, opts);
+    ShardedRankServer server(policy, n, opts);
     server.Update(fx.popularity, fx.zero, fx.birth);
     auto ctx = server.CreateContext();
     std::vector<double> served_pool_freq(m, 0.0);
@@ -245,9 +253,10 @@ TEST(ServeTest, ServeBatchIsPairwiseIdenticalToSequentialQueries) {
 
   // Two identical servers; contexts created identically get identical
   // per-query Rng streams.
-  ShardedRankServer sequential(RankPromotionConfig::Selective(0.4, 3), n,
-                               opts);
-  ShardedRankServer batched(RankPromotionConfig::Selective(0.4, 3), n, opts);
+  ShardedRankServer sequential(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.4, 3)), n, opts);
+  ShardedRankServer batched(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.4, 3)), n, opts);
   sequential.Update(fx.popularity, fx.zero, fx.birth);
   batched.Update(fx.popularity, fx.zero, fx.birth);
   auto seq_ctx = sequential.CreateContext();
@@ -268,7 +277,8 @@ TEST(ServeTest, ServeBatchIsPairwiseIdenticalToSequentialQueries) {
 }
 
 TEST(ServeTest, ServeBatchBeforeFirstUpdateServesNothing) {
-  ShardedRankServer server(RankPromotionConfig::Recommended(1), 100);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(1)), 100);
   auto ctx = server.CreateContext();
   QueryBatch batch(10, 4);
   batch.results[0].push_back(42);  // stale content must be cleared
@@ -288,7 +298,8 @@ TEST(ServeTest, ServedTailMatchesMaterializeListChiSquared) {
   const size_t m = 12;
   const int kTrials = 20000;
   Fixture fx(n, 120);
-  const RankPromotionConfig config = RankPromotionConfig::Selective(0.35, 2);
+  const auto policy =
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.35, 2));
 
   // Index 0: served by the sharded server; index 1: the reference.
   std::vector<std::vector<double>> pool_counts(2,
@@ -306,7 +317,7 @@ TEST(ServeTest, ServedTailMatchesMaterializeListChiSquared) {
   ServeOptions opts;
   opts.shards = 4;
   opts.seed = 900;
-  ShardedRankServer server(config, n, opts);
+  ShardedRankServer server(policy, n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
@@ -315,7 +326,7 @@ TEST(ServeTest, ServedTailMatchesMaterializeListChiSquared) {
     tally(0, out);
   }
 
-  Ranker ranker(config);
+  Ranker ranker(policy);
   Rng rng(901);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   for (int t = 0; t < kTrials; ++t) tally(1, ranker.MaterializeList(rng));
@@ -339,7 +350,8 @@ TEST(ServeTest, EpochPrefixCacheBuildPartitionsTheView) {
   Fixture fx(n, 20);
   ServeOptions opts;
   opts.shards = 3;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.5, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   // Reach the published cache through a full-list query's invariants: the
@@ -360,7 +372,8 @@ TEST(ServeTest, BatchedWorkloadFeedsVisitsBackLikeSequential) {
   Fixture fx(n, 80);
   ServeOptions opts;
   opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -387,7 +400,8 @@ TEST(ServeTest, AsyncWorkloadServesFullQuotaThroughQueue) {
   Fixture fx(n, 60);
   ServeOptions opts;
   opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -411,7 +425,8 @@ TEST(ServeTest, PoolDrawsAreUniformAcrossShards) {
   Fixture fx(n, 16);
   ServeOptions opts;
   opts.shards = 6;
-  ShardedRankServer server(RankPromotionConfig::Selective(1.0, 1), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(1.0, 1)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<int> counts(n, 0);
@@ -439,7 +454,8 @@ TEST(ServeTest, SnapshotSwapUnderConcurrentReadersIsSafe) {
   Fixture fx(n, 100);
   ServeOptions opts;
   opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.2, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   std::atomic<bool> stop{false};
@@ -483,7 +499,7 @@ TEST(ServeTest, SnapshotSwapUnderConcurrentReadersIsSafe) {
 }
 
 TEST(ServeTest, FeedbackCountsDrainExactly) {
-  ShardedRankServer server(RankPromotionConfig::None(), 10,
+  ShardedRankServer server(MakePromotionPolicy(RankPromotionConfig::None()), 10,
                            {.shards = 2, .feedback_batch = 4});
   auto ctx = server.CreateContext();
   for (int i = 0; i < 10; ++i) server.RecordVisit(ctx, 3);
@@ -524,7 +540,8 @@ TEST(ServeTest, WorkloadClosedLoopFeedsVisitsBack) {
   Fixture fx(n, 80);
   ServeOptions opts;
   opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -560,8 +577,9 @@ TEST(ServeTest, ServeLoopDiscoversZeroAwarenessPagesUnderSelectiveRule) {
   ServeOptions opts;
   opts.shards = 4;
   opts.seed = 7;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.5, 1), params.n,
-                           opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 1)), params.n,
+      opts);
   const size_t before = state.ZeroAwarenessPages();
   for (int round = 0; round < 5; ++round) {
     server.Update(state.popularity, state.zero_awareness, state.birth_step);

@@ -24,6 +24,7 @@
 #include "bai/bai_controller.h"
 #include "core/community.h"
 #include "core/policy/policy_factory.h"
+#include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "exp/experiment_manager.h"
 #include "fault/fault.h"
@@ -79,8 +80,9 @@ int main(int argc, char** argv) {
     opts.shards = 2;
     opts.metrics = &registry;
     opts.trace = &trace;
-    ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), community.n,
-                             opts);
+    ShardedRankServer server(
+        MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)),
+        community.n, opts);
     ExerciseServer(server, state, rng);
 
     // Queue layer on the same server.
@@ -120,8 +122,9 @@ int main(int argc, char** argv) {
     ServeOptions opts;
     opts.shards = 2;
     opts.metrics = &registry;
-    ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2),
-                             community.n, opts);
+    ShardedRankServer server(
+        MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)),
+        community.n, opts);
     fault::FaultPlan plan;
     std::string error;
     if (!fault::FaultPlan::Parse(
