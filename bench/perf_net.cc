@@ -1,12 +1,13 @@
 // Network serving benchmark: what does the socket boundary cost over the
-// same batched serving path in-process? Both sides ride the identical
-// BatchQueue -> ShardedRankServer machinery; the socket points add framing,
-// loopback TCP, and the epoll event loop, so `network_tax` isolates the
-// wire's contribution to latency and throughput.
+// same serving work in-process? The daemon's event loop serves each QUERY
+// frame itself on one serving Context; the in-process point runs that same
+// per-query serve without sockets, so `network_tax` isolates the wire's
+// contribution (framing, loopback TCP, the epoll event loop) to latency and
+// throughput.
 //
 // Points (JSONL, same format as perf_serve):
-//   net/inprocess        — closed-loop queries through a BatchQueue future,
-//                          no sockets: the in-process baseline.
+//   net/inprocess        — closed-loop ServeTopM on one serving Context, no
+//                          sockets: the in-process baseline.
 //   net/socket:conns:N   — N closed-loop client threads (one connection
 //                          each) against the daemon over loopback.
 //                          `network_tax` = inprocess QPS / socket QPS.
@@ -34,7 +35,6 @@
 #include "core/ranking_policy.h"
 #include "net/client.h"
 #include "net/daemon.h"
-#include "serve/batch_queue.h"
 #include "serve/feedback.h"
 #include "serve/sharded_rank_server.h"
 #include "util/rng.h"
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
   bench::PrintBanner(
       "perf_net",
-      "socket serving daemon vs the identical batched path in-process",
+      "socket serving daemon vs the same per-query serve in-process",
       "the wire adds per-query framing + loopback TCP + event-loop "
       "scheduling; closed-loop network_tax is dominated by round-trip "
       "latency and should shrink under pipelining");
@@ -94,23 +94,23 @@ int main(int argc, char** argv) {
   bench::JsonlSink sink;
   Table table({"point", "conns", "QPS", "p50 (us)", "p99 (us)", "net tax"});
 
-  // In-process baseline: the same BatchQueue consumer the daemon uses, no
-  // sockets. Closed loop (one outstanding query), latency per round trip.
+  // In-process baseline: what the daemon's event loop does per query —
+  // ServeTopM on one serving Context — with no sockets. Closed loop, latency
+  // per query.
   double qps_inprocess = 0.0;
   {
-    BatchQueueOptions qopts;
-    BatchQueue queue(server, qopts);
+    ShardedRankServer::Context ctx = server.CreateContext();
+    std::vector<uint32_t> results;
     std::vector<double> lat_us;
     lat_us.reserve(kQueries);
     const Clock::time_point t0 = Clock::now();
     for (size_t q = 0; q < kQueries; ++q) {
       const Clock::time_point s = Clock::now();
-      queue.Submit(kTopM).get();
+      server.ServeTopM(ctx, kTopM, &results);
       lat_us.push_back(
           std::chrono::duration<double, std::micro>(Clock::now() - s).count());
     }
     const double seconds = Seconds(t0);
-    queue.Stop();
     qps_inprocess =
         seconds > 0.0 ? static_cast<double>(kQueries) / seconds : 0.0;
     const std::map<std::string, double> fields = {
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
 
   // Closed-loop socket points: N client threads, one connection each, one
   // outstanding query per connection — per-query latency is a full wire
-  // round trip through the event loop and batch consumer.
+  // round trip through the event loop.
   for (const size_t conns : {size_t{1}, size_t{2}}) {
     const size_t per_conn = kQueries / conns;
     std::vector<std::vector<double>> lat_us(conns);

@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
 
   // Async submission queue: producers pipeline windows of futures into the
   // MPSC queue; one consumer serves ServeBatch runs. Queue health — depth,
-  // realized batch size, drain causes, queue-wait percentiles — now rides
+  // realized batch size, queue-wait percentiles — now rides
   // the metrics registry (the workload wires its internal BatchQueue to the
   // server's registry under "workload_queue/"), and the JSONL splices the
   // registry export in via obs::FlatFields instead of hand-copying fields.

@@ -88,7 +88,6 @@ ExperimentManager::ExperimentManager(const CommunityParams& community,
     for (ArmState& arm : arm_states_) {
       BatchQueueOptions qopts;
       qopts.max_batch = std::max<size_t>(1, opts_.async_max_batch);
-      qopts.max_delay_us = opts_.async_max_delay_us;
       qopts.metrics = opts_.metrics;
       qopts.trace = opts_.trace;
       qopts.obs_prefix = "exp/arm:" + arm.spec.name + "/queue";

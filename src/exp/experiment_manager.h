@@ -52,9 +52,8 @@ struct ExperimentOptions {
   /// from the sync path (the consumer owns the serving Rng streams) but
   /// follows the same law.
   bool async_serving = false;
-  /// BatchQueueOptions::max_batch / max_delay_us for the per-arm queues.
+  /// BatchQueueOptions::max_batch for the per-arm queues.
   size_t async_max_batch = 32;
-  uint64_t async_max_delay_us = 0;
   /// Run the shared page-lifecycle churn each epoch.
   bool churn = true;
   /// Fraction of pages fully discovered (everyone aware, popularity ==

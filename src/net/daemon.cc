@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -26,26 +25,17 @@ namespace {
 constexpr size_t kReadChunk = 64 * 1024;
 }  // namespace
 
-/// Per-connection state. The event-loop thread owns everything except
-/// `pending`/`in_flush_list`/`closed`, which the queue-consumer thread
-/// touches under `wmutex` to enqueue replies.
+/// Per-connection state, touched only by the event-loop thread.
 struct NetDaemon::Connection {
   int fd = -1;
   uint64_t opened_ns = 0;
 
-  // Inbound (event-loop thread only): unparsed bytes, parse offset.
+  // Inbound: unparsed bytes, parse offset.
   std::vector<uint8_t> rbuf;
   size_t rpos = 0;
 
-  // Outbound staging: any thread appends under wmutex; the event loop
-  // moves `pending` into its private `wbuf` before writing, so the lock is
-  // never held across a syscall.
-  std::mutex wmutex;
-  std::vector<uint8_t> pending;
-  bool in_flush_list = false;
-  bool closed = false;
-
-  // Event-loop thread only.
+  // Outbound: replies staged in request order, and how much of them the
+  // socket has taken.
   std::vector<uint8_t> wbuf;
   size_t woff = 0;
   bool want_write = false;
@@ -54,7 +44,6 @@ struct NetDaemon::Connection {
   /// anything before it) has flushed.
   bool close_when_flushed = false;
 
-  /// Unsent reply bytes staged on the event-loop side (excludes `pending`).
   size_t unsent() const { return wbuf.size() - woff; }
 };
 
@@ -64,11 +53,6 @@ NetDaemon::NetDaemon(ShardedRankServer& server, NetDaemonOptions options)
   if (opts_.write_low_watermark > opts_.write_high_watermark) {
     opts_.write_low_watermark = opts_.write_high_watermark;
   }
-  // The daemon's admission control sheds with an explicit OVERLOADED reply;
-  // a bounded queue would instead block the event loop in Submit().
-  opts_.queue.max_pending = 0;
-  if (opts_.queue.metrics == nullptr) opts_.queue.metrics = opts_.metrics;
-  if (opts_.queue.trace == nullptr) opts_.queue.trace = opts_.trace;
   if (opts_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *opts_.metrics;
     const std::string p = opts_.obs_prefix + "/";
@@ -84,7 +68,6 @@ NetDaemon::NetDaemon(ShardedRankServer& server, NetDaemonOptions options)
     bytes_read_ctr_ = &reg.GetCounter(p + "bytes_read");
     bytes_written_ctr_ = &reg.GetCounter(p + "bytes_written");
     active_gauge_ = &reg.GetGauge(p + "active_conns");
-    inflight_gauge_ = &reg.GetGauge(p + "inflight");
     draining_gauge_ = &reg.GetGauge(p + "draining");
     request_hist_ = &reg.GetHistogram(p + "request_ns");
     read_hist_ = &reg.GetHistogram(p + "read_bytes");
@@ -136,10 +119,10 @@ void NetDaemon::Start() {
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  // Created here (not in the constructor) so the queue's consumer context is
+  // Created here (not in the constructor) so the loop's serving context is
   // the server's next Rng stream at Start() time — the property the wire
   // bit-equivalence test pins against an in-process reference server.
-  queue_ = std::make_unique<BatchQueue>(server_, opts_.queue);
+  ctx_ = server_.CreateContext();
 
   started_.store(true, std::memory_order_release);
   loop_thread_ = std::thread(&NetDaemon::Loop, this);
@@ -179,14 +162,7 @@ void NetDaemon::Stop() {
 }
 
 void NetDaemon::JoinAndTearDown() {
-  // Order matters: the queue's drain still runs reply callbacks, which
-  // append to connection buffers and write wake_fd_ — both must outlive it.
-  queue_->Stop();
-  for (auto& [fd, conn] : connections_) {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    conn->closed = true;
-    ::close(fd);
-  }
+  for (auto& [fd, conn] : connections_) ::close(fd);
   connections_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -217,9 +193,7 @@ NetDaemonStats NetDaemon::stats() const {
 // ---------------------------------------------------------------------------
 
 void NetDaemon::Loop() {
-  using Clock = std::chrono::steady_clock;
   std::vector<epoll_event> events(64);
-  bool listener_open = true;
   bool drain_seen = false;
   Clock::time_point drain_started{};
 
@@ -227,16 +201,15 @@ void NetDaemon::Loop() {
     const bool draining = draining_.load(std::memory_order_acquire);
     if (draining) {
       if (!drain_seen) {
+        // Stop accepting, then poll once more before the drain may
+        // complete: frames already sitting in a socket get an answer (a
+        // QUERY gets DRAINING) instead of a close.
         drain_seen = true;
         drain_started = Clock::now();
-        if (listener_open) {
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-          ::close(listen_fd_);
-          listen_fd_ = -1;
-          listener_open = false;
-        }
-      }
-      if (DrainComplete()) {
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+        ::close(listen_fd_);
+        listen_fd_ = -1;
+      } else if (AllFlushed()) {
         drain_was_clean_ = true;
         break;
       }
@@ -280,14 +253,6 @@ void NetDaemon::Loop() {
         HandleReadable(conn);
       }
     }
-
-    // Replies enqueued by the consumer thread since the last pass.
-    std::vector<std::shared_ptr<Connection>> to_flush;
-    {
-      std::lock_guard<std::mutex> lk(flush_mutex_);
-      to_flush.swap(flush_list_);
-    }
-    for (const auto& conn : to_flush) FlushWrites(conn);
   }
 }
 
@@ -323,10 +288,6 @@ void NetDaemon::CloseConnection(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   std::shared_ptr<Connection> conn = it->second;
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    conn->closed = true;
-  }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   connections_.erase(it);
@@ -340,6 +301,11 @@ void NetDaemon::CloseConnection(int fd) {
 }
 
 void NetDaemon::HandleReadable(const std::shared_ptr<Connection>& conn) {
+  // One read pass. The drain flag is read once, before reading: when no
+  // drain had begun, every frame this pass reads is served even if a drain
+  // begins meanwhile.
+  ReadPass pass;
+  pass.draining = draining_.load(std::memory_order_acquire);
   while (true) {
     const size_t old_size = conn->rbuf.size();
     conn->rbuf.resize(old_size + kReadChunk);
@@ -365,7 +331,8 @@ void NetDaemon::HandleReadable(const std::shared_ptr<Connection>& conn) {
     CloseConnection(conn->fd);
     return;
   }
-  if (!ParseFrames(conn)) {
+  if (opts_.deadline_us > 0) pass.read_at = Clock::now();
+  if (!ParseFrames(*conn, pass)) {
     // Fatal framing error: the error reply is already staged — stop reading
     // and close once it has flushed.
     conn->paused_read = true;
@@ -375,10 +342,10 @@ void NetDaemon::HandleReadable(const std::shared_ptr<Connection>& conn) {
   FlushWrites(conn);
 }
 
-bool NetDaemon::ParseFrames(const std::shared_ptr<Connection>& conn) {
-  while (conn->rbuf.size() - conn->rpos >= kHeaderSize) {
-    const uint8_t* base = conn->rbuf.data() + conn->rpos;
-    const size_t available = conn->rbuf.size() - conn->rpos;
+bool NetDaemon::ParseFrames(Connection& conn, ReadPass& pass) {
+  while (conn.rbuf.size() - conn.rpos >= kHeaderSize) {
+    const uint8_t* base = conn.rbuf.data() + conn.rpos;
+    const size_t available = conn.rbuf.size() - conn.rpos;
     FrameHeader header;
     const DecodeStatus status = DecodeHeader(base, available, &header);
     if (status == DecodeStatus::kMalformed) {
@@ -410,7 +377,7 @@ bool NetDaemon::ParseFrames(const std::shared_ptr<Connection>& conn) {
           SendError(conn, query.request_id, ErrorCode::kBadFrame,
                     "m exceeds cap " + std::to_string(opts_.max_query_m));
         } else {
-          HandleQuery(conn, query);
+          HandleQuery(conn, query, pass);
         }
         break;
       }
@@ -421,26 +388,20 @@ bool NetDaemon::ParseFrames(const std::shared_ptr<Connection>& conn) {
         if (opts_.metrics != nullptr) {
           reply.text = obs::PrometheusText(opts_.metrics->Snapshot());
         }
-        std::vector<uint8_t> bytes;
-        AppendMetricsReply(reply, &bytes);
-        ReplyNow(conn, bytes);
+        AppendMetricsReply(reply, &conn.wbuf);
         break;
       }
       case FrameType::kHealth: {
         health_checks_.fetch_add(1, std::memory_order_relaxed);
         if (health_ctr_ != nullptr) health_ctr_->Add();
         HealthReplyFrame reply;
-        reply.status = draining_.load(std::memory_order_acquire)
-                           ? HealthStatus::kDraining
-                           : HealthStatus::kServing;
+        reply.status =
+            pass.draining ? HealthStatus::kDraining : HealthStatus::kServing;
         reply.epoch = server_.epoch();
-        reply.inflight = inflight_.load(std::memory_order_acquire);
         reply.queries = replies_.load(std::memory_order_relaxed);
         reply.degraded = server_.degraded();
         reply.stale_epochs = server_.epochs_since_publish();
-        std::vector<uint8_t> bytes;
-        AppendHealthReply(reply, &bytes);
-        ReplyNow(conn, bytes);
+        AppendHealthReply(reply, &conn.wbuf);
         break;
       }
       default:
@@ -453,154 +414,82 @@ bool NetDaemon::ParseFrames(const std::shared_ptr<Connection>& conn) {
                       FrameTypeName(header.type));
         break;
     }
-    conn->rpos += kHeaderSize + len;
+    conn.rpos += kHeaderSize + len;
   }
-  if (conn->rpos > 0) {
-    conn->rbuf.erase(conn->rbuf.begin(),
-                     conn->rbuf.begin() + static_cast<ptrdiff_t>(conn->rpos));
-    conn->rpos = 0;
+  if (conn.rpos > 0) {
+    conn.rbuf.erase(conn.rbuf.begin(),
+                    conn.rbuf.begin() + static_cast<ptrdiff_t>(conn.rpos));
+    conn.rpos = 0;
   }
   return true;
 }
 
-void NetDaemon::HandleQuery(const std::shared_ptr<Connection>& conn,
-                            const QueryFrame& query) {
-  if (draining_.load(std::memory_order_acquire)) {
+void NetDaemon::HandleQuery(Connection& conn, const QueryFrame& query,
+                            ReadPass& pass) {
+  if (pass.draining) {
     rejected_draining_.fetch_add(1, std::memory_order_relaxed);
     if (draining_ctr_ != nullptr) draining_ctr_->Add();
     SendError(conn, query.request_id, ErrorCode::kDraining,
               "server is draining");
     return;
   }
-  if (inflight_.load(std::memory_order_acquire) >= opts_.max_inflight) {
+  if (pass.admitted >= opts_.max_inflight) {
     shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
     if (shed_ctr_ != nullptr) shed_ctr_->Add();
     SendError(conn, query.request_id, ErrorCode::kOverloaded,
               "admission control: " + std::to_string(opts_.max_inflight) +
-                  " queries in flight");
+                  " queries already in this read");
     return;
   }
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
+  ++pass.admitted;
   queries_.fetch_add(1, std::memory_order_relaxed);
   if (queries_ctr_ != nullptr) queries_ctr_->Add();
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Set(
-        static_cast<double>(inflight_.load(std::memory_order_relaxed)));
+  if (opts_.deadline_us > 0 &&
+      Clock::now() - pass.read_at >
+          std::chrono::microseconds(opts_.deadline_us)) {
+    // Explicit timeout instead of a late answer.
+    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    if (deadline_ctr_ != nullptr) deadline_ctr_->Add();
+    SendError(conn, query.request_id, ErrorCode::kDeadlineExceeded,
+              "query deadline expired before serving");
+    return;
   }
+
   const uint64_t t0 = request_hist_ != nullptr ? obs::FastNowNs() : 0;
-  const uint64_t request_id = query.request_id;
-  const uint32_t m = query.m;
-  const bool accepted = queue_->Submit(
-      m, [this, conn, request_id, m, t0](QueryOutcome outcome, uint64_t epoch,
-                                         std::vector<uint32_t> results) {
-        if (outcome == QueryOutcome::kDeadlineExpired) {
-          // Explicit timeout instead of a silent empty answer. Encoded here
-          // and enqueued (never ReplyNow — this is the consumer thread; only
-          // the event loop touches the socket).
-          ErrorFrame error;
-          error.request_id = request_id;
-          error.code = ErrorCode::kDeadlineExceeded;
-          error.message = "query deadline expired before serving";
-          std::vector<uint8_t> bytes;
-          AppendError(error, &bytes);
-          EnqueueReply(conn, bytes);
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          if (deadline_ctr_ != nullptr) deadline_ctr_->Add();
-          inflight_.fetch_sub(1, std::memory_order_acq_rel);
-          return;
-        }
-        QueryReplyFrame reply;
-        reply.request_id = request_id;
-        reply.epoch = epoch;  // the pinned view's, not the live counter
-        reply.pages = std::move(results);
-        std::vector<uint8_t> bytes;
-        AppendQueryReply(reply, &bytes);
-        EnqueueReply(conn, bytes);
-        replies_.fetch_add(1, std::memory_order_relaxed);
-        if (replies_ctr_ != nullptr) replies_ctr_->Add();
-        if (request_hist_ != nullptr && t0 != 0) {
-          const uint64_t dur_ns = obs::FastNowNs() - t0;
-          request_hist_->Record(dur_ns);
-          obs::TraceLog* trace = opts_.trace;
-          if (trace != nullptr && trace->sample_every() > 0) {
-            const uint64_t seq =
-                request_seq_.fetch_add(1, std::memory_order_relaxed);
-            if (seq % trace->sample_every() == 0) {
-              trace->EmitSpan(
-                  "net/request", static_cast<double>(dur_ns) * 1e-3,
-                  {{"m", static_cast<double>(m)},
-                   {"served", static_cast<double>(reply.pages.size())},
-                   {"inflight",
-                    static_cast<double>(
-                        inflight_.load(std::memory_order_relaxed))}});
-            }
-          }
-        }
-        // Release ordering pairs with the drain check: once the loop sees
-        // inflight == 0, every reply byte is visible in some buffer.
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      });
-  if (!accepted) {  // queue already stopped (hard Stop race)
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    SendError(conn, request_id, ErrorCode::kDraining, "queue stopped");
+  batch_.m = query.m;
+  server_.ServeBatch(ctx_, &batch_);
+  std::vector<uint32_t>& pages = batch_.results[0];
+  QueryReplyFrame reply;
+  reply.request_id = query.request_id;
+  reply.epoch = batch_.epoch;  // the pinned view's, not the live counter
+  reply.pages.swap(pages);
+  AppendQueryReply(reply, &conn.wbuf);
+  reply.pages.swap(pages);  // hand the buffer back for the next query
+  replies_.fetch_add(1, std::memory_order_relaxed);
+  if (replies_ctr_ != nullptr) replies_ctr_->Add();
+  if (request_hist_ != nullptr) {
+    const uint64_t dur_ns = obs::FastNowNs() - t0;
+    request_hist_->Record(dur_ns);
+    obs::TraceLog* trace = opts_.trace;
+    if (trace != nullptr && trace->sample_every() > 0 &&
+        request_seq_++ % trace->sample_every() == 0) {
+      trace->EmitSpan("net/request", static_cast<double>(dur_ns) * 1e-3,
+                      {{"m", static_cast<double>(query.m)},
+                       {"served", static_cast<double>(pages.size())}});
+    }
   }
 }
 
-void NetDaemon::SendError(const std::shared_ptr<Connection>& conn,
-                          uint64_t request_id, ErrorCode code,
-                          const std::string& message) {
+void NetDaemon::SendError(Connection& conn, uint64_t request_id,
+                          ErrorCode code, const std::string& message) {
   ErrorFrame frame;
   frame.request_id = request_id;
   frame.code = code;
   frame.message = message;
-  std::vector<uint8_t> bytes;
-  AppendError(frame, &bytes);
-  ReplyNow(conn, bytes);
-}
-
-void NetDaemon::ReplyNow(const std::shared_ptr<Connection>& conn,
-                         const std::vector<uint8_t>& bytes) {
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (conn->closed) return;
-    conn->pending.insert(conn->pending.end(), bytes.begin(), bytes.end());
-  }
-  FlushWrites(conn);
-}
-
-void NetDaemon::EnqueueReply(const std::shared_ptr<Connection>& conn,
-                             const std::vector<uint8_t>& bytes) {
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (conn->closed) return;
-    conn->pending.insert(conn->pending.end(), bytes.begin(), bytes.end());
-    if (!conn->in_flush_list) {
-      conn->in_flush_list = true;
-      std::lock_guard<std::mutex> fl(flush_mutex_);
-      flush_list_.push_back(conn);
-      need_wake = true;
-    }
-  }
-  if (need_wake) Wake();
+  AppendError(frame, &conn.wbuf);
 }
 
 void NetDaemon::FlushWrites(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (conn->closed) return;
-    if (!conn->pending.empty()) {
-      if (conn->wbuf.empty()) {
-        conn->wbuf.swap(conn->pending);
-        conn->woff = 0;
-      } else {
-        conn->wbuf.insert(conn->wbuf.end(), conn->pending.begin(),
-                          conn->pending.end());
-        conn->pending.clear();
-      }
-    }
-    conn->in_flush_list = false;
-  }
   while (conn->woff < conn->wbuf.size()) {
     size_t want = conn->wbuf.size() - conn->woff;
     // Fault site: partial writes (short-write path coverage), injected
@@ -675,20 +564,9 @@ void NetDaemon::UpdateEpollInterest(const std::shared_ptr<Connection>& conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
-bool NetDaemon::DrainComplete() {
-  if (inflight_.load(std::memory_order_acquire) != 0) return false;
-  // Anything the consumer enqueued after the in-flight count hit zero is in
-  // a buffer we can see from here (release/acquire on inflight_).
-  std::vector<std::shared_ptr<Connection>> to_flush;
-  {
-    std::lock_guard<std::mutex> lk(flush_mutex_);
-    to_flush.swap(flush_list_);
-  }
-  for (const auto& conn : to_flush) FlushWrites(conn);
+bool NetDaemon::AllFlushed() const {
   for (const auto& [fd, conn] : connections_) {
     if (conn->unsent() > 0) return false;
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (!conn->pending.empty()) return false;
   }
   return true;
 }

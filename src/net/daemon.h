@@ -2,6 +2,7 @@
 #define RANDRANK_NET_DAEMON_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "net/protocol.h"
-#include "serve/batch_queue.h"
 #include "serve/sharded_rank_server.h"
 
 namespace randrank::net {
@@ -27,11 +27,11 @@ struct NetDaemonOptions {
   /// Connections beyond this are accepted and immediately closed (the
   /// kernel's backlog already smooths bursts; this caps steady-state fds).
   size_t max_connections = 1024;
-  /// Admission control: QUERY frames accepted but not yet answered, across
-  /// all connections. At the cap new queries are shed with an immediate
-  /// ERROR/OVERLOADED reply instead of growing the queue — in-flight count
-  /// IS the BatchQueue depth plus the batch being served, so this is the
-  /// queue-depth shed bound. 0 selects 1.
+  /// Admission control: QUERY frames served from one read pass of one
+  /// connection. The event loop serves queries itself, so this bounds how
+  /// long one pipelined burst holds the loop; frames beyond it in the same
+  /// pass get an immediate ERROR/OVERLOADED reply — an explicit retry
+  /// signal — instead of being served. 0 selects 1.
   size_t max_inflight = 4096;
   /// Per-query result-count cap; QUERYs asking for more get BAD_FRAME.
   uint32_t max_query_m = 1024;
@@ -46,11 +46,10 @@ struct NetDaemonOptions {
   /// readers that never drained their replies) after this many ms. 0 waits
   /// forever.
   uint64_t drain_timeout_ms = 10000;
-  /// Batching front-end knobs, passed through to the internal BatchQueue.
-  /// max_pending is ignored (admission control sheds instead of blocking
-  /// the event loop) and the queue's obs endpoints default to this
-  /// daemon's when unset.
-  BatchQueueOptions queue;
+  /// Per-query deadline: a QUERY whose turn to be served comes more than
+  /// this many microseconds after the socket read that delivered it gets
+  /// ERROR/DEADLINE_EXCEEDED instead of a late answer. 0 disables it.
+  uint64_t deadline_us = 0;
   /// Observability (optional, borrowed; must outlive the daemon). Counters,
   /// gauges, and histograms land under `<obs_prefix>/`; the METRICS scrape
   /// frame answers with PrometheusText over this registry's full snapshot
@@ -68,8 +67,9 @@ struct NetDaemonStats {
   uint64_t replies = 0;
   uint64_t shed_overloaded = 0;
   uint64_t rejected_draining = 0;
-  /// Queries answered with ERROR/DEADLINE_EXCEEDED because they waited past
-  /// the queue's per-query deadline (BatchQueueOptions::deadline_us).
+  /// Queries answered with ERROR/DEADLINE_EXCEEDED because their turn came
+  /// more than NetDaemonOptions::deadline_us after the read that delivered
+  /// them.
   uint64_t deadline_exceeded = 0;
   uint64_t bad_frames = 0;
   uint64_t scrapes = 0;
@@ -79,45 +79,43 @@ struct NetDaemonStats {
 };
 
 /// Stand-alone network serving daemon: the service boundary in front of
-/// ShardedRankServer. One epoll event loop (its own thread) owns the listen
-/// socket and every connection, speaks the length-prefixed binary protocol
-/// of net/protocol.h, and feeds QUERY frames into an internal BatchQueue —
-/// so the wire path rides the same adaptive batching, and answers are
-/// drawn from the same RCU-pinned ServingView mechanics, as in-process
-/// callers. METRICS frames answer with the Prometheus exposition of the
-/// attached registry ("metrics over the wire"); HEALTH reports epoch,
-/// in-flight depth, and drain state.
+/// ShardedRankServer. One thread runs an epoll event loop that owns the
+/// listen socket and every connection, speaks the length-prefixed binary
+/// protocol of net/protocol.h, and serves each decoded QUERY itself — a
+/// one-query ServeBatch on a serving Context the loop owns, drawn from the
+/// same RCU-pinned ServingView mechanics as in-process callers. Every reply
+/// is staged into its connection's write buffer as its frame is parsed, so
+/// a connection's replies leave in request order; each read pass ends with
+/// one flush. METRICS frames answer with the Prometheus exposition of the
+/// attached registry ("metrics over the wire"); HEALTH reports epoch and
+/// drain state.
 ///
 /// Threading:
-///  * The event loop thread does all socket I/O and owns connection
-///    lifetimes. It never blocks on serving — queries are handed to the
-///    BatchQueue's consumer thread via callbacks.
-///  * Reply callbacks run on the queue's consumer thread: they encode into
-///    the connection's outbound buffer (a mutex the event loop only takes
-///    for buffer swaps) and wake the loop through an eventfd. No serving
-///    work happens on the event loop; no socket work happens on the
-///    consumer.
+///  * The event-loop thread does all socket I/O and all serving; no other
+///    thread touches connection state. One slow query therefore stalls
+///    every connection for its duration.
 ///  * The writer thread (whoever calls server.Update()) is untouched:
 ///    epoch publishes and policy hot-swaps land mid-traffic exactly as for
-///    in-process callers — queries pinned to the old view complete under
+///    in-process callers — a query pinned to the old view completes under
 ///    it, no query is dropped (tests/net_test.cc exercises continuous
 ///    hot-swaps through the socket under TSan).
+///  * Drain() and Stop() reach the loop through an eventfd.
 ///
-/// Overload behavior: admission control bounds accepted-but-unanswered
-/// queries (max_inflight); beyond it QUERYs get an immediate
-/// ERROR/OVERLOADED reply, so a saturated server stays responsive and
-/// clients get an explicit retry signal instead of a hang. Per-connection
-/// write backpressure pauses reading from clients too slow to take their
-/// replies.
+/// Overload behavior: QUERY frames beyond max_inflight in one read pass
+/// get an immediate ERROR/OVERLOADED reply, and with deadline_us set a
+/// query whose turn came too late gets ERROR/DEADLINE_EXCEEDED, so clients
+/// get an explicit retry signal instead of a hang. Per-connection write
+/// backpressure pauses reading from clients too slow to take their replies.
 ///
 /// Shutdown: Drain() (also the SIGTERM path in tools/randrankd) stops
-/// accepting, answers new QUERYs with ERROR/DRAINING, lets every accepted
-/// query complete and flush, then closes. Stop() is immediate.
+/// accepting; frames read before the loop saw the drain are answered and
+/// flushed, later QUERYs get ERROR/DRAINING; then everything closes.
+/// Stop() is immediate.
 class NetDaemon {
  public:
-  /// The daemon serves `server` (borrowed; must outlive the daemon). The
-  /// internal BatchQueue is created at Start(), so its consumer context is
-  /// the server's next CreateContext() stream.
+  /// The daemon serves `server` (borrowed; must outlive the daemon). Its
+  /// serving Context is created at Start(), so it is the server's next
+  /// CreateContext() stream.
   NetDaemon(ShardedRankServer& server, NetDaemonOptions options = {});
   ~NetDaemon();
 
@@ -132,51 +130,54 @@ class NetDaemon {
   /// kernel-assigned ephemeral port).
   uint16_t port() const { return port_; }
 
-  /// Graceful drain: stop accepting connections, reject new queries with
-  /// ERROR/DRAINING, complete and flush every in-flight query, then close
-  /// everything and join. Returns true when everything drained cleanly,
-  /// false when the drain deadline force-closed leftovers. Idempotent;
-  /// concurrent callers are serialized.
+  /// Graceful drain: stop accepting connections, answer and flush every
+  /// frame read before the loop saw the drain, reject later QUERYs with
+  /// ERROR/DRAINING, then close everything and join. Returns true when
+  /// everything drained cleanly, false when the drain deadline
+  /// force-closed leftovers. Idempotent; concurrent callers are serialized.
   bool Drain();
 
-  /// Immediate stop: abandon connections (already-accepted queries are
-  /// still served by the queue drain, but replies are not flushed).
+  /// Immediate stop: the loop finishes the read pass it is in, then
+  /// abandons every connection without flushing.
   void Stop();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
-  /// Queries accepted but not yet answered.
-  uint64_t inflight() const { return inflight_.load(std::memory_order_acquire); }
 
   NetDaemonStats stats() const;
 
  private:
   struct Connection;
+  using Clock = std::chrono::steady_clock;
+
+  /// State of one read pass over one connection.
+  struct ReadPass {
+    /// The drain flag, read once before reading.
+    bool draining = false;
+    /// When the read finished; stamped only with deadline_us set.
+    Clock::time_point read_at{};
+    /// QUERY frames admitted so far (the max_inflight cap).
+    size_t admitted = 0;
+  };
 
   void Loop();
   void AcceptNew();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
-  /// Parses every complete frame in the connection's read buffer; returns
-  /// false when the connection must close (fatal protocol error).
-  bool ParseFrames(const std::shared_ptr<Connection>& conn);
-  void HandleQuery(const std::shared_ptr<Connection>& conn,
-                   const QueryFrame& query);
-  /// Appends an encoded reply (event-loop thread) and flushes.
-  void ReplyNow(const std::shared_ptr<Connection>& conn,
-                const std::vector<uint8_t>& bytes);
-  void SendError(const std::shared_ptr<Connection>& conn, uint64_t request_id,
-                 ErrorCode code, const std::string& message);
-  /// Appends an encoded reply from the queue-consumer thread and wakes the
-  /// event loop to flush it.
-  void EnqueueReply(const std::shared_ptr<Connection>& conn,
-                    const std::vector<uint8_t>& bytes);
+  /// Parses every complete frame in the connection's read buffer, staging
+  /// each reply in order; returns false when the connection must close
+  /// (fatal protocol error).
+  bool ParseFrames(Connection& conn, ReadPass& pass);
+  void HandleQuery(Connection& conn, const QueryFrame& query, ReadPass& pass);
+  /// Stages an ERROR reply (event-loop thread).
+  void SendError(Connection& conn, uint64_t request_id, ErrorCode code,
+                 const std::string& message);
   /// Writes as much buffered output as the socket takes; arms/disarms
   /// EPOLLOUT and read-pause watermarks. Event-loop thread only.
   void FlushWrites(const std::shared_ptr<Connection>& conn);
   void CloseConnection(int fd);
   void UpdateEpollInterest(const std::shared_ptr<Connection>& conn);
   void Wake();
-  /// True when draining and nothing is left to answer or flush.
-  bool DrainComplete();
+  /// True when no connection has unsent reply bytes.
+  bool AllFlushed() const;
   void JoinAndTearDown();
 
   ShardedRankServer& server_;
@@ -186,16 +187,15 @@ class NetDaemon {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   uint16_t port_ = 0;
-  std::unique_ptr<BatchQueue> queue_;
   std::thread loop_thread_;
+
+  /// Event-loop-owned serving state: the context every QUERY is served on
+  /// and one reusable single-query batch (its m is set per query).
+  ShardedRankServer::Context ctx_;
+  QueryBatch batch_{0, 1};
 
   /// Event-loop-owned connection table.
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
-
-  /// Connections with replies enqueued by the consumer thread, awaiting an
-  /// event-loop flush.
-  std::mutex flush_mutex_;
-  std::vector<std::shared_ptr<Connection>> flush_list_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
@@ -205,7 +205,6 @@ class NetDaemon {
   /// Written by the event-loop thread before it exits, read after join.
   bool drain_was_clean_ = true;
 
-  std::atomic<uint64_t> inflight_{0};
   std::atomic<uint64_t> active_{0};
   std::atomic<uint64_t> accepts_{0};
   std::atomic<uint64_t> queries_{0};
@@ -218,8 +217,8 @@ class NetDaemon {
   std::atomic<uint64_t> health_checks_{0};
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
-  /// Drives 1-in-sample_every net/request span sampling (consumer thread).
-  std::atomic<uint64_t> request_seq_{0};
+  /// Drives 1-in-sample_every net/request span sampling (event loop).
+  uint64_t request_seq_ = 0;
 
   /// Registry endpoints, resolved once at construction (null when
   /// opts_.metrics is null).
@@ -235,7 +234,6 @@ class NetDaemon {
   obs::Counter* bytes_read_ctr_ = nullptr;
   obs::Counter* bytes_written_ctr_ = nullptr;
   obs::Gauge* active_gauge_ = nullptr;
-  obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* draining_gauge_ = nullptr;
   obs::LatencyHistogram* request_hist_ = nullptr;
   obs::LatencyHistogram* read_hist_ = nullptr;

@@ -114,7 +114,8 @@ struct HealthFrame {};
 /// HEALTH_REPLY payload (34 bytes):
 ///   u8  status       HealthStatus
 ///   u64 epoch        currently served epoch (0 before the first publish)
-///   u64 inflight     queries accepted but not yet answered
+///   u64 inflight     always 0 (queries are answered as they are read);
+///                    kept for v1 compatibility
 ///   u64 queries      queries answered since start
 ///   u8  degraded     1 when the most recent epoch publish failed and the
 ///                    server is still serving the previous snapshot

@@ -17,9 +17,6 @@ BatchQueue::BatchQueue(ShardedRankServer& server, BatchQueueOptions options)
     wait_hist_ = &reg.GetHistogram(p + "/wait_ns");
     queries_ctr_ = &reg.GetCounter(p + "/queries_total");
     batches_ctr_ = &reg.GetCounter(p + "/batches_total");
-    full_ctr_ = &reg.GetCounter(p + "/full_drains");
-    deadline_ctr_ = &reg.GetCounter(p + "/deadline_drains");
-    greedy_ctr_ = &reg.GetCounter(p + "/greedy_drains");
     expired_ctr_ = &reg.GetCounter(p + "/deadline_expired");
     depth_gauge_ = &reg.GetGauge(p + "/depth");
     max_depth_gauge_ = &reg.GetGauge(p + "/max_depth");
@@ -33,7 +30,6 @@ BatchQueue::~BatchQueue() { Stop(); }
 std::future<std::vector<uint32_t>> BatchQueue::Submit(size_t m) {
   PendingQuery query;
   query.m = m;
-  query.has_promise = true;
   std::future<std::vector<uint32_t>> result = query.promise.get_future();
   if (!Enqueue(std::move(query))) {
     // Stopped: resolve immediately with an empty list rather than leaking a
@@ -43,13 +39,6 @@ std::future<std::vector<uint32_t>> BatchQueue::Submit(size_t m) {
     return rejected.get_future();
   }
   return result;
-}
-
-bool BatchQueue::Submit(size_t m, Callback done) {
-  PendingQuery query;
-  query.m = m;
-  query.callback = std::move(done);
-  return Enqueue(std::move(query));
 }
 
 bool BatchQueue::Enqueue(PendingQuery&& query) {
@@ -68,10 +57,6 @@ bool BatchQueue::Enqueue(PendingQuery&& query) {
     }
     if (stopping_) return false;
     if (wait_hist_ != nullptr) query.submitted_ns = obs::FastNowNs();
-    if (pending_.empty()) {
-      // This query anchors the drain deadline for the batch it starts.
-      oldest_pending_at_ = std::chrono::steady_clock::now();
-    }
     pending_.push_back(std::move(query));
   }
   submitted_.notify_one();
@@ -84,9 +69,6 @@ BatchQueueStats BatchQueue::stats() const {
   stats.batches_served = batches_served_.load(std::memory_order_relaxed);
   stats.max_batch_served = max_batch_served_.load(std::memory_order_relaxed);
   stats.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-  stats.full_drains = full_drains_.load(std::memory_order_relaxed);
-  stats.deadline_drains = deadline_drains_.load(std::memory_order_relaxed);
-  stats.greedy_drains = greedy_drains_.load(std::memory_order_relaxed);
   stats.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   return stats;
 }
@@ -106,42 +88,22 @@ void BatchQueue::Stop() {
 }
 
 void BatchQueue::CompleteExpired(PendingQuery& query) {
-  if (query.has_promise) {
-    query.promise.set_exception(std::make_exception_ptr(
-        DeadlineExceededError("query deadline expired before pickup")));
-  } else if (query.callback) {
-    query.callback(QueryOutcome::kDeadlineExpired, 0, {});
-  }
+  query.promise.set_exception(std::make_exception_ptr(
+      DeadlineExceededError("query deadline expired before pickup")));
 }
 
 void BatchQueue::ConsumerLoop() {
   ShardedRankServer::Context ctx = server_.CreateContext();
   const size_t max_batch = std::max<size_t>(1, opts_.max_batch);
-  const auto max_delay = std::chrono::microseconds(opts_.max_delay_us);
   QueryBatch batch;
   std::vector<PendingQuery> draining;
 
   for (;;) {
-    const char* cause = "greedy";
     uint64_t depth = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       submitted_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
       if (pending_.empty()) return;  // stopping and fully drained
-      if (opts_.max_delay_us == 0 || stopping_) {
-        greedy_drains_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // Deadline-aware collection: hold the drain until the batch is full
-        // or the oldest pending query has waited max_delay_us. The anchor
-        // is pending_[0]'s arrival, so the bound is per-query, not sliding.
-        const auto deadline = oldest_pending_at_ + max_delay;
-        const bool full = submitted_.wait_until(lock, deadline, [&] {
-          return stopping_ || pending_.size() >= max_batch;
-        });
-        cause = stopping_ ? "greedy" : full ? "full" : "deadline";
-        (stopping_ ? greedy_drains_ : full ? full_drains_ : deadline_drains_)
-            .fetch_add(1, std::memory_order_relaxed);
-      }
       // This thread is the only writer of the max counters; plain
       // load/store suffices.
       depth = pending_.size();
@@ -161,18 +123,13 @@ void BatchQueue::ConsumerLoop() {
                                ? picked_up_ns - query.submitted_ns
                                : 0);
       }
-      (cause[0] == 'f'   ? full_ctr_
-       : cause[0] == 'd' ? deadline_ctr_
-                         : greedy_ctr_)
-          ->Add();
       depth_gauge_->Set(static_cast<double>(depth));
       max_depth_gauge_->Set(static_cast<double>(
           max_queue_depth_.load(std::memory_order_relaxed)));
       if (opts_.trace != nullptr && opts_.trace->sample_every() > 0 &&
           drain_seq_++ % opts_.trace->sample_every() == 0) {
         opts_.trace->EmitSpan("queue/drain", 0.0,
-                              {{"depth", static_cast<double>(depth)}},
-                              {{"cause", cause}});
+                              {{"depth", static_cast<double>(depth)}});
       }
     }
 
@@ -188,7 +145,7 @@ void BatchQueue::ConsumerLoop() {
 
     if (opts_.deadline_us > 0) {
       // Expiry sweep at pickup: queries past their deadline complete with an
-      // explicit timeout (exception / kDeadlineExpired) and never reach
+      // explicit timeout (DeadlineExceededError) and never reach
       // ServeBatch; survivors compact in submission order.
       const auto now = std::chrono::steady_clock::now();
       size_t kept = 0;
@@ -224,13 +181,7 @@ void BatchQueue::ConsumerLoop() {
       batch.Resize(count);
       server_.ServeBatch(ctx, &batch);
       for (size_t i = 0; i < count; ++i) {
-        PendingQuery& query = draining[begin + i];
-        if (query.has_promise) {
-          query.promise.set_value(std::move(batch.results[i]));
-        } else if (query.callback) {
-          query.callback(QueryOutcome::kServed, batch.epoch,
-                         std::move(batch.results[i]));
-        }
+        draining[begin + i].promise.set_value(std::move(batch.results[i]));
       }
       queries_served_.fetch_add(count, std::memory_order_relaxed);
       batches_served_.fetch_add(1, std::memory_order_relaxed);

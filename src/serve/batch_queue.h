@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -22,32 +21,23 @@ struct BatchQueueOptions {
   /// Backpressure: Submit blocks while this many queries are already queued.
   /// 0 means unbounded.
   size_t max_pending = 1 << 16;
-  /// Deadline-aware batching: the consumer drains once `max_batch` queries
-  /// are pending OR the oldest pending query has waited this long, whichever
-  /// comes first. 0 (default) drains greedily — whatever is pending the
-  /// moment the consumer is free, with no added latency floor. A nonzero
-  /// delay trades per-query latency for fuller batches under light load
-  /// (fewer view pins per query); it never delays a full batch.
-  uint64_t max_delay_us = 0;
   /// Per-query deadline, stamped at Submit. A query whose deadline has
   /// already passed when the consumer picks it up is not served: its future
-  /// resolves with a DeadlineExceededError, its callback runs with
-  /// QueryOutcome::kDeadlineExpired and an empty result — an explicit
-  /// timeout, never a silent wrong answer and never a hang. 0 (default)
-  /// disables deadlines. Time spent blocked on backpressure counts against
-  /// the deadline: under overload, queued-too-long work is shed instead of
-  /// served stale.
+  /// resolves with a DeadlineExceededError — an explicit timeout, never a
+  /// silent wrong answer and never a hang. 0 (default) disables deadlines.
+  /// Time spent blocked on backpressure counts against the deadline: under
+  /// overload, queued-too-long work is shed instead of served stale.
   uint64_t deadline_us = 0;
   /// Observability (optional, borrowed): with `metrics` set the queue
   /// records per-query queue wait (submit -> drain pickup) into the
   /// histogram `<obs_prefix>/wait_ns` and mirrors every BatchQueueStats
   /// counter as registry metrics (`<obs_prefix>/queries_total`,
-  /// `batches_total`, `full_drains`, `deadline_drains`, `greedy_drains`,
-  /// `deadline_expired` counters; `depth`, `max_depth`, `max_batch` gauges) — the one export
-  /// path live monitoring reads, instead of hand-copying stats() fields.
+  /// `batches_total`, `deadline_expired` counters; `depth`, `max_depth`,
+  /// `max_batch` gauges) — the one export path live monitoring reads,
+  /// instead of hand-copying stats() fields.
   obs::MetricsRegistry* metrics = nullptr;
-  /// With `trace` also set, drains emit sampled "queue/drain" spans (depth,
-  /// batch size, drain cause) at the TraceLog's sample_every stride.
+  /// With `trace` also set, drains emit sampled "queue/drain" spans (backlog
+  /// depth) at the TraceLog's sample_every stride.
   obs::TraceLog* trace = nullptr;
   std::string obs_prefix = "queue";
 };
@@ -63,11 +53,6 @@ struct BatchQueueStats {
   uint64_t max_batch_served = 0;
   /// Deepest backlog observed at any drain.
   uint64_t max_queue_depth = 0;
-  /// Drains triggered by a full batch vs. by the max_delay_us deadline
-  /// expiring vs. greedily (no deadline configured, or stop-drain).
-  uint64_t full_drains = 0;
-  uint64_t deadline_drains = 0;
-  uint64_t greedy_drains = 0;
   /// Queries completed with an explicit timeout (deadline_us exceeded
   /// before pickup) instead of being served.
   uint64_t deadline_expired = 0;
@@ -79,12 +64,6 @@ struct BatchQueueStats {
                      static_cast<double>(batches_served)
                : 0.0;
   }
-};
-
-/// How a queued query ended, for the callback Submit flavor.
-enum class QueryOutcome : uint8_t {
-  kServed,           // results hold the realized top-m
-  kDeadlineExpired,  // deadline_us elapsed before pickup; results are empty
 };
 
 /// Resolves the future of a query whose BatchQueueOptions::deadline_us
@@ -99,14 +78,12 @@ class DeadlineExceededError : public std::runtime_error {
 /// Async submission front-end for ShardedRankServer: a multi-producer,
 /// single-consumer queue whose consumer thread drains whatever is pending,
 /// folds runs of same-m queries into QueryBatch executions, and completes
-/// each query's future or callback. Producers never touch serving state —
-/// they enqueue and move on, so one producer can pipeline many in-flight
-/// queries — and the batch size adapts to load: near-empty queues serve
-/// batches of one (no added latency floor), bursts are swallowed at up to
-/// max_batch per view pin. With BatchQueueOptions::max_delay_us set the
-/// consumer instead collects up to max_batch or T microseconds, whichever
-/// first (deadline-aware batching); queue-depth and batch-size counters
-/// (stats()) expose the resulting occupancy for tuning.
+/// each query's future. Producers never touch serving state — they enqueue
+/// and move on, so one producer can pipeline many in-flight queries — and
+/// the batch size adapts to load: near-empty queues serve batches of one
+/// (no added latency floor), bursts are swallowed at up to max_batch per
+/// view pin. Queue-depth and batch-size counters (stats()) expose the
+/// resulting occupancy for tuning.
 ///
 /// Producers pay one mutex acquisition per Submit; the consumer takes the
 /// whole pending backlog in one swap, so the lock is never held during
@@ -126,15 +103,6 @@ class BatchQueue {
   /// before pickup. Blocks only for backpressure. After Stop() the returned
   /// future is already resolved with an empty list.
   std::future<std::vector<uint32_t>> Submit(size_t m);
-
-  /// Callback flavor (no promise/future overhead): `done` runs on the
-  /// consumer thread with the outcome, the epoch of the view the results
-  /// were drawn from (0 on kDeadlineExpired, or when served before the first
-  /// publish), and the served results (empty on kDeadlineExpired). Returns
-  /// false (and drops the query without invoking `done`) after Stop().
-  using Callback =
-      std::function<void(QueryOutcome, uint64_t epoch, std::vector<uint32_t>)>;
-  bool Submit(size_t m, Callback done);
 
   /// Rejects new submissions, serves everything already queued, and joins
   /// the consumer. Idempotent and safe to call from several threads (one
@@ -156,14 +124,13 @@ class BatchQueue {
     return deadline_expired_.load(std::memory_order_relaxed);
   }
 
-  /// Occupancy counters so deadline/batch knobs can be tuned from
-  /// measurement instead of folklore. Thread-safe; totals are relaxed reads.
+  /// Occupancy counters so batch knobs can be tuned from measurement
+  /// instead of folklore. Thread-safe; totals are relaxed reads.
   BatchQueueStats stats() const;
 
  private:
   struct PendingQuery {
     size_t m = 0;
-    bool has_promise = false;
     /// Submission stamp for the queue-wait histogram; 0 (never taken) when
     /// the queue runs without a registry.
     uint64_t submitted_ns = 0;
@@ -171,7 +138,6 @@ class BatchQueue {
     /// when the queue runs without deadlines.
     std::chrono::steady_clock::time_point deadline{};
     std::promise<std::vector<uint32_t>> promise;
-    Callback callback;
   };
 
   /// Completes one expired query with its explicit timeout.
@@ -187,18 +153,12 @@ class BatchQueue {
   std::condition_variable submitted_;
   std::condition_variable drained_;
   std::vector<PendingQuery> pending_;
-  /// Arrival time of pending_[0] (the deadline anchor); meaningful only
-  /// while pending_ is non-empty. Guarded by mutex_.
-  std::chrono::steady_clock::time_point oldest_pending_at_;
   bool stopping_ = false;
 
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> batches_served_{0};
   std::atomic<uint64_t> max_batch_served_{0};
   std::atomic<uint64_t> max_queue_depth_{0};
-  std::atomic<uint64_t> full_drains_{0};
-  std::atomic<uint64_t> deadline_drains_{0};
-  std::atomic<uint64_t> greedy_drains_{0};
   std::atomic<uint64_t> deadline_expired_{0};
 
   /// Registry endpoints, resolved once at construction (all null when
@@ -207,9 +167,6 @@ class BatchQueue {
   obs::LatencyHistogram* wait_hist_ = nullptr;
   obs::Counter* queries_ctr_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
-  obs::Counter* full_ctr_ = nullptr;
-  obs::Counter* deadline_ctr_ = nullptr;
-  obs::Counter* greedy_ctr_ = nullptr;
   obs::Counter* expired_ctr_ = nullptr;
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Gauge* max_depth_gauge_ = nullptr;

@@ -53,7 +53,6 @@ WorkloadResult RunQueryWorkload(ShardedRankServer& server,
   if (options.async) {
     BatchQueueOptions qopts;
     qopts.max_batch = batch_size;
-    qopts.max_delay_us = options.async_max_delay_us;
     // The queue publishes its wait histogram and occupancy counters through
     // the server's registry (replacing the old hand-copied stats() fields in
     // WorkloadResult).

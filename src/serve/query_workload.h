@@ -25,9 +25,6 @@ struct WorkloadOptions {
   /// (futures) against one shared queue, so latency includes queueing and
   /// the queue's consumer does all serving. Exercises serve/batch_queue.h.
   bool async = false;
-  /// Async mode only: BatchQueueOptions::max_delay_us for the shared queue
-  /// (deadline-aware batching; 0 drains greedily).
-  uint64_t async_max_delay_us = 0;
   /// Rank->visit bias exponent of the click model (paper Eq. 4: 3/2).
   double rank_bias_exponent = 1.5;
   /// When true, every query clicks one result at a rank drawn from the
@@ -63,7 +60,7 @@ struct WorkloadResult {
   /// ServeBatch executions observed (== queries in per-query mode; for the
   /// async mode this is the queue consumer's count).
   uint64_t batches = 0;
-  /// Queue-health counters (depth, batch sizes, drain causes) are no longer
+  /// Queue-health counters (depth, batch sizes) are no longer
   /// copied out here: in async mode the shared BatchQueue publishes them
   /// into the server's MetricsRegistry (`workload_queue/...`), the same
   /// export path live monitoring reads.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <atomic>
 #include <future>
@@ -12,6 +13,7 @@
 
 #include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
+#include "fault/fault.h"
 #include "obs/metrics.h"
 #include "serve/sharded_rank_server.h"
 #include "util/rng.h"
@@ -86,27 +88,6 @@ TEST(BatchQueueTest, ManyProducersAllFuturesComplete) {
   EXPECT_GT(queue.batches_served(), 0u);
 }
 
-TEST(BatchQueueTest, CallbackModeDeliversOnConsumerThread) {
-  const size_t n = 150;
-  Fixture fx(n, 30);
-  auto server = MakeServer(fx, n);
-  BatchQueue queue(*server);
-
-  std::promise<std::vector<uint32_t>> delivered;
-  ASSERT_TRUE(
-      queue.Submit(5, [&](QueryOutcome outcome, uint64_t epoch,
-                          std::vector<uint32_t> results) {
-        EXPECT_EQ(outcome, QueryOutcome::kServed);
-        EXPECT_EQ(epoch, 1u);  // the view the results were drawn from
-        delivered.set_value(std::move(results));
-      }));
-  const std::vector<uint32_t> results = delivered.get_future().get();
-  EXPECT_EQ(results.size(), 5u);
-  queue.Stop();
-  EXPECT_FALSE(
-      queue.Submit(5, [](QueryOutcome, uint64_t, std::vector<uint32_t>) {}));
-}
-
 TEST(BatchQueueTest, StopDrainsAcceptedQueries) {
   const size_t n = 250;
   Fixture fx(n, 50);
@@ -159,76 +140,40 @@ TEST(BatchQueueTest, MixedTopMQueriesAreServedCorrectly) {
   EXPECT_EQ(queue.queries_served(), 300u);
 }
 
-TEST(BatchQueueTest, DeadlineDrainsLoneQueryAfterMaxDelay) {
-  const size_t n = 150;
-  Fixture fx(n, 30);
-  auto server = MakeServer(fx, n);
-  BatchQueueOptions qopts;
-  qopts.max_batch = 64;
-  qopts.max_delay_us = 2000;  // 2ms: a lone query must not wait for 63 peers
-  BatchQueue queue(*server, qopts);
-
-  std::future<std::vector<uint32_t>> f = queue.Submit(6);
-  EXPECT_EQ(f.get().size(), 6u);
-  queue.Stop();
-  const BatchQueueStats stats = queue.stats();
-  EXPECT_EQ(stats.queries_served, 1u);
-  EXPECT_GE(stats.deadline_drains, 1u);
-  EXPECT_EQ(stats.full_drains, 0u);
-}
-
-TEST(BatchQueueTest, FullBatchDrainsWithoutWaitingForDeadline) {
+// A backlog larger than max_batch folds into full executions. The consumer
+// is held inside its first drain while 8 more queries arrive, so its next
+// drain picks all 8 up at once and serves them as two batches of 4.
+TEST(BatchQueueTest, BacklogFoldsIntoFullBatches) {
   const size_t n = 150;
   Fixture fx(n, 30);
   auto server = MakeServer(fx, n);
   BatchQueueOptions qopts;
   qopts.max_batch = 4;
-  // A deadline far beyond the test timeout: if a full batch waited for it,
-  // the futures below would hang.
-  qopts.max_delay_us = 60ULL * 1000 * 1000;
   BatchQueue queue(*server, qopts);
 
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::Parse(
+      "point=queue.serve,action=delay,nth=1,delay_us=200000", &plan));
+  fault::FaultInjector injector(plan);
+  fault::ScopedFaultInjector scoped(&injector);
+
+  std::future<std::vector<uint32_t>> first = queue.Submit(5);
+  for (int i = 0; i < 5000 && injector.fired(fault::kQueueServe) == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(injector.fired(fault::kQueueServe), 1u);
   std::vector<std::future<std::vector<uint32_t>>> futures;
-  for (int q = 0; q < 4; ++q) futures.push_back(queue.Submit(5));
+  for (int q = 0; q < 8; ++q) futures.push_back(queue.Submit(5));
+  EXPECT_EQ(first.get().size(), 5u);
   for (auto& f : futures) EXPECT_EQ(f.get().size(), 5u);
   queue.Stop();  // joins the consumer, so the counters below are final
   const BatchQueueStats stats = queue.stats();
-  EXPECT_EQ(stats.queries_served, 4u);
-  EXPECT_GE(stats.full_drains, 1u);
-  EXPECT_EQ(stats.deadline_drains, 0u);
-  // All four fit one batch, so the consumer folded them into one execution.
-  EXPECT_EQ(stats.batches_served, 1u);
+  EXPECT_EQ(stats.queries_served, 9u);
+  // The held query alone, then the backlog of 8 in two full executions.
+  EXPECT_EQ(stats.batches_served, 3u);
   EXPECT_EQ(stats.max_batch_served, 4u);
-  EXPECT_GE(stats.max_queue_depth, 4u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size(), 4.0);
-}
-
-TEST(BatchQueueTest, StopOverridesPendingDeadline) {
-  const size_t n = 100;
-  Fixture fx(n, 20);
-  auto server = MakeServer(fx, n);
-  BatchQueueOptions qopts;
-  qopts.max_batch = 64;
-  qopts.max_delay_us = 60ULL * 1000 * 1000;  // would outlive the test
-  BatchQueue queue(*server, qopts);
-
-  std::vector<std::future<std::vector<uint32_t>>> futures;
-  for (int q = 0; q < 3; ++q) futures.push_back(queue.Submit(4));
-  queue.Stop();  // must serve the 3 accepted queries now, not in a minute
-  for (auto& f : futures) EXPECT_EQ(f.get().size(), 4u);
-  EXPECT_EQ(queue.stats().queries_served, 3u);
-}
-
-TEST(BatchQueueTest, GreedyModeReportsGreedyDrains) {
-  const size_t n = 100;
-  Fixture fx(n, 20);
-  auto server = MakeServer(fx, n);
-  BatchQueue queue(*server);  // max_delay_us = 0: drain whatever is pending
-  EXPECT_EQ(queue.Submit(3).get().size(), 3u);
-  queue.Stop();
-  const BatchQueueStats stats = queue.stats();
-  EXPECT_GE(stats.greedy_drains, 1u);
-  EXPECT_EQ(stats.deadline_drains + stats.full_drains, 0u);
+  EXPECT_GE(stats.max_queue_depth, 8u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size(), 3.0);
 }
 
 TEST(BatchQueueTest, RegistrySurfacesStatsAndWaitHistogram) {
@@ -253,9 +198,6 @@ TEST(BatchQueueTest, RegistrySurfacesStatsAndWaitHistogram) {
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("q/queries_total"), stats.queries_served);
   EXPECT_EQ(snap.counters.at("q/batches_total"), stats.batches_served);
-  EXPECT_EQ(snap.counters.at("q/full_drains"), stats.full_drains);
-  EXPECT_EQ(snap.counters.at("q/deadline_drains"), stats.deadline_drains);
-  EXPECT_EQ(snap.counters.at("q/greedy_drains"), stats.greedy_drains);
   EXPECT_EQ(snap.gauges.at("q/max_depth"),
             static_cast<double>(stats.max_queue_depth));
   EXPECT_EQ(snap.gauges.at("q/max_batch"),

@@ -405,34 +405,6 @@ TEST(QueueDeadlineTest, ExpiredFutureThrowsExplicitTimeout) {
   EXPECT_GE(registry.Snapshot().counters.at("queue/deadline_expired"), 1u);
 }
 
-TEST(QueueDeadlineTest, ExpiredCallbackReportsOutcomeWithEmptyResults) {
-  const size_t n = 200;
-  Fixture fx(n, 40);
-  auto server = MakeServer(n, nullptr);
-  ASSERT_TRUE(server->Update(fx.popularity, fx.zero, fx.birth));
-
-  BatchQueueOptions qopts;
-  qopts.deadline_us = 20 * 1000;
-  FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse(
-      "point=queue.serve,action=delay,delay_us=200000,max_fires=1", &plan));
-  FaultInjector injector(plan);
-  ScopedFaultInjector scoped(&injector);
-
-  BatchQueue queue(*server, qopts);
-  std::promise<QueryOutcome> outcome;
-  ASSERT_TRUE(
-      queue.Submit(5, [&](QueryOutcome o, uint64_t epoch,
-                          std::vector<uint32_t> results) {
-        EXPECT_EQ(epoch, 0u);
-        EXPECT_TRUE(results.empty());
-        outcome.set_value(o);
-      }));
-  EXPECT_EQ(outcome.get_future().get(), QueryOutcome::kDeadlineExpired);
-  queue.Stop();
-  EXPECT_EQ(queue.deadline_expired(), 1u);
-}
-
 TEST(QueueDeadlineTest, NoDeadlineMeansSlowButServed) {
   const size_t n = 200;
   Fixture fx(n, 40);

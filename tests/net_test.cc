@@ -1,9 +1,10 @@
 // Network layer tests: wire-protocol round-trips and malformed-input
 // rejection (the mechanical check behind docs/PROTOCOL.md), and the daemon's
 // service guarantees through real loopback sockets — bit-equivalence with
-// the in-process serve path, explicit OVERLOADED shedding, graceful drain,
-// and epoch publishes / policy hot-swaps under live connections (the CI TSan
-// job runs this binary for the race coverage).
+// the in-process serve path, replies in request order, explicit OVERLOADED
+// shedding, graceful drain, and epoch publishes / policy hot-swaps under
+// live connections (the CI TSan job runs this binary for the race
+// coverage).
 
 #include "net/protocol.h"
 
@@ -427,6 +428,8 @@ struct DaemonHarness {
     ServeOptions sopts;
     sopts.shards = 4;
     sopts.seed = 11;
+    // One registry for every layer, as tools/randrankd wires it.
+    sopts.metrics = options.metrics;
     server = std::make_unique<ShardedRankServer>(
         MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, sopts);
     server->Update(fixture.popularity, fixture.zero, fixture.birth);
@@ -439,8 +442,38 @@ struct DaemonHarness {
   std::unique_ptr<NetDaemon> daemon;
 };
 
+// Installs a fault plan whose `serve.query` delay holds the event loop
+// inside the first query it serves, so frames sent meanwhile wait in the
+// socket.
+struct LoopHold {
+  explicit LoopHold(uint64_t delay_us)
+      : injector(Plan(delay_us)), scoped(&injector) {}
+
+  static fault::FaultPlan Plan(uint64_t delay_us) {
+    fault::FaultPlan plan;
+    EXPECT_TRUE(fault::FaultPlan::Parse(
+        "point=serve.query,action=delay,nth=1,delay_us=" +
+            std::to_string(delay_us),
+        &plan, nullptr));
+    return plan;
+  }
+
+  // True once the loop is inside the held query (polls up to 5 s).
+  bool WaitUntilHeld() const {
+    for (int i = 0; i < 5000 && fired() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return fired() == 1;
+  }
+
+  uint64_t fired() const { return injector.fired(fault::kServeQuery); }
+
+  fault::FaultInjector injector;
+  fault::ScopedFaultInjector scoped;
+};
+
 // A query through the socket is answered bit-identically to the in-process
-// serve path: the daemon's BatchQueue consumer context is the server's next
+// serve path: the daemon's serving context is the server's next
 // CreateContext() Rng stream, and ServeBatch == sequential ServeTopM. A
 // reference server built identically answers the same m-sequence in
 // process; the wire adds framing, not distribution drift.
@@ -475,67 +508,66 @@ TEST(NetDaemonTest, SocketRepliesAreBitIdenticalToInProcess) {
   EXPECT_TRUE(harness.daemon->Drain());
 }
 
-// Flooding past max_inflight gets explicit OVERLOADED errors, promptly —
-// never a hang, never a dropped frame. Deadline batching holds the first
-// batch in service, so the pipelined flood deterministically overruns the
-// tiny in-flight cap.
+// QUERY frames past max_inflight in one read pass get explicit OVERLOADED
+// errors, promptly and in order — never a hang, never a dropped frame. The
+// loop is held inside a first query while 64 frames arrive in one write, so
+// the daemon reads all 64 in one pass.
 TEST(NetDaemonTest, OverloadShedsWithExplicitReply) {
   NetDaemonOptions options;
   options.max_inflight = 4;
-  options.queue.max_batch = 64;
-  options.queue.max_delay_us = 50000;
   DaemonHarness harness(2000, options);
 
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10, 100,
                              10000));
+  LoopHold hold(200000);
+  uint64_t hold_id = 0;
+  ASSERT_TRUE(client.SendQuery(10, 0, &hold_id));
+  ASSERT_TRUE(hold.WaitUntilHeld());
   const int kFlood = 64;
+  std::vector<uint8_t> flood;
   for (int q = 0; q < kFlood; ++q) {
-    uint64_t id = 0;
-    ASSERT_TRUE(client.SendQuery(10, q, &id));
+    AppendQuery(QueryFrame{1000u + q, static_cast<uint64_t>(q), 10}, &flood);
   }
-  int ok = 0;
-  int overloaded = 0;
+  ASSERT_TRUE(client.SendRaw(flood));
+
+  NetClient::QueryResult result;
+  uint64_t id = 0;
+  ASSERT_EQ(client.ReadReply(&result, &id), NetClient::Status::kOk);
+  EXPECT_EQ(id, hold_id);
   for (int q = 0; q < kFlood; ++q) {
-    NetClient::QueryResult result;
-    const NetClient::Status status = client.ReadReply(&result, nullptr);
-    if (status == NetClient::Status::kOk) {
-      ++ok;
+    const NetClient::Status status = client.ReadReply(&result, &id);
+    EXPECT_EQ(id, 1000u + q) << "at reply " << q;
+    if (q < 4) {
+      ASSERT_EQ(status, NetClient::Status::kOk) << "at reply " << q;
       EXPECT_EQ(result.pages.size(), 10u);
     } else {
       ASSERT_EQ(status, NetClient::Status::kOverloaded) << "at reply " << q;
-      ++overloaded;
     }
   }
-  EXPECT_EQ(ok + overloaded, kFlood);
-  EXPECT_GE(overloaded, 1);
-  EXPECT_GE(ok, 1);
-  const NetDaemonStats stats = harness.daemon->stats();
-  EXPECT_EQ(stats.shed_overloaded, static_cast<uint64_t>(overloaded));
+  EXPECT_EQ(harness.daemon->stats().shed_overloaded, 60u);
   EXPECT_TRUE(harness.daemon->Drain());
 }
 
-// Graceful drain: queries already accepted complete and flush; a query
-// arriving mid-drain gets ERROR/DRAINING; the connection then sees EOF.
+// Graceful drain: frames read before the loop saw the drain complete and
+// flush; a query arriving mid-drain gets ERROR/DRAINING; the connection then
+// sees EOF. The loop is held inside the first of 8 queries (sent in one
+// write, so one read pass holds all 8) while the drain starts and the late
+// query arrives.
 TEST(NetDaemonTest, DrainCompletesInFlightAndRejectsNew) {
-  NetDaemonOptions options;
-  options.queue.max_batch = 64;
-  options.queue.max_delay_us = 200000;  // holds the batch while we drain
-  DaemonHarness harness(2000, options);
+  DaemonHarness harness(2000);
 
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+  LoopHold hold(300000);
   const int kInFlight = 8;
+  std::vector<uint8_t> burst;
   for (int q = 0; q < kInFlight; ++q) {
-    uint64_t id = 0;
-    ASSERT_TRUE(client.SendQuery(10, q, &id));
+    AppendQuery(QueryFrame{1000u + q, static_cast<uint64_t>(q), 10}, &burst);
   }
-  // Wait until the daemon has admitted them (they sit in the deadline
-  // batch), then drain concurrently.
-  while (harness.daemon->inflight() <
-         static_cast<uint64_t>(kInFlight)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(client.SendRaw(burst));
+  ASSERT_TRUE(hold.WaitUntilHeld());
+
   std::atomic<bool> drain_clean{false};
   std::thread drainer(
       [&] { drain_clean.store(harness.daemon->Drain()); });
@@ -543,29 +575,81 @@ TEST(NetDaemonTest, DrainCompletesInFlightAndRejectsNew) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   uint64_t late_id = 0;
-  ASSERT_TRUE(client.SendQuery(10, 999, &late_id));
+  const bool late_sent = client.SendQuery(10, 999, &late_id);
 
-  int ok = 0;
-  int draining = 0;
+  std::vector<NetClient::Status> statuses;
+  std::vector<uint64_t> ids;
+  std::vector<size_t> sizes;
   for (int q = 0; q < kInFlight + 1; ++q) {
     NetClient::QueryResult result;
     uint64_t id = 0;
-    const NetClient::Status status = client.ReadReply(&result, &id);
-    if (status == NetClient::Status::kOk) {
-      ++ok;
-      EXPECT_EQ(result.pages.size(), 10u);
-    } else {
-      ASSERT_EQ(status, NetClient::Status::kDraining);
-      EXPECT_EQ(id, late_id);
-      ++draining;
-    }
+    statuses.push_back(client.ReadReply(&result, &id));
+    ids.push_back(id);
+    sizes.push_back(result.pages.size());
   }
-  EXPECT_EQ(ok, kInFlight);    // every accepted query completed
-  EXPECT_EQ(draining, 1);      // the late one was rejected, not dropped
-  drainer.join();
-  EXPECT_TRUE(drain_clean.load());
   // The daemon closed everything after the clean drain.
-  EXPECT_FALSE(client.ReadFrameRaw(nullptr, nullptr));
+  const bool eof = !client.ReadFrameRaw(nullptr, nullptr);
+  drainer.join();
+
+  ASSERT_TRUE(late_sent);
+  for (int q = 0; q < kInFlight; ++q) {  // every accepted query completed
+    EXPECT_EQ(statuses[q], NetClient::Status::kOk) << "at reply " << q;
+    EXPECT_EQ(ids[q], 1000u + q);
+    EXPECT_EQ(sizes[q], 10u);
+  }
+  // The late one was rejected, not dropped, and answered last.
+  EXPECT_EQ(statuses[kInFlight], NetClient::Status::kDraining);
+  EXPECT_EQ(ids[kInFlight], late_id);
+  EXPECT_TRUE(drain_clean.load());
+  EXPECT_TRUE(eof);
+  EXPECT_EQ(hold.fired(), 1u);
+}
+
+// A connection's replies leave in request order whatever their kind: a
+// HEALTH, a refused QUERY, and a METRICS pipelined behind a slow QUERY are
+// answered after it, not ahead of it.
+TEST(NetDaemonTest, PipelinedRepliesArriveInRequestOrder) {
+  DaemonHarness harness(2000);
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+  LoopHold hold(50000);
+
+  std::vector<uint8_t> bytes;
+  AppendQuery(QueryFrame{1, 1, 10}, &bytes);
+  AppendHealth(&bytes);
+  AppendQuery(QueryFrame{2, 2, 100000}, &bytes);  // m over the cap
+  AppendMetrics(&bytes);
+  AppendQuery(QueryFrame{3, 3, 10}, &bytes);
+  ASSERT_TRUE(client.SendRaw(bytes));
+
+  FrameHeader header;
+  std::vector<uint8_t> payload;
+  QueryReplyFrame reply;
+  ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+  ASSERT_EQ(header.type, FrameType::kQueryReply);
+  ASSERT_TRUE(DecodeQueryReply(payload.data(), payload.size(), &reply));
+  EXPECT_EQ(reply.request_id, 1u);
+
+  ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+  EXPECT_EQ(header.type, FrameType::kHealthReply);
+
+  ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+  ASSERT_EQ(header.type, FrameType::kError);
+  ErrorFrame error;
+  ASSERT_TRUE(DecodeError(payload.data(), payload.size(), &error));
+  EXPECT_EQ(error.request_id, 2u);
+  EXPECT_EQ(error.code, ErrorCode::kBadFrame);
+
+  ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+  EXPECT_EQ(header.type, FrameType::kMetricsReply);
+
+  ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+  ASSERT_EQ(header.type, FrameType::kQueryReply);
+  ASSERT_TRUE(DecodeQueryReply(payload.data(), payload.size(), &reply));
+  EXPECT_EQ(reply.request_id, 3u);
+  EXPECT_EQ(reply.pages.size(), 10u);
+  EXPECT_EQ(hold.fired(), 1u);
+  EXPECT_TRUE(harness.daemon->Drain());
 }
 
 // Epoch publishes and policy hot-swaps land under live socket traffic with
@@ -649,10 +733,11 @@ TEST(NetDaemonTest, MetricsScrapeAndHealthOverTheWire) {
   EXPECT_NE(text.find("# TYPE net_queries_total counter"), std::string::npos);
   EXPECT_NE(text.find("net_replies_total 1"), std::string::npos);
   EXPECT_NE(text.find("# TYPE net_request_ns histogram"), std::string::npos);
-  // Counter exposition names get a "_total" suffix appended to the
-  // sanitized registry name (so queue/queries_total doubles up).
-  EXPECT_NE(text.find("# TYPE queue_queries_total_total counter"),
+  // Every subsystem sharing the registry shows over the wire: the harness
+  // server records into the daemon's registry.
+  EXPECT_NE(text.find("# TYPE serve_queries_total counter"),
             std::string::npos);
+  EXPECT_NE(text.find("serve_queries_total 1"), std::string::npos);
 
   HealthReplyFrame health;
   ASSERT_EQ(client.Health(&health), NetClient::Status::kOk);
@@ -757,32 +842,38 @@ TEST(NetDaemonTest, ViolationsGetExplicitErrorsNotHangs) {
   EXPECT_TRUE(harness.daemon->Drain());
 }
 
-// A query that waits past its per-query deadline gets an explicit
+// A query whose turn comes past its per-query deadline gets an explicit
 // ERROR/DEADLINE_EXCEEDED — never a hang and never a silently empty reply —
 // the connection survives, and once the stall clears queries serve again.
 TEST(NetDaemonTest, DeadlineExpiredQueriesGetExplicitTimeout) {
   NetDaemonOptions options;
-  options.queue.deadline_us = 1000;  // 1 ms budget per query
+  options.deadline_us = 1000;  // 1 ms budget per query
   DaemonHarness harness(2000, options);
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
 
   {
-    // Stall the queue consumer 50 ms at every drain: each query expires
-    // before pickup.
-    fault::FaultPlan plan;
-    ASSERT_TRUE(fault::FaultPlan::Parse(
-        "point=queue.serve,action=delay,delay_us=50000", &plan, nullptr));
-    fault::FaultInjector injector(std::move(plan));
-    fault::ScopedFaultInjector scoped(&injector);
+    // Two frames in one write, so one read delivers both. The first is
+    // served but stalled 50 ms; the second's turn comes 50 ms after that
+    // read.
+    LoopHold hold(50000);
+    std::vector<uint8_t> bytes;
+    AppendQuery(QueryFrame{1001, 1, 10}, &bytes);
+    AppendQuery(QueryFrame{1002, 2, 10}, &bytes);
+    ASSERT_TRUE(client.SendRaw(bytes));
 
     NetClient::QueryResult result;
-    ASSERT_EQ(client.Query(10, 1, &result),
+    uint64_t id = 0;
+    ASSERT_EQ(client.ReadReply(&result, &id), NetClient::Status::kOk);
+    EXPECT_EQ(id, 1001u);
+    EXPECT_EQ(result.pages.size(), 10u);
+    ASSERT_EQ(client.ReadReply(&result, &id),
               NetClient::Status::kDeadlineExceeded);
+    EXPECT_EQ(id, 1002u);
     EXPECT_EQ(client.last_error().code, ErrorCode::kDeadlineExceeded);
-    EXPECT_GE(injector.fired(fault::kQueueServe), 1u);
+    EXPECT_EQ(hold.fired(), 1u);
   }
-  EXPECT_GE(harness.daemon->stats().deadline_exceeded, 1u);
+  EXPECT_EQ(harness.daemon->stats().deadline_exceeded, 1u);
 
   // Fault cleared: the same connection serves normally again.
   NetClient::QueryResult result;

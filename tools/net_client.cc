@@ -25,11 +25,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -51,10 +54,16 @@ struct Counts {
   uint64_t slots = 0;  // pages received across OK replies
 };
 
-uint64_t ParseU64(const char* s, const char* flag) {
+// A flag value is plain decimal digits within `max` (the destination
+// type's range); a sign, junk, or an out-of-range value is a flag error
+// rather than a silent wrap.
+uint64_t ParseU64(const char* s, const char* flag,
+                  uint64_t max = std::numeric_limits<uint64_t>::max()) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' ||
+      errno == ERANGE || v > max) {
     std::cerr << "net_client: bad value for " << flag << ": " << s << "\n";
     std::exit(2);
   }
@@ -176,7 +185,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       host = next();
     } else if (arg == "--port") {
-      port = static_cast<uint16_t>(ParseU64(next(), "--port"));
+      port = static_cast<uint16_t>(ParseU64(
+          next(), "--port", std::numeric_limits<uint16_t>::max()));
     } else if (arg == "--procs") {
       procs = ParseU64(next(), "--procs");
     } else if (arg == "--conns") {
@@ -186,11 +196,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--seconds") {
       seconds = ParseU64(next(), "--seconds");
     } else if (arg == "--m") {
-      m = static_cast<uint32_t>(ParseU64(next(), "--m"));
+      m = static_cast<uint32_t>(
+          ParseU64(next(), "--m", std::numeric_limits<uint32_t>::max()));
     } else if (arg == "--users") {
       users = ParseU64(next(), "--users");
     } else if (arg == "--retries") {
-      retries = static_cast<int>(ParseU64(next(), "--retries"));
+      retries = static_cast<int>(
+          ParseU64(next(), "--retries", std::numeric_limits<int>::max()));
     } else if (arg == "--seed") {
       seed = ParseU64(next(), "--seed");
     } else if (arg == "--expect-no-shed") {

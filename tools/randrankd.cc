@@ -23,11 +23,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,10 +53,16 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void OnSignal(int /*sig*/) { g_stop = 1; }
 
-uint64_t ParseU64(const char* s, const char* flag) {
+// A flag value is plain decimal digits within `max` (the destination
+// type's range); a sign, junk, or an out-of-range value is a flag error
+// rather than a silent wrap.
+uint64_t ParseU64(const char* s, const char* flag,
+                  uint64_t max = std::numeric_limits<uint64_t>::max()) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' ||
+      errno == ERANGE || v > max) {
     std::cerr << "randrankd: bad value for " << flag << ": " << s << "\n";
     std::exit(2);
   }
@@ -77,15 +86,15 @@ void Usage() {
       "                        initial epoch (default 250)\n"
       "  --max-epochs N        exit (drain) after N publishes; 0 = forever\n"
       "  --seconds S           exit (drain) after S seconds; 0 = forever\n"
-      "  --max-inflight N      admission-control cap (default 4096)\n"
+      "  --max-inflight N      QUERY frames served per read of one\n"
+      "                        connection; the rest get OVERLOADED\n"
+      "                        (default 4096)\n"
       "  --max-conns N         connection cap (default 1024)\n"
       "  --max-m N             per-query result cap (default 1024)\n"
       "  --drain-timeout-ms MS graceful-drain deadline (default 10000)\n"
-      "  --batch N             queue max batch (default 64)\n"
-      "  --batch-delay-us US   queue deadline batching (default 0)\n"
-      "  --deadline-us US      per-query serving deadline; expired queries\n"
-      "                        get ERROR/DEADLINE_EXCEEDED; 0 = off\n"
-      "                        (default 0)\n"
+      "  --deadline-us US      per-query serving deadline, counted from\n"
+      "                        the socket read; expired queries get\n"
+      "                        ERROR/DEADLINE_EXCEEDED; 0 = off (default 0)\n"
       "  --fault-plan SPEC     deterministic fault schedule (chaos drills;\n"
       "                        see src/fault/fault.h for the grammar, e.g.\n"
       "                        \"point=net.write,action=reset,prob=0.05\").\n"
@@ -116,8 +125,6 @@ int main(int argc, char** argv) {
   size_t max_conns = 1024;
   uint32_t max_m = 1024;
   uint64_t drain_timeout_ms = 10000;
-  size_t batch = 64;
-  uint64_t batch_delay_us = 0;
   uint64_t deadline_us = 0;
   std::string fault_plan_spec;
   uint64_t seed = 2026;
@@ -138,7 +145,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--bind") {
       bind_address = next();
     } else if (arg == "--port") {
-      port = static_cast<uint16_t>(ParseU64(next(), "--port"));
+      port = static_cast<uint16_t>(ParseU64(
+          next(), "--port", std::numeric_limits<uint16_t>::max()));
     } else if (arg == "--pages") {
       pages = ParseU64(next(), "--pages");
     } else if (arg == "--users") {
@@ -162,13 +170,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-conns") {
       max_conns = ParseU64(next(), "--max-conns");
     } else if (arg == "--max-m") {
-      max_m = static_cast<uint32_t>(ParseU64(next(), "--max-m"));
+      max_m = static_cast<uint32_t>(ParseU64(
+          next(), "--max-m", std::numeric_limits<uint32_t>::max()));
     } else if (arg == "--drain-timeout-ms") {
       drain_timeout_ms = ParseU64(next(), "--drain-timeout-ms");
-    } else if (arg == "--batch") {
-      batch = ParseU64(next(), "--batch");
-    } else if (arg == "--batch-delay-us") {
-      batch_delay_us = ParseU64(next(), "--batch-delay-us");
     } else if (arg == "--deadline-us") {
       deadline_us = ParseU64(next(), "--deadline-us");
     } else if (arg == "--fault-plan") {
@@ -233,9 +238,7 @@ int main(int argc, char** argv) {
   nopts.max_inflight = max_inflight;
   nopts.max_query_m = max_m;
   nopts.drain_timeout_ms = drain_timeout_ms;
-  nopts.queue.max_batch = batch;
-  nopts.queue.max_delay_us = batch_delay_us;
-  nopts.queue.deadline_us = deadline_us;
+  nopts.deadline_us = deadline_us;
   nopts.metrics = &metrics;
   nopts.trace = trace_every > 0 ? &trace : nullptr;
 
