@@ -3,7 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -11,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/query_workload.h"
+#include "util/rng.h"
 #include "util/table.h"
 
 namespace randrank::bench {
@@ -21,6 +26,79 @@ inline void PrintBanner(const std::string& figure, const std::string& what,
                         const std::string& expectation) {
   std::cout << "\n=== " << figure << ": " << what << " ===\n"
             << "paper expectation: " << expectation << "\n\n";
+}
+
+/// Strips "--smoke" from argv, which benchmark::Initialize would reject as an
+/// unknown flag, and returns whether it was given (the CI-sized run).
+inline bool TakeSmokeFlag(int* argc, char** argv) {
+  bool smoke = false;
+  int kept = 1;
+  for (int i = 1; i < *argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  *argc = kept;
+  return smoke;
+}
+
+/// A synthetic serving corpus in the shape ShardedRankServer::Update takes.
+struct Corpus {
+  std::vector<double> popularity;
+  std::vector<uint8_t> zero;
+  std::vector<int64_t> birth;
+};
+
+/// `n` pages: each is zero-awareness (popularity 0) with probability
+/// `zero_fraction`, else has popularity uniform in [0, 0.4).
+inline Corpus MakeCorpus(size_t n, double zero_fraction, uint64_t seed) {
+  Corpus c;
+  Rng rng(seed);
+  c.popularity.resize(n);
+  c.zero.resize(n);
+  c.birth.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const bool z = rng.NextBernoulli(zero_fraction);
+    c.zero[i] = z;
+    c.popularity[i] = z ? 0.0 : rng.NextDouble() * 0.4;
+    c.birth[i] = static_cast<int64_t>(i % 4096);
+  }
+  return c;
+}
+
+/// One arm of a PairedAblation: its best rep, and (for arms after the bare
+/// reference) its best QPS ratio to the reference rep of the same round.
+struct AblationArm {
+  WorkloadResult best;
+  double qps_vs_off = 0.0;
+};
+
+/// Overhead ablation over alternating reps: each of `reps` rounds runs
+/// measure(0), the bare reference, then measure(1) .. measure(arms - 1) back
+/// to back. Adjacent runs see near-identical machine conditions, so an arm's
+/// best ratio to its own round's reference is the noise-floor estimate of
+/// its overhead: a shared core's steal-time bursts depress whole rounds at a
+/// time, which comparing each arm's best rep across rounds would not cancel.
+template <typename Measure>
+std::vector<AblationArm> PairedAblation(size_t arms, size_t reps,
+                                        const Measure& measure) {
+  std::vector<AblationArm> out(arms);
+  for (size_t rep = 0; rep < reps; ++rep) {
+    double reference_qps = 0.0;
+    for (size_t arm = 0; arm < arms; ++arm) {
+      const WorkloadResult res = measure(arm);
+      if (res.qps > out[arm].best.qps) out[arm].best = res;
+      if (arm == 0) {
+        reference_qps = res.qps;
+      } else if (reference_qps > 0.0) {
+        out[arm].qps_vs_off =
+            std::max(out[arm].qps_vs_off, res.qps / reference_qps);
+      }
+    }
+  }
+  return out;
 }
 
 /// Registers a no-op google-benchmark entry per data point that carries the

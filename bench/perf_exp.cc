@@ -21,7 +21,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -70,16 +69,7 @@ std::vector<ArmSpec> MakeArms(size_t count) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  const bool smoke = bench::TakeSmokeFlag(&argc, argv);
 
   bench::PrintBanner(
       "perf_exp",

@@ -12,22 +12,18 @@
 //                      can never pass — the worst inert case: full rule scan
 //                      plus the per-rule hit counter, every query.
 //
-// Reps alternate off/on/armed so adjacent runs see near-identical machine
-// conditions; each armed rep is compared to its own off-neighbor and the
-// BEST pairwise ratio is reported (same noise-floor reasoning as the
-// serve/obs ablation). The `on` point's qps_vs_off is the robustness PR's
-// acceptance criterion — disabled fault points must cost <= 1% QPS — gated
-// as min_fault_qps_ratio in tools/check_bench.py; the `armed` ratio is
-// recorded for reference but not gated (arming a plan is an operator
-// action, not the steady state).
+// Reps alternate off/on/armed (bench::PairedAblation): each state keeps its
+// best rep, and the on and armed points report their best ratio to the off
+// rep of the same round as `qps_vs_off`. The `on` ratio is the cost of
+// disabled fault points in production, and bench/baseline_smoke.json holds
+// its gate; the `armed` ratio is recorded for reference but not gated
+// (arming a plan is an operator action, not the steady state).
 //
 // Output follows the bench convention: counter-benchmark table, series
 // table, one JSONL line per point (consumed by tools/check_bench.py).
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
@@ -40,35 +36,13 @@
 #include "fault/fault.h"
 #include "serve/query_workload.h"
 #include "serve/sharded_rank_server.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace randrank;
 
-struct Corpus {
-  std::vector<double> popularity;
-  std::vector<uint8_t> zero;
-  std::vector<int64_t> birth;
-};
-
-Corpus MakeCorpus(size_t n, double zero_fraction, uint64_t seed) {
-  Corpus c;
-  Rng rng(seed);
-  c.popularity.resize(n);
-  c.zero.resize(n);
-  c.birth.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const bool z = rng.NextBernoulli(zero_fraction);
-    c.zero[i] = z;
-    c.popularity[i] = z ? 0.0 : rng.NextDouble() * 0.4;
-    c.birth[i] = static_cast<int64_t>(i % 4096);
-  }
-  return c;
-}
-
-WorkloadResult MeasurePoint(const Corpus& corpus, size_t queries) {
+WorkloadResult MeasurePoint(const bench::Corpus& corpus, size_t queries) {
   ServeOptions opts;
   opts.shards = 8;
   opts.seed = 0xfa17ULL;
@@ -89,16 +63,7 @@ WorkloadResult MeasurePoint(const Corpus& corpus, size_t queries) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  const bool smoke = bench::TakeSmokeFlag(&argc, argv);
 
   bench::PrintBanner(
       "perf_fault", "cost of compiled-in fault points on the serve hot path",
@@ -107,7 +72,7 @@ int main(int argc, char** argv) {
       "rule stays close behind");
 
   const size_t kPages = smoke ? 5000 : 100000;
-  const Corpus corpus = MakeCorpus(kPages, 0.1, 42);
+  const bench::Corpus corpus = bench::MakeCorpus(kPages, 0.1, 42);
   const double hw = static_cast<double>(std::thread::hardware_concurrency());
 
   // A plan that never mentions serve.query: every query pays the injector
@@ -133,47 +98,13 @@ int main(int argc, char** argv) {
   fault::FaultInjector miss_injector(miss_plan);
   fault::FaultInjector inert_injector(inert_plan);
 
-  // Alternating reps; keep each state's best rep and its best ratio against
-  // the off-rep of the same alternation round.
-  const size_t kReps = 5;
   const size_t kQueries = 50000;  // fixed even in --smoke: long enough reps
-  double qps_off = 0.0;
-  double qps_on = 0.0;
-  double qps_armed = 0.0;
-  double ratio_on = 0.0;
-  double ratio_armed = 0.0;
-  WorkloadResult res_off;
-  WorkloadResult res_on;
-  WorkloadResult res_armed;
-  for (size_t rep = 0; rep < kReps; ++rep) {
-    const WorkloadResult off = MeasurePoint(corpus, kQueries);
-    if (off.qps > qps_off) {
-      qps_off = off.qps;
-      res_off = off;
-    }
-    WorkloadResult on;
-    {
-      fault::ScopedFaultInjector scoped(&miss_injector);
-      on = MeasurePoint(corpus, kQueries);
-    }
-    if (on.qps > qps_on) {
-      qps_on = on.qps;
-      res_on = on;
-    }
-    WorkloadResult armed;
-    {
-      fault::ScopedFaultInjector scoped(&inert_injector);
-      armed = MeasurePoint(corpus, kQueries);
-    }
-    if (armed.qps > qps_armed) {
-      qps_armed = armed.qps;
-      res_armed = armed;
-    }
-    if (off.qps > 0.0) {
-      ratio_on = std::max(ratio_on, on.qps / off.qps);
-      ratio_armed = std::max(ratio_armed, armed.qps / off.qps);
-    }
-  }
+  const std::vector<fault::FaultInjector*> injectors = {
+      nullptr, &miss_injector, &inert_injector};
+  const auto arms = bench::PairedAblation(3, 5, [&](size_t arm) {
+    fault::ScopedFaultInjector scoped(injectors[arm]);
+    return MeasurePoint(corpus, kQueries);
+  });
   // Inert means inert: neither plan may have actually fired on the serve
   // path (a fire would mean the "overhead" number measured injected work).
   if (miss_injector.fired_total() != 0 || inert_injector.fired_total() != 0) {
@@ -211,10 +142,11 @@ int main(int argc, char** argv) {
         .Cell(note);
   };
 
-  emit("serve/fault:off", res_off, {}, "no injector installed");
-  emit("serve/fault:on", res_on, {{"qps_vs_off", ratio_on}},
+  emit("serve/fault:off", arms[0].best, {}, "no injector installed");
+  emit("serve/fault:on", arms[1].best, {{"qps_vs_off", arms[1].qps_vs_off}},
        "armed, serve.query not in plan (bloom reject)");
-  emit("serve/fault:armed", res_armed, {{"qps_vs_off", ratio_armed}},
+  emit("serve/fault:armed", arms[2].best,
+       {{"qps_vs_off", arms[2].qps_vs_off}},
        "serve.query armed but gated inert (not CI-gated)");
 
   return bench::FinishFigureChecked(argc, argv, table, sink);

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -55,16 +54,7 @@ double Seconds(Clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  const bool smoke = bench::TakeSmokeFlag(&argc, argv);
 
   bench::PrintBanner(
       "perf_net",

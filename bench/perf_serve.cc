@@ -4,23 +4,21 @@
 // randomization r, ServeBatch batch sizes, and the policy families (plus a
 // 2x-corpus Plackett-Luce pl_largen point), plus one async BatchQueue point
 // and an observability-overhead ablation (serve/obs:{on,off} — identical
-// point with and without the metrics registry + sampled tracing attached;
-// the `on` row's qps_vs_off ratio is gated >= 0.95 by tools/check_bench.py).
+// point with and without the metrics registry + sampled tracing attached).
 //
 // Output: the standard counter-benchmark table, a paper-style series table,
-// and one JSON line per data point (for the per-commit perf trajectory; see
-// tools/check_bench.py). The process exits nonzero if the JSONL output is
-// empty or malformed, so a crashed sweep cannot pass CI silently. The thread
-// sweep reports `scaling_vs_1thread`; on multi-core hardware the 8-thread
-// row is expected to reach >= 4x the 1-thread QPS (on a single-core CI
-// runner it degenerates to ~1x, which the JSON records honestly via the
+// and one JSON line per data point (for the per-commit perf trajectory). The
+// `rules` and `qps` floors in bench/baseline_smoke.json say which points and
+// fields tools/check_bench.py gates. The process exits nonzero if the JSONL
+// output is empty or malformed, so a crashed sweep cannot pass CI silently.
+// The thread sweep reports `scaling_vs_1thread`; on multi-core hardware the
+// 8-thread row is expected to reach >= 4x the 1-thread QPS (on a single-core
+// CI runner it degenerates to ~1x, which the JSON records honestly via the
 // `hw_threads` field).
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -49,26 +47,8 @@ namespace {
 
 using namespace randrank;
 
-struct Corpus {
-  std::vector<double> popularity;
-  std::vector<uint8_t> zero;
-  std::vector<int64_t> birth;
-};
-
-Corpus MakeCorpus(size_t n, double zero_fraction, uint64_t seed) {
-  Corpus c;
-  Rng rng(seed);
-  c.popularity.resize(n);
-  c.zero.resize(n);
-  c.birth.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const bool z = rng.NextBernoulli(zero_fraction);
-    c.zero[i] = z;
-    c.popularity[i] = z ? 0.0 : rng.NextDouble() * 0.4;
-    c.birth[i] = static_cast<int64_t>(i % 4096);
-  }
-  return c;
-}
+using bench::Corpus;
+using bench::MakeCorpus;
 
 struct PointConfig {
   size_t shards = 8;
@@ -198,18 +178,7 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --smoke: CI-sized run (small corpus, few queries). Stripped from argv
-  // before benchmark::Initialize sees it, which rejects unknown flags.
-  bool smoke = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  const bool smoke = bench::TakeSmokeFlag(&argc, argv);
 
   bench::PrintBanner(
       "perf_serve", "sharded serving engine: QPS and latency of top-m queries",
@@ -218,7 +187,9 @@ int main(int argc, char** argv) {
 
   const size_t kPages = smoke ? 5000 : 100000;
   const Corpus corpus = MakeCorpus(kPages, 0.1, 42);
-  const size_t kQueriesPerThread = smoke ? 1000 : 20000;
+  // The same quota in --smoke: at 1,000 queries a point lasted under a
+  // millisecond and its QPS timed thread wake-up, not serving.
+  const size_t kQueriesPerThread = 20000;
   const double hw = static_cast<double>(std::thread::hardware_concurrency());
 
   bench::JsonlSink sink;
@@ -328,51 +299,27 @@ int main(int argc, char** argv) {
   // point served bare and with the full obs attachment (registry histograms
   // on every query + 1-in-64 sampled trace spans). The instrumented path's
   // cost is two FastNowNs stamps and two relaxed fetch_adds per query, so
-  // `qps_vs_off` is expected ~1.0 and gated >= 0.95 by check_bench.py.
-  // Reps alternate off/on; adjacent runs see near-identical machine
-  // conditions, so the BEST pairwise on/off ratio over the reps is the
-  // noise-floor estimate of the true instrumentation overhead (a shared CI
-  // core's steal-time bursts depress whole reps at a time — comparing each
-  // on-rep to its own off-neighbor cancels that, where best-of-each-side
-  // across all reps does not). The point runs one worker thread with a
-  // fixed 50k-query quota even in --smoke: a sub-millisecond rep measures
-  // scheduler jitter, not instrumentation.
+  // `qps_vs_off` (the best pairwise on/off ratio over 5 alternating reps)
+  // is expected ~1.0. The point runs one worker thread with a 50k-query
+  // quota: a sub-millisecond rep measures scheduler jitter, not
+  // instrumentation.
   {
     obs::MetricsRegistry registry;
     obs::TraceLog trace;
-    const size_t kReps = 5;
-    double qps_off = 0.0;
-    double qps_on = 0.0;
-    double ratio = 0.0;
-    WorkloadResult res_off;
-    WorkloadResult res_on;
     PointConfig p;
     p.top_m = 20;
     p.batch = 16;
     p.threads = 1;
     p.queries_per_thread = 50000;
-    for (size_t rep = 0; rep < kReps; ++rep) {
-      p.metrics = nullptr;
-      p.trace = nullptr;
-      const WorkloadResult off = MeasurePoint(corpus, p);
-      if (off.qps > qps_off) {
-        qps_off = off.qps;
-        res_off = off;
-      }
-      p.metrics = &registry;
-      p.trace = &trace;
-      const WorkloadResult on = MeasurePoint(corpus, p);
-      if (on.qps > qps_on) {
-        qps_on = on.qps;
-        res_on = on;
-      }
-      if (off.qps > 0.0) ratio = std::max(ratio, on.qps / off.qps);
-    }
-    p.metrics = nullptr;
-    p.trace = nullptr;
+    const auto arms = bench::PairedAblation(2, 5, [&](size_t arm) {
+      p.metrics = arm == 1 ? &registry : nullptr;
+      p.trace = arm == 1 ? &trace : nullptr;
+      return MeasurePoint(corpus, p);
+    });
+    const WorkloadResult& res_off = arms[0].best;
+    const WorkloadResult& res_on = arms[1].best;
+    const double ratio = arms[1].qps_vs_off;
     emit("serve/obs:off", p, res_off, {}, "obs", "bare");
-    p.metrics = &registry;
-    p.trace = &trace;
     emit("serve/obs:on", p, res_on,
          {{"qps_vs_off", ratio},
           {"hist_p50_us", res_on.p50_latency_us},

@@ -99,8 +99,12 @@ Counts RunWorker(const std::string& host, uint16_t port, int retries,
                            std::chrono::seconds(seconds)) {
       break;
     }
+    // A connection closed by an I/O error (already counted) reconnects, so
+    // socket resets do not end the load; only a daemon that stays
+    // unreachable does.
     NetClient& client = clients[q % conns];
-    if (!client.connected()) {
+    if (!client.connected() &&
+        !client.Connect(host, port, retries, 100, 10000)) {
       counts.io_error += 1;
       break;
     }
