@@ -2,9 +2,9 @@
 // QPS and latency percentiles of fresh-realization top-m queries on a
 // 100k-page corpus, swept over worker threads, shard counts, the degree of
 // randomization r, ServeBatch batch sizes, and the policy families (plus a
-// 2x-corpus Plackett-Luce pl_largen point), plus one async BatchQueue point
-// and an observability-overhead ablation (serve/obs:{on,off} — identical
-// point with and without the metrics registry + sampled tracing attached).
+// 2x-corpus Plackett-Luce pl_largen point), plus an observability-overhead
+// ablation (serve/obs:{on,off} — identical point with and without the
+// metrics registry + sampled tracing attached).
 //
 // Output: the standard counter-benchmark table, a paper-style series table,
 // and one JSON line per data point (for the per-commit perf trajectory). The
@@ -33,7 +33,6 @@
 #include "core/policy/stochastic_ranking_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/feedback.h"
@@ -57,7 +56,6 @@ struct PointConfig {
   size_t queries_per_thread = 1000;
   size_t top_m = 10;
   size_t batch = 1;
-  bool async = false;
   /// Corpus size this point ran against; 0 means the shared default corpus
   /// (kPages). Points on a different corpus (serve/pl_largen) set it so
   /// their JSONL `pages` field stays honest.
@@ -66,8 +64,7 @@ struct PointConfig {
   /// (the policy-family sweep).
   std::shared_ptr<const StochasticRankingPolicy> policy;
   /// Observability attachment for the point (null = uninstrumented serving,
-  /// the default for the perf sweeps; the obs ablation and async point set
-  /// these).
+  /// the default for the perf sweeps; the obs ablation sets these).
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceLog* trace = nullptr;
 };
@@ -92,7 +89,6 @@ WorkloadResult MeasurePoint(const Corpus& corpus, const PointConfig& p) {
   wl.queries_per_thread = p.queries_per_thread;
   wl.top_m = p.top_m;
   wl.batch_size = p.batch;
-  wl.async = p.async;
   wl.seed = 99 + p.threads + p.batch;
   return RunQueryWorkload(server, wl);
 }
@@ -206,7 +202,9 @@ int main(int argc, char** argv) {
         {"r", p.r},
         {"m", static_cast<double>(p.top_m)},
         {"batch", static_cast<double>(p.batch)},
-        {"async", p.async ? 1.0 : 0.0},
+        // Every point serves synchronously; the field keeps the per-commit
+        // trend series' schema.
+        {"async", 0.0},
         {"pages", static_cast<double>(p.pages > 0 ? p.pages : kPages)},
         {"qps", res.qps},
         {"p50_us", res.p50_latency_us},
@@ -269,30 +267,6 @@ int main(int argc, char** argv) {
     p.queries_per_thread = kQueriesPerThread;
     const WorkloadResult res = MeasurePoint(corpus, p);
     emit("serve/batch:" + std::to_string(batch), p, res, {}, "batch", "");
-  }
-
-  // Async submission queue: producers pipeline windows of futures into the
-  // MPSC queue; one consumer serves ServeBatch runs. Queue health — depth,
-  // realized batch size, queue-wait percentiles — now rides
-  // the metrics registry (the workload wires its internal BatchQueue to the
-  // server's registry under "workload_queue/"), and the JSONL splices the
-  // registry export in via obs::FlatFields instead of hand-copying fields.
-  {
-    obs::MetricsRegistry registry;
-    PointConfig p;
-    p.top_m = 20;
-    p.batch = 16;
-    p.async = true;
-    p.metrics = &registry;
-    p.queries_per_thread = kQueriesPerThread;
-    const WorkloadResult res = MeasurePoint(corpus, p);
-    std::map<std::string, double> extra = {
-        {"batches", static_cast<double>(res.batches)}};
-    for (const auto& [key, value] :
-         obs::FlatFields(registry.Snapshot(), "workload_queue/", true)) {
-      extra["queue_" + key] = value;
-    }
-    emit("serve/async:16", p, res, std::move(extra), "async", "MPSC queue");
   }
 
   // Observability-overhead ablation at m=20, batch=16: the same

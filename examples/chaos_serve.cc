@@ -1,16 +1,20 @@
 // Chaos drill for the serving stack, self-checking: an adversarial (but
-// fully deterministic, seeded) FaultPlan is armed in-process while producer
-// threads pump queries through a deadline-bearing BatchQueue and a writer
-// thread publishes epochs that keep failing. The drill proves the
-// robustness contract end to end:
+// fully deterministic, seeded) FaultPlan is armed in-process while client
+// threads send windows of QUERY frames to an in-process NetDaemon with a
+// per-query deadline, and a writer thread publishes epochs that keep
+// failing. The daemon is the front end that serves real traffic, so the
+// drill proves the robustness contract on that path:
 //
-//   * every query resolves within a bound — with its correct top-m result
-//     list or an explicit DeadlineExceededError; never a hang, never a
-//     silently wrong answer;
+//   * every reply is a correct top-m list for its query or an explicit
+//     ERROR/DEADLINE_EXCEEDED; any other reply, a reply out of order, or a
+//     read timeout is a violation — never a hang, never a silently wrong
+//     answer;
+//   * a stalled query sheds the queries read with it;
+//   * the daemon's shed accounting matches what clients actually observed;
 //   * failed publishes roll back: the server keeps serving the previous
 //     epoch, counts the failures, and reports degraded();
-//   * the queue's shed accounting matches what clients actually observed;
-//   * when the faults clear, one clean publish recovers everything.
+//   * when the faults clear, one clean publish recovers everything, and the
+//     daemon drains cleanly.
 //
 // Any violated invariant prints CHAOS VIOLATION and exits nonzero, so CI
 // runs this binary as an acceptance gate (--fast keeps it under a second).
@@ -23,7 +27,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <iostream>
 #include <set>
 #include <string>
@@ -33,8 +36,10 @@
 #include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "fault/fault.h"
+#include "net/client.h"
+#include "net/daemon.h"
+#include "net/protocol.h"
 #include "obs/metrics.h"
-#include "serve/batch_queue.h"
 #include "serve/sharded_rank_server.h"
 #include "util/rng.h"
 
@@ -51,31 +56,57 @@ void Check(bool ok, const std::string& what) {
   if (!ok) Violation(what);
 }
 
-/// Pulls one future with a hard hang bound and classifies the outcome.
-/// Returns true when the query was served, false when it was shed with the
-/// explicit deadline error. Anything else — timeout waiting, wrong result
-/// size, out-of-range or duplicate pages, any other exception — is a
-/// violation.
-bool ResolveOne(std::future<std::vector<uint32_t>>& f, size_t m, size_t n) {
-  if (f.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
-    Violation("query hung: future not ready after 10s");
+/// Sends one window of QUERY frames in a single write, so one read on the
+/// daemon's side delivers them all, then reads every reply. Replies leave
+/// the daemon in request order, each a top-m list or an explicit deadline
+/// shed; anything else is a violation. Returns the number shed.
+size_t RunWindow(net::NetClient& client, Rng& rng, uint64_t* next_id,
+                 size_t window, size_t n) {
+  std::vector<uint8_t> bytes;
+  std::vector<uint32_t> ms;
+  const uint64_t first_id = *next_id;
+  for (size_t q = 0; q < window; ++q) {
+    const auto m = static_cast<uint32_t>(1 + rng.NextIndex(20));
+    ms.push_back(m);
+    net::AppendQuery(net::QueryFrame{(*next_id)++, rng.NextIndex(1000), m},
+                     &bytes);
   }
-  try {
-    const std::vector<uint32_t> pages = f.get();
-    Check(pages.size() == m, "served query returned " +
-                                 std::to_string(pages.size()) +
-                                 " slots, want " + std::to_string(m));
+  Check(client.SendRaw(bytes), "sending a window of queries failed");
+
+  size_t shed = 0;
+  for (size_t q = 0; q < window; ++q) {
+    const uint64_t id = first_id + q;
+    net::NetClient::QueryResult result;
+    uint64_t got = 0;
+    const net::NetClient::Status status = client.ReadReply(&result, &got);
+    if (status == net::NetClient::Status::kIoError) {
+      Violation("no reply to query " + std::to_string(id) +
+                " (read timeout or lost connection)");
+    }
+    const bool is_shed =
+        status == net::NetClient::Status::kDeadlineExceeded;
+    Check(status == net::NetClient::Status::kOk || is_shed,
+          "query " + std::to_string(id) + " got error code " +
+              std::to_string(static_cast<int>(client.last_error().code)) +
+              ": " + client.last_error().message);
+    Check(got == id, "reply to query " + std::to_string(got) +
+                         " arrived where " + std::to_string(id) +
+                         "'s was due");
+    if (is_shed) {
+      ++shed;  // explicit shed: allowed, counted by the caller
+      continue;
+    }
+    const std::vector<uint32_t>& pages = result.pages;
+    Check(pages.size() == ms[q], "served query returned " +
+                                     std::to_string(pages.size()) +
+                                     " slots, want " + std::to_string(ms[q]));
     const std::set<uint32_t> unique(pages.begin(), pages.end());
     Check(unique.size() == pages.size(), "served query returned duplicates");
     for (const uint32_t page : pages) {
       Check(page < n, "served query returned out-of-range page");
     }
-    return true;
-  } catch (const DeadlineExceededError&) {
-    return false;  // explicit shed: allowed, counted by the caller
-  } catch (const std::exception& ex) {
-    Violation(std::string("unexpected query error: ") + ex.what());
   }
+  return shed;
 }
 
 struct Corpus {
@@ -109,8 +140,8 @@ int main(int argc, char** argv) {
 
   const size_t n = fast ? 2000 : 8000;
   const int kProducers = 2;
-  const int kWindows = fast ? 4 : 12;  // windows of in-flight futures
-  const int kWindowSize = 32;          // futures per window
+  const int kWindows = fast ? 4 : 12;  // windows of pipelined queries
+  const size_t kWindowSize = 32;       // queries per window (one write)
   const int kChaosUpdates = 12;        // publish attempts under fire
 
   const Corpus base = MakeCorpus(n, 5);
@@ -126,26 +157,26 @@ int main(int argc, char** argv) {
   Check(server.Update(base.popularity, base.zero, base.birth),
         "initial publish must succeed (no faults armed yet)");
 
-  BatchQueueOptions qopts;
-  qopts.deadline_us = 50 * 1000;  // 50ms serving deadline per query
-  qopts.metrics = &registry;
-  qopts.obs_prefix = "queue";
-  BatchQueue queue(server, qopts);
+  net::NetDaemonOptions nopts;
+  nopts.deadline_us = 50 * 1000;  // 50ms serving deadline per query
+  nopts.metrics = &registry;
+  net::NetDaemon daemon(server, nopts);
+  daemon.Start();
 
   // The adversarial schedule, deterministic given the seed:
   //  - every 3rd publish dies at the RCU boundary, the 5th during shard
   //    rebuild (two distinct failing phases);
-  //  - the 2nd consumer drain stalls for 150ms — queries caught behind it
-  //    blow their 50ms deadline and must shed explicitly (2nd, not a later
-  //    one: a drain swaps out the whole pending queue, so a windowed
-  //    producer workload is only guaranteed a handful of drains);
-  //  - 1-in-100 queries eat a 200us slowdown on the serve hot path.
+  //  - the 2nd query the event loop serves stalls for 150ms. The rest of
+  //    its window was read with it, so their turn comes more than the 50ms
+  //    deadline after that read: they must shed explicitly. (The 2nd, not a
+  //    later hit: it always has a window's worth of queries behind it.)
+  //  - 1-in-100 other queries eat a 200us slowdown on the serve hot path.
   fault::FaultPlan plan;
   std::string error;
   const bool parsed = fault::FaultPlan::Parse(
       "point=publish.rcu_publish,action=fail,every=3;"
       "point=publish.shards,action=fail,nth=5,max_fires=1;"
-      "point=queue.serve,action=delay,delay_us=150000,nth=2,max_fires=1;"
+      "point=serve.query,action=delay,delay_us=150000,nth=2,max_fires=1;"
       "point=serve.query,action=delay,delay_us=200,prob=0.01;"
       "seed=7",
       &plan, &error);
@@ -164,28 +195,22 @@ int main(int argc, char** argv) {
     producers.reserve(kProducers);
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
+        net::NetClient client;
+        Check(client.Connect("127.0.0.1", daemon.port(), 10),
+              "client could not connect to the daemon");
         Rng rng(100 + static_cast<uint64_t>(p));
+        uint64_t next_id = 1;
         for (int w = 0; w < kWindows; ++w) {
-          std::vector<std::future<std::vector<uint32_t>>> window;
-          std::vector<size_t> ms;
-          window.reserve(kWindowSize);
-          for (int q = 0; q < kWindowSize; ++q) {
-            const size_t m = 1 + rng.NextIndex(20);
-            ms.push_back(m);
-            window.push_back(queue.Submit(m));
-          }
-          for (int q = 0; q < kWindowSize; ++q) {
-            if (ResolveOne(window[q], ms[q], n)) {
-              served.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              shed.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
+          const size_t window_shed =
+              RunWindow(client, rng, &next_id, kWindowSize, n);
+          shed.fetch_add(window_shed, std::memory_order_relaxed);
+          served.fetch_add(kWindowSize - window_shed,
+                           std::memory_order_relaxed);
         }
       });
     }
 
-    // The writer keeps publishing while the producers hammer the queue;
+    // The writer keeps publishing while the clients hammer the daemon;
     // the planned publish faults roll their attempts back.
     for (int i = 0; i < kChaosUpdates; ++i) {
       const Corpus& inputs = (i % 2 == 0) ? drifted : base;
@@ -204,9 +229,7 @@ int main(int argc, char** argv) {
                                    injector.fired(fault::kPublishShards);
     Check(publish_fires == publish_failures,
           "every publish fire must map to exactly one rolled-back Update");
-    Check(injector.fired(fault::kQueueServe) == 1,
-          "the consumer-stall rule must fire");
-    Check(shed.load() > 0, "the stalled drain must shed at least one query");
+    Check(shed.load() > 0, "the stalled query must shed at least one query");
   }
 
   // End the chaos phase on a guaranteed-failed publish (a one-shot merge
@@ -243,26 +266,30 @@ int main(int argc, char** argv) {
   Check(server.epochs_since_publish() == 0,
         "clean publish must reset the staleness age");
 
-  const size_t shed_before_recovery = shed.load();
-  std::vector<std::future<std::vector<uint32_t>>> window;
-  std::vector<size_t> ms;
-  Rng rng(999);
-  for (int q = 0; q < kWindowSize; ++q) {
-    const size_t m = 1 + rng.NextIndex(20);
-    ms.push_back(m);
-    window.push_back(queue.Submit(m));
-  }
-  for (int q = 0; q < kWindowSize; ++q) {
-    Check(ResolveOne(window[q], ms[q], n),
+  {
+    net::NetClient client;
+    Check(client.Connect("127.0.0.1", daemon.port(), 10),
+          "client could not connect to the daemon");
+    Rng rng(999);
+    uint64_t next_id = 1;
+    Check(RunWindow(client, rng, &next_id, kWindowSize, n) == 0,
           "post-recovery queries must all be served");
   }
-  queue.Stop();  // joins the consumer: its shed counter is final below
-  Check(queue.stats().deadline_expired == shed_before_recovery,
-        "queue shed accounting disagrees with client-observed timeouts");
+  // Drain joins the event loop, so the daemon's counters are final below.
+  Check(daemon.Drain(), "the daemon must drain cleanly");
+  const uint64_t net_shed =
+      registry.Snapshot().counters.at("net/deadline_exceeded");
+  Check(daemon.stats().deadline_exceeded == shed.load() &&
+            net_shed == shed.load(),
+        "daemon shed accounting (stats " +
+            std::to_string(daemon.stats().deadline_exceeded) +
+            ", net/deadline_exceeded " + std::to_string(net_shed) +
+            ") disagrees with the " + std::to_string(shed.load()) +
+            " client-observed timeouts");
 
   std::cout << "chaos_serve: OK\n"
-            << "  queries served          "
-            << served.load() + static_cast<size_t>(kWindowSize) << "\n"
+            << "  queries served          " << served.load() + kWindowSize
+            << "\n"
             << "  explicit deadline sheds " << shed.load() << "\n"
             << "  publishes (ok/failed)   " << publish_successes + 2 << "/"
             << publish_failures << "\n"

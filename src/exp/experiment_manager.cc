@@ -34,7 +34,7 @@ ExperimentManager::ExperimentManager(const CommunityParams& community,
     : community_(community),
       opts_(options),
       bucketer_(ResolveSplit(options.split, arms.size())),
-      lifecycle_(community, options.epochs_per_day) {
+      lifecycle_(community) {
   if (arms.empty()) {
     throw std::invalid_argument("an experiment needs at least one arm");
   }
@@ -81,19 +81,6 @@ ExperimentManager::ExperimentManager(const CommunityParams& community,
     arm_states_.emplace_back(std::move(arms[a]), std::move(server), base,
                              community_.n);
     arm_states_.back().fold_rng = Rng(SplitMix64(&mix) ^ (a * 0x9e37ULL));
-  }
-
-  if (opts_.async_serving) {
-    arm_queues_.reserve(arm_states_.size());
-    for (ArmState& arm : arm_states_) {
-      BatchQueueOptions qopts;
-      qopts.max_batch = std::max<size_t>(1, opts_.async_max_batch);
-      qopts.metrics = opts_.metrics;
-      qopts.trace = opts_.trace;
-      qopts.obs_prefix = "exp/arm:" + arm.spec.name + "/queue";
-      arm_queues_.push_back(
-          std::make_unique<BatchQueue>(*arm.server, qopts));
-    }
   }
 
   // The first epoch is published by the first RunEpoch (PublishEpoch runs
@@ -179,55 +166,25 @@ void ExperimentManager::ServeEpochTraffic() {
     std::vector<ShardedRankServer::Context>& contexts = worker_contexts_[t];
     std::vector<LiveMetrics::Shard>& shards = worker_shards_[t];
 
-    // Shared by both serving paths: resolve one served result list into the
-    // arm's metric shard and (rank-biased) click feedback.
-    const auto settle = [&](size_t a, const std::vector<uint32_t>& results) {
+    std::vector<uint32_t> results;
+    results.reserve(opts_.top_m);
+    for (size_t q = begin; q < end; ++q) {
+      // Unit of diversion: the querying user. Hash bucketing keeps each
+      // user's arm fixed for the whole experiment (and across ramps, for
+      // the arms whose interval is retained), consuming no randomness.
+      const uint64_t user = traffic_rng.NextIndex(community_.u);
+      const size_t a = bucketer_.ArmForId(user);
+      ShardedRankServer& server = *arm_states_[a].server;
+      server.ServeTopM(contexts[a], opts_.top_m, &results);
+      // Resolve the served list into the arm's metric shard and its
+      // (rank-biased) click feedback.
       shards[a].RecordResult(results.data(), results.size());
-      if (results.empty()) return;
+      if (results.empty()) continue;
       size_t rank = click_law.SampleRank(traffic_rng);
       if (rank > results.size()) rank = results.size();
       const uint32_t clicked = results[rank - 1];
-      // Clicks go through the PRODUCER's context even in async mode: the
-      // queue serves results from its consumer context, but feedback is
-      // recorded on the caller's timeline (BatchQueue's contract).
-      arm_states_[a].server->RecordVisit(contexts[a], clicked);
+      server.RecordVisit(contexts[a], clicked);
       shards[a].RecordClick(clicked);
-    };
-
-    if (arm_queues_.empty()) {
-      std::vector<uint32_t> results;
-      results.reserve(opts_.top_m);
-      for (size_t q = begin; q < end; ++q) {
-        // Unit of diversion: the querying user. Hash bucketing keeps each
-        // user's arm fixed for the whole experiment (and across ramps, for
-        // the arms whose interval is retained), consuming no randomness.
-        const uint64_t user = traffic_rng.NextIndex(community_.u);
-        const size_t a = bucketer_.ArmForId(user);
-        ArmState& arm = arm_states_[a];
-        arm.server->ServeTopM(contexts[a], opts_.top_m, &results);
-        settle(a, results);
-      }
-    } else {
-      // Async path: pipeline a bounded window of in-flight futures per
-      // worker, settling strictly in submission order so this worker's
-      // Rng consumption stays reproducible given the served lists.
-      constexpr size_t kInflightWindow = 64;
-      std::vector<std::pair<size_t, std::future<std::vector<uint32_t>>>>
-          inflight;
-      inflight.reserve(kInflightWindow);
-      size_t settled = 0;
-      for (size_t q = begin; q < end; ++q) {
-        const uint64_t user = traffic_rng.NextIndex(community_.u);
-        const size_t a = bucketer_.ArmForId(user);
-        inflight.emplace_back(a, arm_queues_[a]->Submit(opts_.top_m));
-        if (inflight.size() - settled >= kInflightWindow) {
-          settle(inflight[settled].first, inflight[settled].second.get());
-          ++settled;
-        }
-      }
-      for (; settled < inflight.size(); ++settled) {
-        settle(inflight[settled].first, inflight[settled].second.get());
-      }
     }
     for (size_t a = 0; a < arm_states_.size(); ++a) {
       arm_states_[a].server->FlushFeedback(contexts[a]);

@@ -13,7 +13,6 @@
 #include "exp/live_metrics.h"
 #include "exp/page_lifecycle.h"
 #include "exp/traffic_split.h"
-#include "serve/batch_queue.h"
 #include "serve/feedback.h"
 #include "serve/sharded_rank_server.h"
 #include "util/rng.h"
@@ -42,19 +41,8 @@ struct ExperimentOptions {
   size_t threads = 1;
   /// Rank->visit bias exponent of the click model (paper Eq. 4).
   double rank_bias_exponent = 1.5;
-  /// Route each arm's queries through a per-arm BatchQueue (async MPSC
-  /// consumer) instead of calling ServeTopM inline: results come from the
-  /// queue consumer's own serving context, so policy hot-swaps are exercised
-  /// under the async consumer, and each arm's queue occupancy lands in the
-  /// registry under "exp/arm:<name>/queue/*". Workers keep a bounded
-  /// in-flight window of futures and still record clicks through their own
-  /// contexts (the queue's feedback contract). Realized traffic differs
-  /// from the sync path (the consumer owns the serving Rng streams) but
-  /// follows the same law.
-  bool async_serving = false;
-  /// BatchQueueOptions::max_batch for the per-arm queues.
-  size_t async_max_batch = 32;
-  /// Run the shared page-lifecycle churn each epoch.
+  /// Run the shared page-lifecycle churn each epoch (one epoch per day of
+  /// the community's retirement rate).
   bool churn = true;
   /// Fraction of pages fully discovered (everyone aware, popularity ==
   /// quality) at t=0 — a mature engine's warm start, identical across arms.
@@ -62,8 +50,6 @@ struct ExperimentOptions {
   /// plus the churn-born newborns, which is what live discovery-speed
   /// comparisons are about. 0 reproduces the cold-start community.
   double prediscovered_fraction = 0.0;
-  /// Epoch cadence for the churn rate (see PageLifecycle).
-  double epochs_per_day = 1.0;
   /// Observability (optional, borrowed): one registry/trace shared by every
   /// arm. Each arm's server instruments itself under the prefix
   /// "exp/arm:<name>" (per-arm serve histograms + publish spans), and
@@ -182,10 +168,6 @@ class ExperimentManager {
   TrafficSplit pending_split_;
   bool has_pending_split_ = false;
   std::vector<ArmState> arm_states_;
-  /// Async mode: one BatchQueue per arm (same index), consumers running for
-  /// the manager's whole life so hot-swaps publish under live async serving.
-  /// Declared after arm_states_ so the queues stop before the servers die.
-  std::vector<std::unique_ptr<BatchQueue>> arm_queues_;
   PageLifecycle lifecycle_;
   Rng churn_rng_{0};
   uint64_t click_seed_ = 0;

@@ -1,5 +1,6 @@
 #include "fault/fault.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <unordered_map>
@@ -102,6 +103,19 @@ bool Fail(std::string* error, const std::string& why) {
   return false;
 }
 
+bool IsPoint(std::string_view name) {
+  return std::find(kPoints.begin(), kPoints.end(), name) != kPoints.end();
+}
+
+std::string PointList() {
+  std::string list;
+  for (const std::string_view point : kPoints) {
+    if (!list.empty()) list += ", ";
+    list += point;
+  }
+  return list;
+}
+
 }  // namespace
 
 bool FaultPlan::Parse(std::string_view spec, FaultPlan* out,
@@ -139,6 +153,11 @@ bool FaultPlan::Parse(std::string_view spec, FaultPlan* out,
         ok = ParseU64(value, &plan.seed);
         is_seed_entry = true;
       } else if (key == "point") {
+        if (!value.empty() && !IsPoint(value)) {
+          return Fail(error, "fault plan: unknown point \"" +
+                                 std::string(value) + "\" (valid: " +
+                                 PointList() + ")");
+        }
         rule.point = std::string(value);
         have_point = !rule.point.empty();
         ok = have_point;

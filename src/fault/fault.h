@@ -1,6 +1,7 @@
 #ifndef RANDRANK_FAULT_FAULT_H_
 #define RANDRANK_FAULT_FAULT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -18,11 +19,12 @@ class MetricsRegistry;
 namespace fault {
 
 /// Deterministic, seeded fault injection: named fault points compiled into
-/// real sites (publish phases, the queue consumer, the daemon's socket
+/// real sites (publish phases, the query serve path, the daemon's socket
 /// writes), armed at runtime by a FaultPlan. With no injector installed a
 /// site costs one acquire atomic load and a predicted branch; an armed
 /// injector adds a single 64-bit mask test for points its plan does not
-/// mention (bench/perf_fault prices both, gated in check_bench.py).
+/// mention (bench/perf_fault prices both; a rule in
+/// bench/baseline_smoke.json gates them).
 ///
 /// Everything is deterministic given the plan: nth-hit schedules count hits
 /// per rule, and probability schedules draw a splitmix64 coin keyed on
@@ -36,7 +38,7 @@ namespace fault {
 /// is a no-op; a kFail at a socket write behaves like kReset).
 enum class Action : uint8_t {
   kFail,          // inject an error (publish phases throw FaultInjectedError)
-  kDelay,         // sleep delay_us at the site (slow shard / slow consumer)
+  kDelay,         // sleep delay_us at the site (slow shard / slow query)
   kPartialWrite,  // cap one socket write syscall at `bytes` bytes
   kReset,         // close the connection mid-stream (peer sees a reset/EOF)
 };
@@ -76,16 +78,17 @@ struct Rule {
 ///   point=publish.shards,action=fail,nth=2,max_fires=1;
 ///   point=net.write,action=reset,prob=0.05;seed=7
 ///
-/// Keys: point (required per rule), action (fail|delay|partial|reset), nth,
-/// every, prob, from_epoch, to_epoch, max_fires, delay_us, bytes. A bare
-/// `seed=N` entry sets the plan seed. Whitespace around tokens is ignored.
+/// Keys: point (required per rule; one of kPoints below), action
+/// (fail|delay|partial|reset), nth, every, prob, from_epoch, to_epoch,
+/// max_fires, delay_us, bytes. A bare `seed=N` entry sets the plan seed.
+/// Whitespace around tokens is ignored.
 struct FaultPlan {
   uint64_t seed = 0;
   std::vector<Rule> rules;
 
   /// Parses the text form above. Returns false (and a diagnostic in
-  /// `error`, if non-null) on any unknown key, bad value, or rule without a
-  /// point; `out` is only written on success.
+  /// `error`, if non-null) on any unknown key, bad value, unknown point, or
+  /// rule without a point; `out` is only written on success.
   static bool Parse(std::string_view spec, FaultPlan* out,
                     std::string* error = nullptr);
 };
@@ -108,8 +111,8 @@ class FaultInjectedError : public std::runtime_error {
 
 /// Compiled FaultPlan: per-rule atomic hit/fire counters, a point-name
 /// index, and a 64-bit bloom mask so unarmed points reject in a few ns.
-/// Thread-safe; one injector may be hit from the writer, the queue
-/// consumer, and the event loop at once.
+/// Thread-safe; one injector may be hit from the writer, serving threads,
+/// and the event loop at once.
 class FaultInjector {
  public:
   /// With `metrics` set, fires are exported as `fault/fired_total` plus one
@@ -222,8 +225,13 @@ inline constexpr std::string_view kPublishMerge = "publish.merge";
 inline constexpr std::string_view kPublishEpochState = "publish.epoch_state";
 inline constexpr std::string_view kPublishRcu = "publish.rcu_publish";
 inline constexpr std::string_view kServeQuery = "serve.query";
-inline constexpr std::string_view kQueueServe = "queue.serve";
 inline constexpr std::string_view kNetWrite = "net.write";
+
+/// Every point a site checks. FaultPlan::Parse rejects any other name, so a
+/// misspelt point fails loudly instead of arming nothing.
+inline constexpr std::array<std::string_view, 6> kPoints = {
+    kPublishShards, kPublishMerge, kPublishEpochState,
+    kPublishRcu,    kServeQuery,   kNetWrite};
 
 }  // namespace fault
 }  // namespace randrank

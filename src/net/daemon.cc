@@ -55,7 +55,7 @@ NetDaemon::NetDaemon(ShardedRankServer& server, NetDaemonOptions options)
   }
   if (opts_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *opts_.metrics;
-    const std::string p = opts_.obs_prefix + "/";
+    const std::string p = "net/";
     accepts_ctr_ = &reg.GetCounter(p + "accepts");
     queries_ctr_ = &reg.GetCounter(p + "queries");
     replies_ctr_ = &reg.GetCounter(p + "replies");

@@ -51,12 +51,11 @@ struct NetDaemonOptions {
   /// ERROR/DEADLINE_EXCEEDED instead of a late answer. 0 disables it.
   uint64_t deadline_us = 0;
   /// Observability (optional, borrowed; must outlive the daemon). Counters,
-  /// gauges, and histograms land under `<obs_prefix>/`; the METRICS scrape
-  /// frame answers with PrometheusText over this registry's full snapshot
-  /// (every subsystem sharing the registry is visible over the wire).
+  /// gauges, and histograms land under `net/`; the METRICS scrape frame
+  /// answers with PrometheusText over this registry's full snapshot (every
+  /// subsystem sharing the registry is visible over the wire).
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceLog* trace = nullptr;
-  std::string obs_prefix = "net";
 };
 
 /// Point-in-time daemon counters (all monotone except active_connections).

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <limits>
-#include <ostream>
 #include <sstream>
 
 namespace randrank::obs {
@@ -17,15 +16,6 @@ std::string Sanitize(const std::string& name) {
     }
   }
   return out;
-}
-
-bool HasPrefix(const std::string& name, const std::string& prefix) {
-  return prefix.empty() || name.rfind(prefix, 0) == 0;
-}
-
-std::string Key(const std::string& name, const std::string& prefix,
-                bool strip_prefix) {
-  return strip_prefix ? name.substr(prefix.size()) : name;
 }
 
 }  // namespace
@@ -56,47 +46,6 @@ std::string PrometheusText(const MetricsSnapshot& snapshot) {
        << metric << "_count " << hist.total << '\n';
   }
   return os.str();
-}
-
-std::map<std::string, double> FlatFields(const MetricsSnapshot& snapshot,
-                                         const std::string& prefix,
-                                         bool strip_prefix) {
-  std::map<std::string, double> fields;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (!HasPrefix(name, prefix)) continue;
-    fields[Key(name, prefix, strip_prefix)] = static_cast<double>(value);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (!HasPrefix(name, prefix)) continue;
-    fields[Key(name, prefix, strip_prefix)] = value;
-  }
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (!HasPrefix(name, prefix)) continue;
-    const std::string key = Key(name, prefix, strip_prefix);
-    fields[key + "_p50"] = hist.Quantile(0.50);
-    fields[key + "_p99"] = hist.Quantile(0.99);
-    fields[key + "_max"] = static_cast<double>(hist.Max());
-    fields[key + "_mean"] = hist.Mean();
-    fields[key + "_count"] = static_cast<double>(hist.total);
-  }
-  return fields;
-}
-
-void WriteJsonl(const MetricsSnapshot& snapshot, std::ostream& os) {
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (const auto& [name, value] : snapshot.counters) {
-    os << "{\"bench\":\"obs/" << name << "\",\"value\":" << value << "}\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    os << "{\"bench\":\"obs/" << name << "\",\"value\":" << value << "}\n";
-  }
-  for (const auto& [name, hist] : snapshot.histograms) {
-    os << "{\"bench\":\"obs/" << name << "\",\"count\":" << hist.total
-       << ",\"max\":" << hist.Max() << ",\"mean\":" << hist.Mean()
-       << ",\"p50\":" << hist.Quantile(0.50)
-       << ",\"p90\":" << hist.Quantile(0.90)
-       << ",\"p99\":" << hist.Quantile(0.99) << "}\n";
-  }
 }
 
 }  // namespace randrank::obs

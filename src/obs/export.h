@@ -1,8 +1,6 @@
 #ifndef RANDRANK_OBS_EXPORT_H_
 #define RANDRANK_OBS_EXPORT_H_
 
-#include <iosfwd>
-#include <map>
 #include <string>
 
 #include "obs/metrics.h"
@@ -15,25 +13,6 @@ namespace randrank::obs {
 /// (non-empty buckets plus "+Inf") with `_sum` and `_count`. This is the
 /// string a /metrics endpoint would serve.
 std::string PrometheusText(const MetricsSnapshot& snapshot);
-
-/// Flattens a snapshot into the numeric field map the bench JSONL convention
-/// uses (bench_common.h FormatJsonLine): counters and gauges keep their
-/// value under their name; every histogram contributes `<name>_p50`,
-/// `<name>_p99`, `<name>_max`, `<name>_mean`, and `<name>_count`. Only
-/// metrics whose name starts with `prefix` are included (empty = all), and
-/// `strip_prefix` removes that prefix from the emitted keys — so a bench can
-/// splice e.g. the "queue/" family into its own JSONL record without
-/// hand-copying individual fields.
-std::map<std::string, double> FlatFields(const MetricsSnapshot& snapshot,
-                                         const std::string& prefix = "",
-                                         bool strip_prefix = false);
-
-/// Writes one JSONL line per metric in the bench convention (first key
-/// "bench" valued "obs/<name>"): counters/gauges as {"value":...},
-/// histograms with p50/p90/p99/max/mean/count fields. Every line passes
-/// bench_common.h ValidateJsonLine, so the metric feed and the perf feed
-/// share one schema and one toolchain.
-void WriteJsonl(const MetricsSnapshot& snapshot, std::ostream& os);
 
 }  // namespace randrank::obs
 

@@ -45,7 +45,7 @@ class Counter {
   Shard shards_[kMetricShards];
 };
 
-/// Last-write-wins instantaneous value (queue depth, epoch number, a
+/// Last-write-wins instantaneous value (open connections, epoch number, a
 /// snapshot statistic). One atomic double; Set/Value are relaxed.
 class Gauge {
  public:
@@ -160,7 +160,7 @@ struct MetricsSnapshot {
 
 /// Central metric namespace: every subsystem registers its counters, gauges,
 /// and latency histograms here by slash-separated name
-/// ("serve/latency_ns/selective", "queue/wait_ns",
+/// ("serve/latency_ns/selective", "net/request_ns",
 /// "exp/arm:treatment/click_qpc") and
 /// every exporter reads one consistent snapshot of all of them.
 ///

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/visit_law.h"
 #include "obs/metrics.h"
-#include "serve/batch_queue.h"
 
 namespace randrank {
 namespace {
@@ -47,20 +44,6 @@ WorkloadResult RunQueryWorkload(ShardedRankServer& server,
   const uint64_t click_seed = SplitMix64(&mix_state) ^ 0xc11c5eedULL;
 
   const size_t batch_size = std::max<size_t>(1, options.batch_size);
-  // One queue shared by every worker in async mode (that is the point:
-  // many producers, one batching consumer).
-  std::unique_ptr<BatchQueue> queue;
-  if (options.async) {
-    BatchQueueOptions qopts;
-    qopts.max_batch = batch_size;
-    // The queue publishes its wait histogram and occupancy counters through
-    // the server's registry (replacing the old hand-copied stats() fields in
-    // WorkloadResult).
-    qopts.metrics = server.metrics();
-    qopts.trace = server.trace();
-    qopts.obs_prefix = "workload_queue";
-    queue = std::make_unique<BatchQueue>(server, qopts);
-  }
 
   auto click = [&](ShardedRankServer::Context& ctx, Rng& click_rng,
                    const std::vector<uint32_t>& results, size_t served) {
@@ -77,29 +60,7 @@ WorkloadResult RunQueryWorkload(ShardedRankServer& server,
     std::vector<double>& lat = latencies_us[t];
     lat.reserve(quota);
     while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    if (options.async) {
-      // Windowed pipelining: keep up to batch_size queries in flight, then
-      // collect. Latency is submit-to-completion, queueing included.
-      std::vector<std::future<std::vector<uint32_t>>> window;
-      std::vector<Clock::time_point> submitted;
-      window.reserve(batch_size);
-      submitted.reserve(batch_size);
-      for (size_t q = 0; q < quota;) {
-        const size_t inflight = std::min(batch_size, quota - q);
-        window.clear();
-        submitted.clear();
-        for (size_t i = 0; i < inflight; ++i) {
-          submitted.push_back(Clock::now());
-          window.push_back(queue->Submit(top_m));
-        }
-        for (size_t i = 0; i < inflight; ++i) {
-          const std::vector<uint32_t> results = window[i].get();
-          lat.push_back(SecondsBetween(submitted[i], Clock::now()) * 1e6);
-          click(ctx, click_rng, results, results.size());
-        }
-        q += inflight;
-      }
-    } else if (batch_size > 1) {
+    if (batch_size > 1) {
       QueryBatch batch(top_m, 0);
       for (size_t q = 0; q < quota;) {
         const size_t count = std::min(batch_size, quota - q);
@@ -150,12 +111,6 @@ WorkloadResult RunQueryWorkload(ShardedRankServer& server,
   result.queries = threads * quota;
   result.visits = server.total_visits() - visits_before;
   result.seconds = SecondsBetween(start, stop);
-  if (queue != nullptr) {
-    queue->Stop();
-    result.batches = queue->batches_served();
-  } else {
-    result.batches = threads * ((quota + batch_size - 1) / batch_size);
-  }
   result.qps = result.seconds > 0.0
                    ? static_cast<double>(result.queries) / result.seconds
                    : 0.0;
@@ -180,11 +135,10 @@ WorkloadResult RunQueryWorkload(ShardedRankServer& server,
     result.max_latency_us = all.back();
   }
 
-  // Synchronous modes: prefer the per-query serve histogram over the
-  // wall-clock estimate (which, in batched mode, was batch wall time divided
-  // by batch size — a mean, not a distribution). Async keeps the measured
-  // submit-to-completion numbers: queue wait is part of what it reports.
-  if (!options.async && server.metrics() != nullptr) {
+  // Prefer the per-query serve histogram over the wall-clock estimate
+  // (which, in batched mode, is batch wall time divided by batch size — a
+  // mean, not a distribution).
+  if (server.metrics() != nullptr) {
     const obs::MetricsSnapshot obs_after = server.metrics()->Snapshot();
     obs::HistogramSnapshot served;
     for (const auto& [name, snap] : obs_after.histograms) {

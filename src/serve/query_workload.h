@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "serve/batch_queue.h"
 #include "serve/sharded_rank_server.h"
 
 namespace randrank {
@@ -20,11 +19,6 @@ struct WorkloadOptions {
   /// lookup amortized over the batch). <= 1 uses the per-query ServeTopM
   /// path. Results are identical either way; only throughput changes.
   size_t batch_size = 1;
-  /// Route queries through an async BatchQueue instead of serving inline:
-  /// each worker keeps a window of `batch_size` submissions in flight
-  /// (futures) against one shared queue, so latency includes queueing and
-  /// the queue's consumer does all serving. Exercises serve/batch_queue.h.
-  bool async = false;
   /// Rank->visit bias exponent of the click model (paper Eq. 4: 3/2).
   double rank_bias_exponent = 1.5;
   /// When true, every query clicks one result at a rank drawn from the
@@ -43,36 +37,26 @@ struct WorkloadResult {
   uint64_t visits = 0;
   double seconds = 0.0;
   double qps = 0.0;
-  /// Latency percentiles. Semantics changed with the obs layer: when the
-  /// server carries a MetricsRegistry (ServeOptions::metrics), the
-  /// synchronous modes derive these from the per-query serve histogram
+  /// Latency percentiles. When the server carries a MetricsRegistry
+  /// (ServeOptions::metrics) they come from the per-query serve histogram
   /// (true per-query service time, uniform across the single and batched
-  /// paths) instead of the old batch-wall-time / batch-size estimate, which
-  /// flattened the tail. Async mode always reports workload-measured
-  /// submit-to-completion latency (queue wait included). Without a registry
-  /// the old wall-clock measurement stands. histogram_latency says which
-  /// source filled them.
+  /// paths); without one, from the workload's own wall clock, which in
+  /// batched mode is batch wall time divided by batch size.
+  /// histogram_latency says which source filled them.
   double p50_latency_us = 0.0;
   double p99_latency_us = 0.0;
   double max_latency_us = 0.0;
   /// True when the percentiles above came from the serve histogram delta.
   bool histogram_latency = false;
-  /// ServeBatch executions observed (== queries in per-query mode; for the
-  /// async mode this is the queue consumer's count).
-  uint64_t batches = 0;
-  /// Queue-health counters (depth, batch sizes) are no longer
-  /// copied out here: in async mode the shared BatchQueue publishes them
-  /// into the server's MetricsRegistry (`workload_queue/...`), the same
-  /// export path live monitoring reads.
 };
 
 /// Closed-loop load generator: spawns `threads` workers against the server,
-/// each with its own serving Context, issuing top-m queries (singly, in
-/// ServeBatch batches, or through an async BatchQueue — see
-/// WorkloadOptions) and clicking results per the rank-biased visit law from
-/// visit_law.h. Blocks until every worker finished its quota, flushes all
-/// feedback, and returns aggregate throughput and latency percentiles (see
-/// WorkloadResult for which clock feeds the percentiles in each mode).
+/// each with its own serving Context, issuing top-m queries (singly or in
+/// ServeBatch batches — see WorkloadOptions) and clicking results per the
+/// rank-biased visit law from visit_law.h. Blocks until every worker
+/// finished its quota, flushes all feedback, and returns aggregate
+/// throughput and latency percentiles (see WorkloadResult for which clock
+/// feeds the percentiles).
 WorkloadResult RunQueryWorkload(ShardedRankServer& server,
                                 const WorkloadOptions& options);
 

@@ -14,8 +14,8 @@ namespace randrank {
 namespace {
 
 /// Family slug of a policy label: the label up to its parameter list —
-/// "selective(r=0.10,k=2)" -> "selective". The histogram-name split the
-/// check_bench.py policy_family() convention also uses.
+/// "selective(r=0.10,k=2)" -> "selective". It names the per-family latency
+/// histograms and the family label of query spans.
 std::string FamilySlug(const std::string& label) {
   return label.substr(0, label.find('('));
 }
@@ -331,8 +331,8 @@ size_t ShardedRankServer::ServeUninstrumented(
   // Hot-path fault site, delay-only (slow-shard simulation) — queries are
   // never failed here, so a chaos run's answers stay correct. Disabled cost
   // is one acquire load (a plain load on x86) + branch; an armed-but-inert
-  // injector adds a single mask test. Both are priced by bench/perf_fault
-  // and gated <= 1% in check_bench.py.
+  // injector adds a single mask test. Both are priced by bench/perf_fault;
+  // the serve/fault:on rule in bench/baseline_smoke.json gates them at 1%.
   {
     static constexpr uint64_t kHash = fault::Hash(fault::kServeQuery);
     fault::Decision decision;

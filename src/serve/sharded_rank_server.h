@@ -116,9 +116,8 @@ struct QueryBatch {
 /// EpochPrefixCache, the pre-merged global view the S shards publish as.
 ///
 /// Amortization layers on the read path: (1) the EpochPrefixCache makes
-/// per-query cost O(m) independent of S, (2) ServeBatch answers B queries
-/// per view pin, and (3) serve/batch_queue.h pipelines many in-flight
-/// queries from arbitrary producer threads into ServeBatch calls.
+/// per-query cost O(m) independent of S, and (2) ServeBatch answers B
+/// queries per view pin.
 class ShardedRankServer {
  public:
   /// A serving thread's private state. Create one per worker via
@@ -240,11 +239,10 @@ class ShardedRankServer {
   /// the returned shared_ptr keeps the policy alive past any swap.
   std::shared_ptr<const StochasticRankingPolicy> policy() const;
 
-  /// The observability endpoints this server was constructed with (null when
-  /// off). The query workload uses these to derive its latency percentiles
-  /// from the server's own per-query histograms.
+  /// The registry this server was constructed with (null when off) and its
+  /// metric-name prefix. The query workload uses these to derive its latency
+  /// percentiles from the server's own per-query histograms.
   obs::MetricsRegistry* metrics() const { return opts_.metrics; }
-  obs::TraceLog* trace() const { return opts_.trace; }
   const std::string& obs_prefix() const { return opts_.obs_prefix; }
 
  private:

@@ -236,7 +236,7 @@ TEST(BaiControllerTest, ValidatesItsInputs) {
 // (heavy uniform randomization promoting undiscovered junk) is demoted by
 // the CVaR guardrail — auto-rollback — even though the scheduler's own
 // elimination rule was disabled. Runs threaded, so TSan covers the
-// controller + experiment + queue composition.
+// controller + experiment composition.
 TEST(BaiControllerTest, CvarGuardrailDemotesTheTailCollapsingArm) {
   CommunityParams community = SmallCommunity();
   std::vector<ArmSpec> arms;

@@ -687,59 +687,5 @@ TEST(ExperimentManagerTest, EliminationReallocationAndSwapComposeAtomically) {
   }
 }
 
-// Async serving mode: the same epoch loop routed through per-arm
-// BatchQueues. Accounting must be exact (every query served and attributed
-// once) and the queues must export their stats under exp/arm:<name>/queue.
-TEST(ExperimentManagerTest, AsyncServingAccountsExactlyAndExportsQueueStats) {
-  CommunityParams community = CommunityParams::Default();
-  community.n = 400;
-  community.u = 150;
-  community.m = 20;
-
-  obs::MetricsRegistry registry;
-  ExperimentOptions opts;
-  opts.queries_per_epoch = 2000;
-  opts.threads = 2;
-  opts.shards = 2;
-  opts.churn = false;
-  opts.seed = 61;
-  opts.metrics = &registry;
-  opts.async_serving = true;
-  opts.async_max_batch = 16;
-
-  const size_t kEpochs = 3;
-  {
-    std::vector<ArmSpec> arms;
-    arms.push_back(
-        {"control", MakePromotionPolicy(RankPromotionConfig::None())});
-    arms.push_back(
-        {"treatment",
-         MakePromotionPolicy(RankPromotionConfig::Selective(0.15, 2))});
-    ExperimentManager exp(community, std::move(arms), opts);
-    for (size_t e = 0; e < kEpochs; ++e) exp.RunEpoch();
-
-    const LiveMetricsSnapshot control = exp.ArmSnapshot(0);
-    const LiveMetricsSnapshot treatment = exp.ArmSnapshot(1);
-    EXPECT_EQ(control.queries + treatment.queries,
-              static_cast<uint64_t>(kEpochs * opts.queries_per_epoch));
-    EXPECT_GT(control.queries, 0u);
-    EXPECT_GT(treatment.queries, 0u);
-  }
-  // The manager's destructor joined the queue consumers, so the counters
-  // are final (the consumer bumps them after resolving each future).
-  const obs::MetricsSnapshot snap = registry.Snapshot();
-  const auto counter = [&](const std::string& name) {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? -1.0 : static_cast<double>(it->second);
-  };
-  EXPECT_EQ(counter("exp/arm:control/queue/queries_total") +
-                counter("exp/arm:treatment/queue/queries_total"),
-            static_cast<double>(kEpochs * opts.queries_per_epoch));
-  EXPECT_GT(counter("exp/arm:control/queue/batches_total"), 0.0);
-  EXPECT_GT(counter("exp/arm:treatment/queue/batches_total"), 0.0);
-  EXPECT_EQ(snap.histograms.count("exp/arm:control/queue/wait_ns"), 1u);
-  EXPECT_EQ(snap.gauges.count("exp/arm:treatment/queue/max_batch"), 1u);
-}
-
 }  // namespace
 }  // namespace randrank

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "core/policy/promotion_policy.h"
 #include "core/ranking_policy.h"
 #include "obs/metrics.h"
-#include "serve/batch_queue.h"
 #include "serve/sharded_rank_server.h"
 
 #include "serve_fixture.h"
@@ -37,7 +35,7 @@ TEST(FaultPlanTest, ParsesRulesAndSeed) {
   ASSERT_TRUE(FaultPlan::Parse(
       "point=publish.shards,action=fail,nth=2,max_fires=1;"
       " point=net.write , action=partial , bytes=3 , prob=0.25 ;"
-      "point=queue.serve,action=delay,delay_us=500,from_epoch=2,to_epoch=4;"
+      "point=serve.query,action=delay,delay_us=500,from_epoch=2,to_epoch=4;"
       "seed=42",
       &plan, &error))
       << error;
@@ -54,7 +52,7 @@ TEST(FaultPlanTest, ParsesRulesAndSeed) {
   EXPECT_EQ(plan.rules[1].bytes, 3u);
   EXPECT_DOUBLE_EQ(plan.rules[1].prob, 0.25);
 
-  EXPECT_EQ(plan.rules[2].point, "queue.serve");
+  EXPECT_EQ(plan.rules[2].point, "serve.query");
   EXPECT_EQ(plan.rules[2].action, Action::kDelay);
   EXPECT_EQ(plan.rules[2].delay_us, 500u);
   EXPECT_EQ(plan.rules[2].from_epoch, 2u);
@@ -64,16 +62,46 @@ TEST(FaultPlanTest, ParsesRulesAndSeed) {
 TEST(FaultPlanTest, RejectsMalformedSpecs) {
   FaultPlan plan;
   std::string error;
-  EXPECT_FALSE(FaultPlan::Parse("point=a,bogus_key=1", &plan, &error));
+  EXPECT_FALSE(
+      FaultPlan::Parse("point=serve.query,bogus_key=1", &plan, &error));
   EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
-  EXPECT_FALSE(FaultPlan::Parse("point=a,nth=abc", &plan, &error));
-  EXPECT_NE(error.find("bad value"), std::string::npos) << error;
-  EXPECT_FALSE(FaultPlan::Parse("point=a,action=explode", &plan, &error));
-  EXPECT_FALSE(FaultPlan::Parse("point=a,prob=1.5", &plan, &error));
+  EXPECT_FALSE(FaultPlan::Parse("point=serve.query,nth=abc", &plan, &error));
+  EXPECT_NE(error.find("bad value for \"nth\""), std::string::npos)
+      << error;
+  EXPECT_FALSE(
+      FaultPlan::Parse("point=serve.query,action=explode", &plan, &error));
+  EXPECT_NE(error.find("bad value for \"action\""), std::string::npos)
+      << error;
+  EXPECT_FALSE(FaultPlan::Parse("point=serve.query,prob=1.5", &plan, &error));
+  EXPECT_NE(error.find("bad value for \"prob\""), std::string::npos)
+      << error;
   EXPECT_FALSE(FaultPlan::Parse("action=fail,nth=1", &plan, &error));
   EXPECT_NE(error.find("without point"), std::string::npos) << error;
-  EXPECT_FALSE(FaultPlan::Parse("point=a,justaword", &plan, &error));
+  EXPECT_FALSE(FaultPlan::Parse("point=serve.query,justaword", &plan, &error));
   EXPECT_NE(error.find("'='"), std::string::npos) << error;
+}
+
+// A misspelt or retired point would arm nothing, so Parse refuses it and
+// names the points that exist.
+TEST(FaultPlanTest, RejectsUnknownPoints) {
+  FaultPlan plan;
+  std::string error;
+  for (const char* spec : {"point=publish.shard,action=fail,every=1",
+                           "point=queue.serve,action=delay",
+                           "point=serve.query;point=p"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_FALSE(FaultPlan::Parse(spec, &plan, &error));
+    EXPECT_NE(error.find("unknown point"), std::string::npos) << error;
+    for (const std::string_view point : fault::kPoints) {
+      EXPECT_NE(error.find(point), std::string::npos) << error;
+    }
+  }
+  EXPECT_TRUE(plan.rules.empty());  // a failed Parse writes nothing
+  for (const std::string_view point : fault::kPoints) {
+    EXPECT_TRUE(FaultPlan::Parse("point=" + std::string(point), &plan,
+                                 &error))
+        << error;
+  }
 }
 
 TEST(FaultPlanTest, EmptyAndBareSeedSpecsAreValid) {
@@ -104,32 +132,34 @@ std::vector<uint64_t> FirePattern(FaultInjector& injector,
 
 TEST(FaultInjectorTest, NthHitFiresExactlyOnce) {
   FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse("point=p,nth=3", &plan));
+  ASSERT_TRUE(FaultPlan::Parse("point=serve.query,nth=3", &plan));
   FaultInjector injector(plan);
-  EXPECT_EQ(FirePattern(injector, "p", 10),
+  EXPECT_EQ(FirePattern(injector, fault::kServeQuery, 10),
             (std::vector<uint64_t>{3}));
-  EXPECT_EQ(injector.fired("p"), 1u);
+  EXPECT_EQ(injector.fired(fault::kServeQuery), 1u);
   EXPECT_EQ(injector.fired_total(), 1u);
 }
 
 TEST(FaultInjectorTest, EveryStrideAndMaxFires) {
   FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse("point=p,every=4,max_fires=2", &plan));
+  ASSERT_TRUE(
+      FaultPlan::Parse("point=serve.query,every=4,max_fires=2", &plan));
   FaultInjector injector(plan);
-  EXPECT_EQ(FirePattern(injector, "p", 20),
+  EXPECT_EQ(FirePattern(injector, fault::kServeQuery, 20),
             (std::vector<uint64_t>{4, 8}));  // third multiple capped away
   EXPECT_EQ(injector.fired_total(), 2u);
 }
 
 TEST(FaultInjectorTest, EpochRangeGatesFiring) {
   FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse("point=p,from_epoch=2,to_epoch=3", &plan));
+  ASSERT_TRUE(
+      FaultPlan::Parse("point=serve.query,from_epoch=2,to_epoch=3", &plan));
   FaultInjector injector(plan);
-  const uint64_t hash = fault::Hash("p");
+  const uint64_t hash = fault::Hash(fault::kServeQuery);
   Decision decision;
   std::vector<uint64_t> fired_epochs;
   for (uint64_t epoch = 0; epoch <= 5; ++epoch) {
-    if (injector.Evaluate(hash, "p", epoch, &decision)) {
+    if (injector.Evaluate(hash, fault::kServeQuery, epoch, &decision)) {
       fired_epochs.push_back(epoch);
     }
   }
@@ -138,11 +168,13 @@ TEST(FaultInjectorTest, EpochRangeGatesFiring) {
 
 TEST(FaultInjectorTest, ProbabilityScheduleReplaysExactlyUnderSameSeed) {
   FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse("point=p,prob=0.3;seed=42", &plan));
+  ASSERT_TRUE(FaultPlan::Parse("point=serve.query,prob=0.3;seed=42", &plan));
   FaultInjector a(plan);
   FaultInjector b(plan);
-  const std::vector<uint64_t> pattern_a = FirePattern(a, "p", 1000);
-  const std::vector<uint64_t> pattern_b = FirePattern(b, "p", 1000);
+  const std::vector<uint64_t> pattern_a =
+      FirePattern(a, fault::kServeQuery, 1000);
+  const std::vector<uint64_t> pattern_b =
+      FirePattern(b, fault::kServeQuery, 1000);
   EXPECT_EQ(pattern_a, pattern_b);
   // The coin is fair-ish: ~300 fires, loose bounds so this can't flake.
   EXPECT_GT(pattern_a.size(), 200u);
@@ -151,50 +183,54 @@ TEST(FaultInjectorTest, ProbabilityScheduleReplaysExactlyUnderSameSeed) {
   FaultPlan other = plan;
   other.seed = 43;
   FaultInjector c(other);
-  EXPECT_NE(FirePattern(c, "p", 1000), pattern_a);
+  EXPECT_NE(FirePattern(c, fault::kServeQuery, 1000), pattern_a);
 }
 
 TEST(FaultInjectorTest, UnarmedPointNeverFires) {
   FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse("point=armed", &plan));
+  ASSERT_TRUE(FaultPlan::Parse("point=publish.merge", &plan));
   FaultInjector injector(plan);
-  EXPECT_TRUE(FirePattern(injector, "unarmed", 100).empty());
+  EXPECT_TRUE(FirePattern(injector, fault::kNetWrite, 100).empty());
   EXPECT_EQ(injector.fired_total(), 0u);
-  EXPECT_EQ(injector.fired("unarmed"), 0u);
+  EXPECT_EQ(injector.fired(fault::kNetWrite), 0u);
 }
 
 TEST(FaultInjectorTest, RegistryCountersAreEagerAndTrackFires) {
   obs::MetricsRegistry registry;
   FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse("point=p,every=2", &plan));
+  ASSERT_TRUE(FaultPlan::Parse("point=serve.query,every=2", &plan));
   FaultInjector injector(plan, &registry);
   // Scrapeable before the first fire.
   obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("fault/fired_total"), 0u);
-  EXPECT_EQ(snap.counters.at("fault/fired/p"), 0u);
+  EXPECT_EQ(snap.counters.at("fault/fired/serve.query"), 0u);
 
-  FirePattern(injector, "p", 10);
+  FirePattern(injector, fault::kServeQuery, 10);
   snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("fault/fired_total"), 5u);
-  EXPECT_EQ(snap.counters.at("fault/fired/p"), 5u);
+  EXPECT_EQ(snap.counters.at("fault/fired/serve.query"), 5u);
 }
 
 TEST(FaultInjectorTest, CheckIsInertWithNoInjectorInstalled) {
   Decision decision;
-  EXPECT_FALSE(fault::Check("p", fault::Hash("p"), 0, &decision));
+  EXPECT_FALSE(fault::Check(fault::kServeQuery, fault::Hash(fault::kServeQuery),
+                            0, &decision));
   // CheckAbortable must be a no-op too, not a crash.
-  fault::CheckAbortable("p", fault::Hash("p"), 0);
+  fault::CheckAbortable(fault::kPublishMerge,
+                        fault::Hash(fault::kPublishMerge), 0);
 }
 
 TEST(FaultInjectorTest, AbortableSitesIgnoreSocketOnlyActions) {
   FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse("point=p,action=reset", &plan));
+  ASSERT_TRUE(FaultPlan::Parse("point=publish.merge,action=reset", &plan));
   FaultInjector injector(plan);
   ScopedFaultInjector scoped(&injector);
   // A reset decision at an abortable phase is meaningless; the site must
   // swallow it rather than abort the publish.
-  fault::CheckAbortable("p", fault::Hash("p"), 0);
-  EXPECT_EQ(injector.fired("p"), 1u);  // the rule fired, the site ignored it
+  fault::CheckAbortable(fault::kPublishMerge,
+                        fault::Hash(fault::kPublishMerge), 0);
+  // The rule fired, the site ignored it.
+  EXPECT_EQ(injector.fired(fault::kPublishMerge), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -369,58 +405,6 @@ TEST(PublishRollbackTest, ReadersServeCorrectlyThroughRepeatedFailures) {
   EXPECT_EQ(server->publish_failures(), 5u);
   EXPECT_EQ(server->epoch(), 1u + (11 - 5));
   EXPECT_FALSE(server->degraded());  // attempt 11 published cleanly
-}
-
-// ---------------------------------------------------------------------------
-// Queue deadlines: slow consumers shed with an explicit timeout
-// ---------------------------------------------------------------------------
-
-TEST(QueueDeadlineTest, ExpiredFutureThrowsExplicitTimeout) {
-  const size_t n = 200;
-  Fixture fx(n, 40);
-  auto server = MakeServer(n, nullptr);
-  ASSERT_TRUE(server->Update(fx.popularity, fx.zero, fx.birth));
-
-  obs::MetricsRegistry registry;
-  BatchQueueOptions qopts;
-  qopts.deadline_us = 20 * 1000;  // 20ms budget...
-  qopts.metrics = &registry;
-  qopts.obs_prefix = "queue";
-
-  FaultPlan plan;  // ...against a 200ms injected consumer stall
-  ASSERT_TRUE(FaultPlan::Parse(
-      "point=queue.serve,action=delay,delay_us=200000,max_fires=1", &plan));
-  FaultInjector injector(plan);
-  ScopedFaultInjector scoped(&injector);
-
-  BatchQueue queue(*server, qopts);
-  std::future<std::vector<uint32_t>> f = queue.Submit(10);
-  EXPECT_THROW(f.get(), DeadlineExceededError);
-  EXPECT_EQ(injector.fired(fault::kQueueServe), 1u);
-
-  // The stall rule is spent (max_fires=1): the queue serves again.
-  EXPECT_EQ(queue.Submit(10).get().size(), 10u);
-  queue.Stop();
-  EXPECT_GE(queue.stats().deadline_expired, 1u);
-  EXPECT_GE(registry.Snapshot().counters.at("queue/deadline_expired"), 1u);
-}
-
-TEST(QueueDeadlineTest, NoDeadlineMeansSlowButServed) {
-  const size_t n = 200;
-  Fixture fx(n, 40);
-  auto server = MakeServer(n, nullptr);
-  ASSERT_TRUE(server->Update(fx.popularity, fx.zero, fx.birth));
-
-  FaultPlan plan;
-  ASSERT_TRUE(FaultPlan::Parse(
-      "point=queue.serve,action=delay,delay_us=50000,max_fires=1", &plan));
-  FaultInjector injector(plan);
-  ScopedFaultInjector scoped(&injector);
-
-  BatchQueue queue(*server);  // deadline_us = 0: never shed
-  EXPECT_EQ(queue.Submit(8).get().size(), 8u);
-  queue.Stop();
-  EXPECT_EQ(queue.stats().deadline_expired, 0u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //
 //   counter net/accepts
 //   gauge serve/epoch
-//   histogram queue/wait_ns
+//   histogram net/request_ns
 //   ...
 //
 // This is the live inventory docs/METRICS.md documents; tools/lint_docs.py
@@ -32,7 +32,6 @@
 #include "net/daemon.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/batch_queue.h"
 #include "serve/feedback.h"
 #include "serve/sharded_rank_server.h"
 #include "util/rng.h"
@@ -85,16 +84,6 @@ int main(int argc, char** argv) {
         community.n, opts);
     ExerciseServer(server, state, rng);
 
-    // Queue layer on the same server.
-    BatchQueueOptions qopts;
-    qopts.metrics = &registry;
-    qopts.trace = &trace;
-    BatchQueue queue(server, qopts);
-    std::vector<std::future<std::vector<uint32_t>>> futures;
-    for (int q = 0; q < 8; ++q) futures.push_back(queue.Submit(10));
-    for (auto& f : futures) f.get();
-    queue.Stop();
-
     // Net layer: daemon + one client round-trip of every request frame.
     net::NetDaemonOptions nopts;
     nopts.metrics = &registry;
@@ -141,10 +130,10 @@ int main(int argc, char** argv) {
                   state.birth_step);  // recovers
   }
 
-  // Experiment layer: two arms, async serving (per-arm BatchQueues →
-  // exp/arm:<name>/queue/*), one adaptive step through the BaiController so
-  // the exp/bai/* decision metrics and per-arm posterior gauges register
-  // alongside the per-arm serve metrics and the /live gauge snapshot.
+  // Experiment layer: two arms and one adaptive step through the
+  // BaiController, so the exp/bai/* decision metrics and per-arm posterior
+  // gauges register alongside the per-arm serve metrics and the /live gauge
+  // snapshot.
   {
     std::vector<ArmSpec> arms;
     arms.push_back({"control", MakePolicyFromLabel("none")});
@@ -152,8 +141,6 @@ int main(int argc, char** argv) {
     ExperimentOptions eopts;
     eopts.shards = 2;
     eopts.queries_per_epoch = 200;
-    eopts.async_serving = true;
-    eopts.async_max_batch = 8;
     eopts.metrics = &registry;
     eopts.trace = &trace;
     const size_t num_arms = arms.size();
@@ -167,7 +154,7 @@ int main(int argc, char** argv) {
         &experiment, bai::MakeTopTwoThompsonScheduler(num_arms, sopts),
         copts);
     controller.Step();
-  }  // BatchQueue consumers join here, flushing their counters
+  }
 
   const obs::MetricsSnapshot snap = registry.Snapshot();
   for (const auto& [name, value] : snap.counters) {

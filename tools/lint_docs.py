@@ -14,7 +14,7 @@ Two mechanical checks, both run by default:
                stale id in the doc fails even after the header forgot it.
 
   --metrics    docs/METRICS.md vs the live registry. Runs the dump_metrics
-               tool (one registry exercising serve + queue + net + exp) and
+               tool (one registry exercising serve + net + fault + exp) and
                diffs its `kind name` inventory against the doc's tables in
                both directions. Doc names may contain <placeholder> segments,
                matched as one path component ([^/]+), so `exp/arm:<arm>/split`
