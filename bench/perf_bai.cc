@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
   ExperimentOptions eopts;
   eopts.shards = 4;
   eopts.threads = 4;
-  eopts.top_m = 10;
   eopts.queries_per_epoch = smoke ? 10000 : 40000;
   eopts.prediscovered_fraction = 0.5;
   eopts.seed = 0xbeefULL;

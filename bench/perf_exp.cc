@@ -160,7 +160,6 @@ int main(int argc, char** argv) {
     ExperimentOptions opts;
     opts.shards = 4;
     opts.threads = 2;
-    opts.top_m = 10;
     opts.queries_per_epoch = kQueriesPerEpoch;
     opts.prediscovered_fraction = 0.9;
     opts.seed = 0xe8a2ULL + arms;

@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   ExperimentOptions opts;
   opts.shards = 4;
   opts.threads = 4;
-  opts.top_m = 10;
   opts.queries_per_epoch = fast ? 15000 : 40000;
   opts.prediscovered_fraction = 0.5;  // a fat undiscovered pool to promote
   opts.seed = 0xba1ULL;

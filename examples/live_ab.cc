@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   ExperimentOptions opts;
   opts.shards = 8;
   opts.threads = 4;
-  opts.top_m = 10;
   opts.queries_per_epoch = fast ? 20000 : 80000;
   opts.prediscovered_fraction = 0.9;  // mature engine; 10% + newborns unknown
   opts.seed = 0xab2026ULL;

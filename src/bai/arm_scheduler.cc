@@ -10,6 +10,9 @@ namespace randrank::bai {
 
 namespace {
 
+/// Floor of ArmStats::variance.
+constexpr double kVarianceFloor = 1e-6;
+
 /// Fixes float drift so TrafficSplit::Valid's sum-to-1 check always passes:
 /// the largest fraction absorbs the residue.
 void NormalizeFractions(std::vector<double>* fractions) {
@@ -30,11 +33,11 @@ void NormalizeFractions(std::vector<double>* fractions) {
 
 }  // namespace
 
-double ArmScheduler::ArmStats::variance(double floor_value) const {
-  if (clicks == 0) return floor_value;
+double ArmScheduler::ArmStats::variance() const {
+  if (clicks == 0) return kVarianceFloor;
   const double n = static_cast<double>(clicks);
   const double m = reward_sum / n;
-  return std::max(floor_value, reward_sq_sum / n - m * m);
+  return std::max(kVarianceFloor, reward_sq_sum / n - m * m);
 }
 
 ArmScheduler::ArmScheduler(size_t arms) : stats_(arms) {
@@ -97,38 +100,26 @@ size_t ArmScheduler::EmpiricalLeader() const {
 
 // --- Top-two Thompson sampling ---
 
-bool TopTwoThompsonOptions::Valid() const {
-  return leader_share > 0.0 && leader_share < 1.0 && mc_samples > 0 &&
-         explore_floor >= 0.0 && explore_floor < 0.5 &&
-         eliminate_below >= 0.0 && eliminate_below < 0.5 &&
-         prior_clicks > 0.0 && variance_floor > 0.0;
-}
-
 TopTwoThompsonScheduler::TopTwoThompsonScheduler(size_t arms,
                                                  TopTwoThompsonOptions options)
-    : ArmScheduler(arms), opts_(options), last_prob_best_(arms, 0.0) {
-  if (!opts_.Valid()) {
-    throw std::invalid_argument("invalid TopTwoThompsonOptions");
-  }
-  rng_ = Rng(opts_.seed);
-}
+    : ArmScheduler(arms), opts_(options), last_prob_best_(arms, 0.0) {}
 
 void TopTwoThompsonScheduler::PosteriorOf(const ArmStats& stats,
                                           double pooled_mean, double* mean,
                                           double* stddev) const {
   // Gaussian posterior of the arm's mean reward with a pseudo-count prior
-  // at the pooled mean: n_eff = clicks + prior_clicks, the mean a
+  // at the pooled mean: n_eff = clicks + kPriorClicks, the mean a
   // precision-weighted blend, and the spread the standard error of the
   // blended mean. Arms with no evidence sit AT the pooled mean with a wide
   // spread, so Thompson draws keep exploring them.
   const double n = static_cast<double>(stats.clicks);
-  const double n_eff = n + opts_.prior_clicks;
-  *mean = (stats.reward_sum + opts_.prior_clicks * pooled_mean) / n_eff;
-  const double variance = stats.variance(opts_.variance_floor);
+  const double n_eff = n + kPriorClicks;
+  *mean = (stats.reward_sum + kPriorClicks * pooled_mean) / n_eff;
+  const double variance = stats.variance();
   *stddev = std::sqrt(variance / n_eff +
                       // Prior spread: one click's worth of variance spread
                       // over the prior mass, vanishing as evidence arrives.
-                      variance * opts_.prior_clicks / (n_eff * n_eff));
+                      variance * kPriorClicks / (n_eff * n_eff));
 }
 
 std::vector<double> TopTwoThompsonScheduler::ProbBest() {
@@ -151,7 +142,7 @@ std::vector<double> TopTwoThompsonScheduler::ProbBest() {
   }
 
   std::vector<double> wins(stats_.size(), 0.0);
-  for (size_t s = 0; s < opts_.mc_samples; ++s) {
+  for (size_t s = 0; s < kMcSamples; ++s) {
     size_t argmax = stats_.size();
     double max_draw = -std::numeric_limits<double>::infinity();
     for (size_t a = 0; a < stats_.size(); ++a) {
@@ -165,7 +156,7 @@ std::vector<double> TopTwoThompsonScheduler::ProbBest() {
     assert(argmax < stats_.size());
     wins[argmax] += 1.0;
   }
-  for (double& w : wins) w /= static_cast<double>(opts_.mc_samples);
+  for (double& w : wins) w /= static_cast<double>(kMcSamples);
   return wins;
 }
 
@@ -191,7 +182,7 @@ SchedulerDecision TopTwoThompsonScheduler::Decide() {
   for (size_t a = 0; a < stats_.size(); ++a) {
     if (!stats_[a].active || a == leader) continue;
     if (stats_[a].clicks >= opts_.min_clicks &&
-        prob_best[a] < opts_.eliminate_below && active_arms() > 1) {
+        prob_best[a] < kEliminateBelow && active_arms() > 1) {
       stats_[a].active = false;
       decision.eliminated.push_back(a);
     }
@@ -206,24 +197,24 @@ SchedulerDecision TopTwoThompsonScheduler::Decide() {
     return decision;
   }
 
-  // Sampling rule: leader_share to the leader, the rest across the
+  // Sampling rule: kLeaderShare to the leader, the rest across the
   // challengers proportional to their posterior probability of being best,
   // floored so no survivor starves of evidence.
   double challenger_mass = 0.0;
   for (size_t a = 0; a < stats_.size(); ++a) {
     if (stats_[a].active && a != leader) challenger_mass += prob_best[a];
   }
-  const double rest = 1.0 - opts_.leader_share;
+  const double rest = 1.0 - kLeaderShare;
   for (size_t a = 0; a < stats_.size(); ++a) {
     if (!stats_[a].active) continue;
     if (a == leader) {
-      decision.fractions[a] = opts_.leader_share;
+      decision.fractions[a] = kLeaderShare;
     } else {
       const double share =
           challenger_mass > 0.0
               ? prob_best[a] / challenger_mass
               : 1.0 / static_cast<double>(active_arms() - 1);
-      decision.fractions[a] = std::max(opts_.explore_floor, rest * share);
+      decision.fractions[a] = std::max(kExploreFloor, rest * share);
     }
   }
   NormalizeFractions(&decision.fractions);
@@ -253,18 +244,9 @@ std::vector<ArmPosterior> TopTwoThompsonScheduler::Posteriors() const {
 
 // --- Successive elimination ---
 
-bool SuccessiveEliminationOptions::Valid() const {
-  return delta > 0.0 && delta < 1.0 && variance_floor > 0.0;
-}
-
 SuccessiveEliminationScheduler::SuccessiveEliminationScheduler(
     size_t arms, SuccessiveEliminationOptions options)
-    : ArmScheduler(arms), opts_(options) {
-  if (!opts_.Valid()) {
-    throw std::invalid_argument("invalid SuccessiveEliminationOptions");
-  }
-  rng_ = Rng(opts_.seed);
-}
+    : ArmScheduler(arms), opts_(options) {}
 
 double SuccessiveEliminationScheduler::Radius(const ArmStats& stats) const {
   if (stats.clicks == 0) return std::numeric_limits<double>::infinity();
@@ -272,8 +254,8 @@ double SuccessiveEliminationScheduler::Radius(const ArmStats& stats) const {
   const double t = static_cast<double>(std::max<uint64_t>(1, decisions_));
   const double log_term = std::log(
       std::max(2.718281828459045,
-               static_cast<double>(stats_.size()) * t * t / opts_.delta));
-  return std::sqrt(2.0 * stats.variance(opts_.variance_floor) * log_term / n);
+               static_cast<double>(stats_.size()) * t * t / kDelta));
+  return std::sqrt(2.0 * stats.variance() * log_term / n);
 }
 
 SchedulerDecision SuccessiveEliminationScheduler::Decide() {
@@ -305,7 +287,7 @@ SchedulerDecision SuccessiveEliminationScheduler::Decide() {
   decision.best = leader;
   decision.stop = active_arms() == 1;
   if (decision.stop) {
-    decision.confidence = 1.0 - opts_.delta;
+    decision.confidence = 1.0 - kDelta;
     decision.fractions[leader] = 1.0;
     return decision;
   }

@@ -70,10 +70,10 @@ struct SchedulerDecision {
 /// later decision and its evidence no longer influences the rule. External
 /// demotions (the controller's CVaR guardrail) enter through Eliminate().
 ///
-/// Determinism: all randomness (Thompson draws, Monte-Carlo tie-breaks)
-/// comes from an internal Rng seeded at construction — the same observation
-/// stream yields the same decisions, which is what makes the adaptive
-/// example and tests reproducible.
+/// Determinism: all randomness (Thompson draws) comes from an internal Rng
+/// with a fixed seed — the same observation stream yields the same
+/// decisions, which is what makes the adaptive example and tests
+/// reproducible.
 ///
 /// Thread model: driver-thread only, like ExperimentManager.
 class ArmScheduler {
@@ -116,9 +116,9 @@ class ArmScheduler {
     double mean() const {
       return clicks > 0 ? reward_sum / static_cast<double>(clicks) : 0.0;
     }
-    /// Empirical reward variance, floored to keep radii/posteriors sane on
-    /// degenerate (constant-reward) arms.
-    double variance(double floor_value) const;
+    /// Empirical reward variance, floored at 1e-6 to keep radii/posteriors
+    /// sane on degenerate (constant-reward) arms.
+    double variance() const;
   };
 
   /// Even fractions over the active arms; the shared fallback allocator.
@@ -127,43 +127,39 @@ class ArmScheduler {
   size_t EmpiricalLeader() const;
 
   std::vector<ArmStats> stats_;
-  Rng rng_{0xba1decafULL};
   uint64_t decisions_ = 0;
 };
 
 /// Top-two Thompson sampling over a Gaussian reward posterior per arm.
 ///
-/// Sampling rule: Monte-Carlo draws from every active arm's posterior
-/// estimate p_a = P(arm a has the highest mean reward); the leader (largest
-/// p_a) gets `leader_share` of traffic and the challengers split the rest
-/// proportionally to p_a (the "top-two" reallocation that keeps enough
+/// Sampling rule: kMcSamples Monte-Carlo draws from every active arm's
+/// posterior estimate p_a = P(arm a has the highest mean reward); the leader
+/// (largest p_a) gets kLeaderShare of traffic and the challengers split the
+/// rest proportionally to p_a (the "top-two" reallocation that keeps enough
 /// traffic on the runner-up to separate it from the leader), floored at
-/// `explore_floor` so no active arm starves.
+/// kExploreFloor so no active arm starves.
 ///
 /// Elimination rule: an active arm with at least `min_clicks` samples whose
-/// p_a falls below `eliminate_below` is an epigon — dominated with high
+/// p_a falls below kEliminateBelow is an epigon — dominated with high
 /// posterior probability — and is retired permanently.
 ///
 /// Stopping rule: one active arm left. Confidence reported is the leader's
 /// p_a (1.0 once stopped).
 struct TopTwoThompsonOptions {
-  double leader_share = 0.5;
-  size_t mc_samples = 1024;
-  /// Minimum fraction for any surviving challenger (renormalized).
-  double explore_floor = 0.02;
-  double eliminate_below = 0.01;
   uint64_t min_clicks = 200;
-  /// Pseudo-count shrinking every posterior toward the pooled mean —
-  /// un-sampled arms stay wide instead of degenerate.
-  double prior_clicks = 8.0;
-  double variance_floor = 1e-6;
-  uint64_t seed = 0xba1a11ceULL;
-
-  bool Valid() const;
 };
 
 class TopTwoThompsonScheduler final : public ArmScheduler {
  public:
+  static constexpr double kLeaderShare = 0.5;
+  static constexpr size_t kMcSamples = 1024;
+  /// Minimum fraction for any surviving challenger (renormalized).
+  static constexpr double kExploreFloor = 0.02;
+  static constexpr double kEliminateBelow = 0.01;
+  /// Pseudo-count shrinking every posterior toward the pooled mean —
+  /// un-sampled arms stay wide instead of degenerate.
+  static constexpr double kPriorClicks = 8.0;
+
   TopTwoThompsonScheduler(size_t arms, TopTwoThompsonOptions options = {});
 
   std::string Name() const override { return "tt-thompson"; }
@@ -178,6 +174,7 @@ class TopTwoThompsonScheduler final : public ArmScheduler {
   std::vector<double> ProbBest();
 
   TopTwoThompsonOptions opts_;
+  Rng rng_{0xba1a11ceULL};
   /// p_a from the last Decide, kept for Posteriors().
   std::vector<double> last_prob_best_;
 };
@@ -185,22 +182,19 @@ class TopTwoThompsonScheduler final : public ArmScheduler {
 /// Successive elimination: serve every active arm evenly; once two arms both
 /// carry `min_clicks` samples, retire any arm whose upper confidence bound
 /// falls below the best lower confidence bound. The confidence radius is
-/// the empirical-Bernstein-style sqrt(2 V log(K t^2 / delta) / n): with
-/// probability >= 1 - delta no arm is ever eliminated while actually best.
+/// the empirical-Bernstein-style sqrt(2 V log(K t^2 / kDelta) / n): with
+/// probability >= 1 - kDelta no arm is ever eliminated while actually best.
 ///
-/// Stopping rule: one active arm left; confidence reported is 1 - delta
+/// Stopping rule: one active arm left; confidence reported is 1 - kDelta
 /// once stopped, else the margin-normalized gap between the top two bounds.
 struct SuccessiveEliminationOptions {
-  double delta = 0.05;
   uint64_t min_clicks = 100;
-  double variance_floor = 1e-6;
-  uint64_t seed = 0x5e1ec7ULL;
-
-  bool Valid() const;
 };
 
 class SuccessiveEliminationScheduler final : public ArmScheduler {
  public:
+  static constexpr double kDelta = 0.05;
+
   SuccessiveEliminationScheduler(size_t arms,
                                  SuccessiveEliminationOptions options = {});
 

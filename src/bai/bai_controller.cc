@@ -26,8 +26,8 @@ double NowUs() {
 }  // namespace
 
 bool BaiControllerOptions::Valid() const {
-  return cvar_alpha > 0.0 && cvar_alpha <= 1.0 && guardrail_floor >= 0.0 &&
-         guardrail_floor < 1.0 && guardrail_epochs > 0;
+  return guardrail_floor >= 0.0 && guardrail_floor < 1.0 &&
+         guardrail_epochs > 0;
 }
 
 BaiController::BaiController(ExperimentManager* experiment,
@@ -67,7 +67,7 @@ void BaiController::ApplyGuardrail(
   double best_cvar = -1.0;
   for (size_t a = 0; a < observations.size(); ++a) {
     if (!scheduler_->active(a)) continue;
-    if (observations[a].clicks < opts_.guardrail_min_clicks) continue;
+    if (observations[a].clicks < kGuardrailMinClicks) continue;
     best_cvar = std::max(best_cvar, observations[a].cvar);
   }
   if (best_cvar <= 0.0) return;  // nothing comparable this epoch
@@ -77,8 +77,7 @@ void BaiController::ApplyGuardrail(
       breach_streak_[a] = 0;
       continue;
     }
-    const bool comparable =
-        observations[a].clicks >= opts_.guardrail_min_clicks;
+    const bool comparable = observations[a].clicks >= kGuardrailMinClicks;
     if (comparable && observations[a].cvar < floor_value) {
       ++breach_streak_[a];
     } else {
@@ -120,7 +119,7 @@ const SchedulerDecision& BaiController::Step() {
   // 2. Per-arm epoch rewards from LiveMetrics.
   std::vector<ArmObservation> observations(exp_->arms());
   for (size_t a = 0; a < exp_->arms(); ++a) {
-    const EpochReward reward = exp_->ArmEpochReward(a, opts_.cvar_alpha);
+    const EpochReward reward = exp_->ArmEpochReward(a);
     observations[a].queries = reward.queries;
     observations[a].clicks = reward.clicks;
     observations[a].reward_sum = reward.quality_sum;

@@ -12,20 +12,17 @@
 namespace randrank::bai {
 
 struct BaiControllerOptions {
-  /// Worst-tail share for the per-arm CVaR guardrail statistic (passed to
-  /// LiveMetrics::EpochRewardSummary).
-  double cvar_alpha = 0.25;
-  /// Risk guardrail (auto-rollback): an arm whose epoch CVaR quality stays
-  /// below `guardrail_floor` x the best active arm's CVaR for
-  /// `guardrail_epochs` consecutive epochs (each with at least
-  /// `guardrail_min_clicks` clicks on both arms) is demoted immediately —
-  /// eliminated without waiting for the scheduler's statistical rule. This
-  /// is the "a randomized arm is hurting its worst-served queries" brake:
-  /// mean reward can look competitive while the quality tail collapses.
+  /// Risk guardrail (auto-rollback): an arm whose epoch CVaR quality (the
+  /// worst LiveMetrics::kCvarAlpha of its clicks) stays below
+  /// `guardrail_floor` x the best active arm's CVaR for `guardrail_epochs`
+  /// consecutive epochs (each with at least kGuardrailMinClicks clicks on
+  /// both arms) is demoted immediately — eliminated without waiting for the
+  /// scheduler's statistical rule. This is the "a randomized arm is hurting
+  /// its worst-served queries" brake: mean reward can look competitive while
+  /// the quality tail collapses.
   bool guardrail = true;
   double guardrail_floor = 0.5;
   size_t guardrail_epochs = 2;
-  uint64_t guardrail_min_clicks = 50;
   /// Observability (optional, borrowed). With `metrics` set the controller
   /// maintains the `exp/bai/*` counters/gauges (epochs, eliminations,
   /// guardrail demotions, reallocations, best arm, confidence, active arms,
@@ -69,6 +66,9 @@ struct EliminationEvent {
 /// the same number of arms.
 class BaiController {
  public:
+  /// Clicks an arm's epoch needs before its CVaR counts for the guardrail.
+  static constexpr uint64_t kGuardrailMinClicks = 50;
+
   BaiController(ExperimentManager* experiment,
                 std::unique_ptr<ArmScheduler> scheduler,
                 BaiControllerOptions options = {});

@@ -46,7 +46,6 @@ ExperimentManager::ExperimentManager(const CommunityParams& community,
   }
   assert(community_.Valid());
   opts_.threads = std::max<size_t>(1, opts_.threads);
-  opts_.top_m = std::max<size_t>(1, opts_.top_m);
 
   // One seed tree: quality assignment (shared by every arm), churn stream,
   // click/traffic streams, per-arm fold + serving seeds.
@@ -120,9 +119,8 @@ LiveMetricsSnapshot ExperimentManager::ArmSnapshot(size_t arm) const {
   return arm_states_.at(arm).metrics.Snapshot();
 }
 
-EpochReward ExperimentManager::ArmEpochReward(size_t arm,
-                                              double cvar_alpha) const {
-  return arm_states_.at(arm).metrics.EpochRewardSummary(cvar_alpha);
+EpochReward ExperimentManager::ArmEpochReward(size_t arm) const {
+  return arm_states_.at(arm).metrics.EpochRewardSummary();
 }
 
 std::vector<double> ExperimentManager::ArmTtfcSamples(
@@ -154,7 +152,7 @@ void ExperimentManager::SetSplit(TrafficSplit split) {
 void ExperimentManager::ServeEpochTraffic() {
   const size_t threads = opts_.threads;
   const size_t total = opts_.queries_per_epoch;
-  const VisitLaw click_law(opts_.top_m, 1.0, opts_.rank_bias_exponent);
+  const VisitLaw click_law(kTopM, 1.0, community_.rank_bias_exponent);
 
   auto worker = [&](size_t t) {
     // Deterministic contiguous partition of the epoch's query indices, so
@@ -167,7 +165,7 @@ void ExperimentManager::ServeEpochTraffic() {
     std::vector<LiveMetrics::Shard>& shards = worker_shards_[t];
 
     std::vector<uint32_t> results;
-    results.reserve(opts_.top_m);
+    results.reserve(kTopM);
     for (size_t q = begin; q < end; ++q) {
       // Unit of diversion: the querying user. Hash bucketing keeps each
       // user's arm fixed for the whole experiment (and across ramps, for
@@ -175,7 +173,7 @@ void ExperimentManager::ServeEpochTraffic() {
       const uint64_t user = traffic_rng.NextIndex(community_.u);
       const size_t a = bucketer_.ArmForId(user);
       ShardedRankServer& server = *arm_states_[a].server;
-      server.ServeTopM(contexts[a], opts_.top_m, &results);
+      server.ServeTopM(contexts[a], kTopM, &results);
       // Resolve the served list into the arm's metric shard and its
       // (rank-biased) click feedback.
       shards[a].RecordResult(results.data(), results.size());
@@ -248,14 +246,12 @@ void ExperimentManager::RunEpoch() {
     FoldVisits(arm.server->DrainVisits(), &arm.state, arm.fold_rng);
   }
 
-  if (opts_.churn) {
-    // One churn realization, applied to every arm (common random numbers).
-    // Reborn pages enter the ranking state at the next epoch's publish.
-    const std::vector<uint32_t> dead = lifecycle_.DrawDeaths(churn_rng_);
-    for (ArmState& arm : arm_states_) {
-      PageLifecycle::ApplyDeaths(dead, serving, &arm.state);
-      arm.metrics.RecordBirths(dead, serving);
-    }
+  // One churn realization, applied to every arm (common random numbers).
+  // Reborn pages enter the ranking state at the next epoch's publish.
+  const std::vector<uint32_t> dead = lifecycle_.DrawDeaths(churn_rng_);
+  for (ArmState& arm : arm_states_) {
+    PageLifecycle::ApplyDeaths(dead, serving, &arm.state);
+    arm.metrics.RecordBirths(dead, serving);
   }
 
   if (opts_.metrics != nullptr) {

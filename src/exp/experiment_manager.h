@@ -33,17 +33,10 @@ struct ExperimentOptions {
   TrafficSplit split;
   /// Serving shards per arm's ShardedRankServer.
   size_t shards = 4;
-  /// Results per query (the served "page one").
-  size_t top_m = 10;
   /// Queries routed across the arms per epoch.
   size_t queries_per_epoch = 10000;
   /// Serving worker threads per epoch (each owns one context per arm).
   size_t threads = 1;
-  /// Rank->visit bias exponent of the click model (paper Eq. 4).
-  double rank_bias_exponent = 1.5;
-  /// Run the shared page-lifecycle churn each epoch (one epoch per day of
-  /// the community's retirement rate).
-  bool churn = true;
   /// Fraction of pages fully discovered (everyone aware, popularity ==
   /// quality) at t=0 — a mature engine's warm start, identical across arms.
   /// Leaves the experiment's undiscovered mass to the remaining fraction
@@ -69,9 +62,11 @@ struct ExperimentOptions {
 /// StochasticRankingPolicy through its own ShardedRankServer. Every epoch
 /// the manager
 ///
-///   1. serves `queries_per_epoch` rank-biased queries, routing each user's
+///   1. serves `queries_per_epoch` top-kTopM queries, routing each user's
 ///      traffic to their bucketed arm (worker threads, deterministic
-///      query->worker partition, so runs are reproducible);
+///      query->worker partition, so runs are reproducible), each clicking
+///      one result at a rank drawn from the community's rank->visit law
+///      (paper Eq. 4, CommunityParams::rank_bias_exponent);
 ///   2. absorbs per-worker metric shards into each arm's LiveMetrics
 ///      (click-QPC, tail share, distinct pages, impression Gini/entropy,
 ///      newborn time-to-first-click);
@@ -81,7 +76,9 @@ struct ExperimentOptions {
 ///      comparison needs);
 ///   4. applies ONE shared churn draw to every arm (common random numbers:
 ///      the same pages are born everywhere at the same epoch, so
-///      discovery-speed comparisons measure the policies, not churn luck);
+///      discovery-speed comparisons measure the policies, not churn luck) —
+///      one epoch per day of the community's retirement rate, so a
+///      community with infinite `lifetime_days` has no churn;
 ///   5. stamps the epoch's churn births and ends the epoch; the NEXT
 ///      RunEpoch opens by publishing every arm's new epoch — applying any
 ///      pending SwapPolicy atomically with that publish, and any pending
@@ -98,6 +95,9 @@ struct ExperimentOptions {
 /// directly by tests/exp_test.cc under TSan.
 class ExperimentManager {
  public:
+  /// Results per query (the served "page one").
+  static constexpr size_t kTopM = 10;
+
   ExperimentManager(const CommunityParams& community, std::vector<ArmSpec> arms,
                     ExperimentOptions options = {});
 
@@ -127,7 +127,7 @@ class ExperimentManager {
   /// The reward summary of `arm`'s most recently run epoch (see
   /// LiveMetrics::EpochRewardSummary) — the observation the adaptive
   /// best-arm layer (src/bai/) feeds its scheduler after each RunEpoch.
-  EpochReward ArmEpochReward(size_t arm, double cvar_alpha = 0.25) const;
+  EpochReward ArmEpochReward(size_t arm) const;
   /// Per-newborn time-to-first-click samples (censored at `censor_epochs`),
   /// the input to the arm-vs-arm MannWhitneyZ discovery test.
   std::vector<double> ArmTtfcSamples(size_t arm, double censor_epochs) const;

@@ -87,8 +87,7 @@ LiveMetricsSnapshot LiveMetrics::Snapshot() const {
   return snap;
 }
 
-EpochReward LiveMetrics::EpochRewardSummary(double cvar_alpha) const {
-  assert(cvar_alpha > 0.0 && cvar_alpha <= 1.0);
+EpochReward LiveMetrics::EpochRewardSummary() const {
   EpochReward reward;
   reward.queries = epoch_queries_;
   reward.clicks = epoch_clicks_;
@@ -104,7 +103,7 @@ EpochReward LiveMetrics::EpochRewardSummary(double cvar_alpha) const {
   // qualities rather than sorting the whole epoch.
   const size_t tail = std::max<size_t>(
       1, static_cast<size_t>(
-             std::ceil(cvar_alpha *
+             std::ceil(kCvarAlpha *
                        static_cast<double>(epoch_click_qualities_.size()))));
   std::vector<double> worst = epoch_click_qualities_;
   std::nth_element(worst.begin(), worst.begin() + (tail - 1), worst.end());

@@ -66,9 +66,9 @@ struct EpochReward {
   /// Mean clicked quality — the epoch's click-QPC; 0 with no clicks.
   double mean = 0.0;
   /// Conditional value-at-risk of clicked quality: the mean of the worst
-  /// ceil(alpha * clicks) clicked qualities this epoch (0 with no clicks).
-  /// The guardrail statistic — a policy can look fine on mean QPC while
-  /// serving a brutal worst tail; CVaR catches that.
+  /// ceil(LiveMetrics::kCvarAlpha * clicks) clicked qualities this epoch
+  /// (0 with no clicks). The guardrail statistic — a policy can look fine
+  /// on mean QPC while serving a brutal worst tail; CVaR catches that.
   double cvar = 0.0;
 };
 
@@ -127,10 +127,12 @@ class LiveMetrics {
 
   LiveMetricsSnapshot Snapshot() const;
 
+  /// Worst-tail share of an epoch's clicks that EpochReward::cvar averages.
+  static constexpr double kCvarAlpha = 0.25;
+
   /// Reward summary of the CURRENT epoch's absorbed traffic (call after the
-  /// epoch's shards were absorbed, before the next BeginEpoch). `cvar_alpha`
-  /// in (0, 1] selects the worst-tail share for EpochReward::cvar.
-  EpochReward EpochRewardSummary(double cvar_alpha) const;
+  /// epoch's shards were absorbed, before the next BeginEpoch).
+  EpochReward EpochRewardSummary() const;
 
   /// Publishes the current Snapshot() into `registry` as gauges named
   /// `<prefix>/<field>` (click_qpc, tail_share, impression_gini, ...), so an

@@ -172,9 +172,6 @@ extern std::atomic<FaultInjector*> g_injector;
 /// injector is borrowed and must outlive its installation. Returns the
 /// previously installed injector.
 FaultInjector* InstallFaultInjector(FaultInjector* injector);
-inline FaultInjector* ActiveFaultInjector() {
-  return internal::g_injector.load(std::memory_order_acquire);
-}
 
 /// The site primitive: near-zero when no injector is installed. `point`
 /// must be a string literal (its hash folds at compile time).

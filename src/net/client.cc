@@ -18,6 +18,18 @@ namespace randrank::net {
 
 namespace {
 
+constexpr int kRetryMs = 100;
+constexpr int kConnectTimeoutMs = 5000;
+constexpr int kReadTimeoutMs = 10000;
+
+/// QueryWithRetry's fixed schedule: attempts, first backoff, growth per
+/// attempt, backoff cap, and the fraction of each backoff randomized away.
+constexpr int kRetryAttempts = 3;
+constexpr double kInitialBackoffMs = 10.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffMs = 1000.0;
+constexpr double kBackoffJitter = 0.5;
+
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -59,37 +71,27 @@ void NetClient::Close() {
   rbuf_.clear();
 }
 
-bool NetClient::Connect(const std::string& host, uint16_t port, int retries,
-                        int retry_ms, int timeout_ms, int connect_timeout_ms) {
+bool NetClient::Connect(const std::string& host, uint16_t port, int retries) {
   Close();
   host_ = host;
   port_ = port;
-  timeout_ms_ = timeout_ms;
-  connect_timeout_ms_ = connect_timeout_ms;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
   for (int attempt = 0; attempt <= retries; ++attempt) {
     if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(retry_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kRetryMs));
     }
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd_ < 0) continue;
-    const bool connected =
-        connect_timeout_ms > 0
-            ? ConnectWithTimeout(fd_, addr, connect_timeout_ms)
-            : ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)) == 0;
-    if (connected) {
+    if (ConnectWithTimeout(fd_, addr, kConnectTimeoutMs)) {
       const int one = 1;
       ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      if (timeout_ms > 0) {
-        timeval tv{};
-        tv.tv_sec = timeout_ms / 1000;
-        tv.tv_usec = (timeout_ms % 1000) * 1000;
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      }
+      timeval tv{};
+      tv.tv_sec = kReadTimeoutMs / 1000;
+      tv.tv_usec = (kReadTimeoutMs % 1000) * 1000;
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
       return true;
     }
     ::close(fd_);
@@ -100,8 +102,7 @@ bool NetClient::Connect(const std::string& host, uint16_t port, int retries,
 
 bool NetClient::Reconnect() {
   if (host_.empty()) return false;
-  return Connect(host_, port_, /*retries=*/0, /*retry_ms=*/0, timeout_ms_,
-                 connect_timeout_ms_);
+  return Connect(host_, port_);
 }
 
 bool NetClient::WriteAll(const uint8_t* data, size_t size) {
@@ -203,27 +204,20 @@ NetClient::Status NetClient::Query(uint32_t m, uint64_t user_id,
 }
 
 NetClient::Status NetClient::QueryWithRetry(uint32_t m, uint64_t user_id,
-                                            QueryResult* out,
-                                            const RetryPolicy& policy) {
+                                            QueryResult* out) {
   Status status = Status::kIoError;
-  double backoff_ms = static_cast<double>(policy.initial_backoff_ms);
-  const int attempts = std::max(1, policy.max_attempts);
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
+  double backoff_ms = kInitialBackoffMs;
+  for (int attempt = 1; attempt <= kRetryAttempts; ++attempt) {
     if (attempt > 1) {
       // Exponential backoff with deterministic jitter: the coin comes from
-      // (policy seed, draw index), so a fixed seed replays the exact sleep
-      // schedule while distinct seeds spread thundering herds.
-      const uint64_t bits =
-          SplitMix64(policy.seed ^ SplitMix64(retry_seq_++ + 1));
+      // the draw index, so the exact sleep schedule replays.
+      const uint64_t bits = SplitMix64(SplitMix64(retry_seq_++ + 1));
       const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-      const double capped =
-          std::min(backoff_ms, static_cast<double>(policy.max_backoff_ms));
-      const double sleep_ms = capped * (1.0 - policy.jitter * u);
-      if (sleep_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(sleep_ms));
-      }
-      backoff_ms *= policy.multiplier;
+      const double sleep_ms =
+          std::min(backoff_ms, kMaxBackoffMs) * (1.0 - kBackoffJitter * u);
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(sleep_ms));
+      backoff_ms *= kBackoffMultiplier;
     }
     if (fd_ < 0 && !Reconnect()) {
       status = Status::kIoError;

@@ -9,21 +9,6 @@
 
 namespace randrank::net {
 
-/// Bounded retry with exponential backoff + deterministic jitter, for
-/// NetClient::QueryWithRetry. Sleep before attempt k (k >= 2) is
-/// min(initial_backoff_ms * multiplier^(k-2), max_backoff_ms) scaled by
-/// (1 - jitter * u), where u in [0, 1) is a splitmix64 coin drawn from
-/// `seed` and the client's retry sequence — two clients with different
-/// seeds desynchronize, the same seed replays exactly.
-struct RetryPolicy {
-  int max_attempts = 3;
-  uint64_t initial_backoff_ms = 10;
-  double multiplier = 2.0;
-  uint64_t max_backoff_ms = 1000;
-  double jitter = 0.5;  // fraction of the backoff randomized away
-  uint64_t seed = 0;
-};
-
 /// Blocking client for the randrank daemon protocol: framing, pipelining,
 /// and reply matching over one TCP connection. Used by the closed-loop
 /// driver (tools/net_client), the socket-path benches (bench/perf_net), and
@@ -51,15 +36,12 @@ class NetClient {
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
 
-  /// Connects, retrying `retries` times `retry_ms` apart (daemon startup
-  /// races in scripts). `timeout_ms` bounds every subsequent blocking read,
-  /// `connect_timeout_ms` bounds each connect attempt (a black-holed or
-  /// stalled peer fails the attempt instead of hanging); 0 disables either
-  /// bound. The endpoint is remembered, so QueryWithRetry can reconnect
-  /// after a reset. Returns false when every attempt failed.
-  bool Connect(const std::string& host, uint16_t port, int retries = 0,
-               int retry_ms = 100, int timeout_ms = 10000,
-               int connect_timeout_ms = 5000);
+  /// Connects, retrying `retries` times 100 ms apart (daemon startup races
+  /// in scripts). Each connect attempt is bounded at 5 s (a black-holed or
+  /// stalled peer fails the attempt instead of hanging) and every later
+  /// blocking read at 10 s. The endpoint is remembered, so QueryWithRetry
+  /// can reconnect after a reset. Returns false when every attempt failed.
+  bool Connect(const std::string& host, uint16_t port, int retries = 0);
   bool connected() const { return fd_ >= 0; }
   void Close();
 
@@ -69,11 +51,13 @@ class NetClient {
   /// Query with bounded retry on transient failures — OVERLOADED, DRAINING,
   /// and DEADLINE_EXCEEDED replies back off and retry on the same
   /// connection; an IO error (reset, desync, timeout) closes and reconnects
-  /// to the remembered endpoint first. Returns the final attempt's status:
-  /// kOk, a non-retryable kError, or the transient status that exhausted
-  /// max_attempts.
-  Status QueryWithRetry(uint32_t m, uint64_t user_id, QueryResult* out,
-                        const RetryPolicy& policy = RetryPolicy());
+  /// to the remembered endpoint first. At most 3 attempts; the sleep before
+  /// attempt k (k >= 2) is min(10 ms * 2^(k-2), 1 s) scaled by (1 - 0.5 u),
+  /// where u in [0, 1) is a splitmix64 coin drawn from the client's retry
+  /// sequence, so the schedule replays exactly. Returns the final attempt's
+  /// status: kOk, a non-retryable kError, or the transient status that
+  /// exhausted the attempts.
+  Status QueryWithRetry(uint32_t m, uint64_t user_id, QueryResult* out);
 
   /// Pipelining halves: send without waiting, then collect replies in
   /// order. `request_id` (returned by SendQuery) matches `ReadReply`'s.
@@ -101,11 +85,9 @@ class NetClient {
   bool Reconnect();
 
   int fd_ = -1;
-  /// Remembered endpoint + bounds for Reconnect().
+  /// Remembered endpoint for Reconnect().
   std::string host_;
   uint16_t port_ = 0;
-  int timeout_ms_ = 0;
-  int connect_timeout_ms_ = 0;
   /// Monotone draw index for the deterministic retry jitter stream.
   uint64_t retry_seq_ = 0;
   uint64_t next_request_id_ = 1;

@@ -23,6 +23,11 @@ namespace randrank::net {
 
 namespace {
 constexpr size_t kReadChunk = 64 * 1024;
+constexpr int kListenBacklog = 128;
+/// Per-connection write backpressure: reading from a connection pauses at
+/// this many unsent reply bytes and resumes below the low watermark.
+constexpr size_t kWriteHighWatermark = 1 << 20;
+constexpr size_t kWriteLowWatermark = 1 << 18;
 }  // namespace
 
 /// Per-connection state, touched only by the event-loop thread.
@@ -50,9 +55,6 @@ struct NetDaemon::Connection {
 NetDaemon::NetDaemon(ShardedRankServer& server, NetDaemonOptions options)
     : server_(server), opts_(std::move(options)) {
   if (opts_.max_inflight == 0) opts_.max_inflight = 1;
-  if (opts_.write_low_watermark > opts_.write_high_watermark) {
-    opts_.write_low_watermark = opts_.write_high_watermark;
-  }
   if (opts_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *opts_.metrics;
     const std::string p = "net/";
@@ -96,7 +98,7 @@ void NetDaemon::Start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(listen_fd_, opts_.listen_backlog) < 0) {
+      ::listen(listen_fd_, kListenBacklog) < 0) {
     const std::string why = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -551,8 +553,8 @@ void NetDaemon::UpdateEpollInterest(const std::shared_ptr<Connection>& conn) {
   if (!conn->close_when_flushed) {
     // Write backpressure: a reader slower than its replies stops being read
     // (its queries back up into its kernel socket buffer and TCP window).
-    if (!paused && unsent >= opts_.write_high_watermark) paused = true;
-    if (paused && unsent < opts_.write_low_watermark) paused = false;
+    if (!paused && unsent >= kWriteHighWatermark) paused = true;
+    if (paused && unsent < kWriteLowWatermark) paused = false;
   }
   if (want_write == conn->want_write && paused == conn->paused_read) return;
   conn->want_write = want_write;

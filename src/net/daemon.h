@@ -23,9 +23,9 @@ struct NetDaemonOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port, readable via port() after Start().
   uint16_t port = 0;
-  int listen_backlog = 128;
   /// Connections beyond this are accepted and immediately closed (the
-  /// kernel's backlog already smooths bursts; this caps steady-state fds).
+  /// kernel's listen backlog of 128 already smooths bursts; this caps
+  /// steady-state fds).
   size_t max_connections = 1024;
   /// Admission control: QUERY frames served from one read pass of one
   /// connection. The event loop serves queries itself, so this bounds how
@@ -35,13 +35,6 @@ struct NetDaemonOptions {
   size_t max_inflight = 4096;
   /// Per-query result-count cap; QUERYs asking for more get BAD_FRAME.
   uint32_t max_query_m = 1024;
-  /// Per-connection write backpressure: while a connection's unsent reply
-  /// bytes exceed the high watermark the daemon stops reading from it (its
-  /// requests sit in the kernel socket buffer, eventually zeroing the
-  /// client's TCP window), resuming below the low watermark. A slow reader
-  /// throttles itself, never the event loop or other connections.
-  size_t write_high_watermark = 1 << 20;
-  size_t write_low_watermark = 1 << 18;
   /// Graceful-drain deadline: Drain() force-closes whatever is left (slow
   /// readers that never drained their replies) after this many ms. 0 waits
   /// forever.
@@ -104,7 +97,11 @@ struct NetDaemonStats {
 /// get an immediate ERROR/OVERLOADED reply, and with deadline_us set a
 /// query whose turn came too late gets ERROR/DEADLINE_EXCEEDED, so clients
 /// get an explicit retry signal instead of a hang. Per-connection write
-/// backpressure pauses reading from clients too slow to take their replies.
+/// backpressure pauses reading from clients too slow to take their replies:
+/// while a connection has 1 MiB or more of unsent reply bytes the daemon
+/// stops reading from it (its requests sit in the kernel socket buffer,
+/// eventually zeroing the client's TCP window), resuming below 256 KiB. A
+/// slow reader throttles itself, never the event loop or other connections.
 ///
 /// Shutdown: Drain() (also the SIGTERM path in tools/randrankd) stops
 /// accepting; frames read before the loop saw the drain are answered and

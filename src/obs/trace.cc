@@ -25,7 +25,7 @@ void TraceLog::EmitSpan(const std::string& name, double dur_us,
   os << '}';
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (lines_.size() >= opts_.capacity) {
+  if (lines_.size() >= kCapacity) {
     ++dropped_;
     return;
   }

@@ -12,9 +12,6 @@
 namespace randrank::obs {
 
 struct TraceOptions {
-  /// Spans buffered before new ones are dropped (and counted in dropped());
-  /// Drain() or WriteTo() empties the buffer.
-  size_t capacity = 1 << 16;
   /// Per-query span sampling: a serving context emits a span for one query
   /// in every `sample_every` it serves (deterministic per-context stride, no
   /// randomness on the hot path). 0 disables query spans entirely.
@@ -45,6 +42,10 @@ class TraceLog {
  public:
   using Field = std::pair<const char*, double>;
   using Label = std::pair<const char*, std::string>;
+
+  /// Spans buffered before new ones are dropped (and counted in dropped());
+  /// Drain() or WriteTo() empties the buffer.
+  static constexpr size_t kCapacity = 1 << 16;
 
   explicit TraceLog(TraceOptions options = {});
 

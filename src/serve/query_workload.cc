@@ -27,9 +27,9 @@ WorkloadResult RunQueryWorkload(ShardedRankServer& server,
   const size_t top_m = std::max<size_t>(1, options.top_m);
 
   // One shared click model: the rank of the clicked result follows the
-  // paper's F2 law truncated to the served page (VisitLaw is immutable, so
-  // sharing it across workers is safe).
-  const VisitLaw click_law(top_m, 1.0, options.rank_bias_exponent);
+  // paper's F2 law (VisitLaw's default 3/2 exponent) truncated to the served
+  // page (VisitLaw is immutable, so sharing it across workers is safe).
+  const VisitLaw click_law(top_m, 1.0);
 
   std::vector<std::vector<double>> latencies_us(threads);
   std::atomic<bool> go{false};
@@ -47,7 +47,7 @@ WorkloadResult RunQueryWorkload(ShardedRankServer& server,
 
   auto click = [&](ShardedRankServer::Context& ctx, Rng& click_rng,
                    const std::vector<uint32_t>& results, size_t served) {
-    if (options.record_visits && served > 0) {
+    if (served > 0) {
       size_t rank = click_law.SampleRank(click_rng);
       if (rank > served) rank = served;  // short list: clamp to the tail
       server.RecordVisit(ctx, results[rank - 1]);

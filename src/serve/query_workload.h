@@ -19,13 +19,6 @@ struct WorkloadOptions {
   /// lookup amortized over the batch). <= 1 uses the per-query ServeTopM
   /// path. Results are identical either way; only throughput changes.
   size_t batch_size = 1;
-  /// Rank->visit bias exponent of the click model (paper Eq. 4: 3/2).
-  double rank_bias_exponent = 1.5;
-  /// When true, every query clicks one result at a rank drawn from the
-  /// visit law truncated to top_m, and reports it via RecordVisit — the
-  /// serving traffic then has the same position-bias shape as the paper's
-  /// simulations.
-  bool record_visits = true;
   /// Seeds the click model: worker t draws click ranks from stream t of
   /// this seed, so the traffic shape is reproducible across runs
   /// independently of the server's own per-context streams.
@@ -52,8 +45,11 @@ struct WorkloadResult {
 
 /// Closed-loop load generator: spawns `threads` workers against the server,
 /// each with its own serving Context, issuing top-m queries (singly or in
-/// ServeBatch batches — see WorkloadOptions) and clicking results per the
-/// rank-biased visit law from visit_law.h. Blocks until every worker
+/// ServeBatch batches — see WorkloadOptions). Every query that returns a
+/// list clicks one result, at a rank drawn from the paper's rank->visit law
+/// (visit_law.h, exponent 3/2) truncated to top_m, and reports it via
+/// RecordVisit — the serving traffic then has the same position-bias shape
+/// as the paper's simulations. Blocks until every worker
 /// finished its quota, flushes all feedback, and returns aggregate
 /// throughput and latency percentiles (see WorkloadResult for which clock
 /// feeds the percentiles).

@@ -20,6 +20,10 @@ std::string FamilySlug(const std::string& label) {
   return label.substr(0, label.find('('));
 }
 
+/// Visits a context buffers before RecordVisit folds them into the shared
+/// feedback counters (amortizes the feedback lock).
+constexpr size_t kFeedbackBatch = 256;
+
 double MicrosBetween(std::chrono::steady_clock::time_point a,
                      std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
@@ -61,19 +65,11 @@ std::shared_ptr<const StochasticRankingPolicy> ShardedRankServer::policy()
   return view != nullptr ? view->policy : initial_policy_;
 }
 
-bool ShardedRankServer::Update(const std::vector<double>& popularity,
-                               const std::vector<uint8_t>& zero_awareness,
-                               const std::vector<int64_t>& birth_step,
-                               ThreadPool* pool) {
-  return Update(popularity, zero_awareness, birth_step, nullptr, pool);
-}
-
 bool ShardedRankServer::Update(
     const std::vector<double>& popularity,
     const std::vector<uint8_t>& zero_awareness,
     const std::vector<int64_t>& birth_step,
-    std::shared_ptr<const StochasticRankingPolicy> new_policy,
-    ThreadPool* pool) {
+    std::shared_ptr<const StochasticRankingPolicy> new_policy) {
   assert(popularity.size() == n_);
   assert(zero_awareness.size() == n_);
   assert(birth_step.size() == n_);
@@ -108,26 +104,21 @@ bool ShardedRankServer::Update(
     fault::CheckAbortable(fault::kPublishShards,
                           fault::Hash(fault::kPublishShards), epoch);
 
-    // Each shard build gets a forked rng so parallel builds stay independent
-    // and the build is deterministic given the writer stream.
+    // Each shard build gets its own fork of the writer stream, so the build
+    // is deterministic given that stream.
     std::vector<Rng> build_rngs;
     build_rngs.reserve(shard_pages_.size());
     for (size_t s = 0; s < shard_pages_.size(); ++s) {
       build_rngs.push_back(writer_rng_.Fork());
     }
 
-    auto build_shard = [&](size_t s) {
+    const Clock::time_point shards_start = Clock::now();
+    for (size_t s = 0; s < shard_pages_.size(); ++s) {
       // Per-shard epoch state is skipped: server queries consume only the
       // EpochPrefixCache's global state, never a shard-local one.
       view->shards[s] = RankSnapshot::Build(
           policy_, epoch, shard_pages_[s], popularity, zero_awareness,
           birth_step, build_rngs[s], /*build_epoch_state=*/false);
-    };
-    const Clock::time_point shards_start = Clock::now();
-    if (pool != nullptr && shard_pages_.size() > 1) {
-      ParallelFor(*pool, shard_pages_.size(), build_shard);
-    } else {
-      for (size_t s = 0; s < shard_pages_.size(); ++s) build_shard(s);
     }
     const Clock::time_point shards_done = Clock::now();
 
@@ -244,7 +235,7 @@ ShardedRankServer::Context ShardedRankServer::CreateContext() const {
   const uint64_t stream =
       1 + context_seq_.fetch_add(1, std::memory_order_relaxed);
   ctx.rng_ = Rng::ForStream(opts_.seed, stream);
-  ctx.visit_batch_.reserve(opts_.feedback_batch);
+  ctx.visit_batch_.reserve(kFeedbackBatch);
   return ctx;
 }
 
@@ -357,7 +348,7 @@ size_t ShardedRankServer::ServeUninstrumented(
 void ShardedRankServer::RecordVisit(Context& ctx, uint32_t page) {
   assert(page < n_);
   ctx.visit_batch_.push_back(page);
-  if (ctx.visit_batch_.size() >= opts_.feedback_batch) FlushFeedback(ctx);
+  if (ctx.visit_batch_.size() >= kFeedbackBatch) FlushFeedback(ctx);
 }
 
 void ShardedRankServer::FlushFeedback(Context& ctx) {

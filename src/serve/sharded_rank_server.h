@@ -13,7 +13,6 @@
 #include "serve/rank_snapshot.h"
 #include "serve/snapshot_store.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace randrank {
 
@@ -29,9 +28,6 @@ struct ServeOptions {
   /// Number of shards pages are partitioned across (page p lives on shard
   /// p % shards). 0 selects 1.
   size_t shards = 4;
-  /// Visits buffered per context before RecordVisit folds them into the
-  /// shared feedback counters (amortizes the feedback lock).
-  size_t feedback_batch = 256;
   /// Base seed; each serving context gets its own non-overlapping stream.
   uint64_t seed = 0x5eedULL;
   /// Observability (optional, borrowed — the registry/trace must outlive the
@@ -97,10 +93,10 @@ struct QueryBatch {
 /// Concurrency model — single writer, many readers:
 ///  * Pages are partitioned across S shards. The writer thread calls
 ///    Update() with new page state; it rebuilds every shard's RankSnapshot
-///    off the serving path (optionally in parallel on a ThreadPool) and then
-///    publishes all of them as one ServingView in a single atomic swap, so
-///    queries are snapshot-isolated across shards: a query never mixes
-///    ranking state from two different epochs.
+///    off the serving path and then publishes all of them as one
+///    ServingView in a single atomic swap, so queries are snapshot-isolated
+///    across shards: a query never mixes ranking state from two different
+///    epochs.
 ///  * Each serving thread owns a Context (per-thread Rng stream, cached
 ///    snapshot handle, policy scratch, feedback batch). The query hot path
 ///    performs one atomic version check and otherwise touches only
@@ -123,12 +119,6 @@ class ShardedRankServer {
   /// A serving thread's private state. Create one per worker via
   /// CreateContext(); a Context must not be used by two threads at once.
   class Context {
-   public:
-    Rng& rng() { return rng_; }
-    /// Visits recorded but not yet folded into the shared counters.
-    size_t pending_feedback() const { return visit_batch_.size(); }
-
-   private:
     friend class ShardedRankServer;
 
     SnapshotHandle<ServingView> handle_;
@@ -148,40 +138,33 @@ class ShardedRankServer {
   // --- Writer API (one thread at a time) ---
 
   /// Rebuilds every shard snapshot from global page state and publishes them
-  /// as one new epoch. Safe to call while readers are serving. When `pool`
-  /// is non-null the per-shard builds run on it in parallel.
+  /// as one new epoch. Safe to call while readers are serving.
+  ///
+  /// With `new_policy` set, this is a policy hot-swap: the new epoch is
+  /// ranked and served under `new_policy`, which becomes the server's policy
+  /// for every later Update too. The swap is published atomically with the
+  /// epoch — the snapshots, the epoch cache (rebuilt for the *new* policy),
+  /// and the policy itself swap in as one ServingView, so a query pinned to
+  /// the old view keeps realizing under the old policy and a query pinned to
+  /// the new one under the new: no query is ever dropped, and none is served
+  /// by a policy that mismatches its ranking state. This is the online A/B
+  /// ramp primitive the experiment layer (src/exp/) builds on. Null keeps
+  /// the current policy.
   ///
   /// Transactional: the publish either completes (returns true) or rolls
   /// back completely (returns false) — a failure in any build phase (shard
   /// re-sort, merge, epoch state, or an injected fault at the RCU boundary)
   /// leaves the previous epoch serving untouched, the epoch counter
-  /// unadvanced, and (for a hot-swap Update) the previous policy in place
-  /// for the next attempt. Failed attempts are counted in
-  /// `<obs_prefix>/publish_failures` and tracked by epochs_since_publish();
-  /// the next successful Update clears the degraded state.
+  /// unadvanced, and the previous policy in place for the next attempt (a
+  /// hot-swap that rode a failed publish never becomes observable). Failed
+  /// attempts are counted in `<obs_prefix>/publish_failures` and tracked by
+  /// epochs_since_publish(); the next successful Update clears the degraded
+  /// state.
   bool Update(const std::vector<double>& popularity,
               const std::vector<uint8_t>& zero_awareness,
               const std::vector<int64_t>& birth_step,
-              ThreadPool* pool = nullptr);
-
-  /// Policy hot-swap: like Update, but the new epoch is ranked and served
-  /// under `new_policy` (which becomes the server's policy for every later
-  /// Update too). The swap is published atomically with the epoch — the
-  /// snapshots, the epoch cache (rebuilt for the *new* policy), and the
-  /// policy itself swap in as one ServingView, so a query
-  /// pinned to the old view keeps realizing under the old policy and a query
-  /// pinned to the new one under the new: no query is ever dropped, and none
-  /// is served by a policy that mismatches its ranking state. This is the
-  /// online A/B ramp primitive the experiment layer (src/exp/) builds on.
-  /// Passing null keeps the current policy (== the 4-arg overload).
-  /// Transactional like the 4-arg overload; a failed hot-swap publish also
-  /// rolls the pending policy back, so no later Update publishes under a
-  /// policy that never made it to an epoch.
-  bool Update(const std::vector<double>& popularity,
-              const std::vector<uint8_t>& zero_awareness,
-              const std::vector<int64_t>& birth_step,
-              std::shared_ptr<const StochasticRankingPolicy> new_policy,
-              ThreadPool* pool = nullptr);
+              std::shared_ptr<const StochasticRankingPolicy> new_policy =
+                  nullptr);
 
   /// Returns the accumulated per-page visit counts and resets them.
   std::vector<uint64_t> DrainVisits();
@@ -232,7 +215,6 @@ class ShardedRankServer {
   /// still answered, from a stale epoch. Cleared by the next clean publish.
   bool degraded() const { return epochs_since_publish() > 0; }
   size_t n() const { return n_; }
-  size_t shards() const { return shard_pages_.size(); }
   /// The policy of the most recently *published* epoch (the one queries are
   /// being served under), or the construction policy before the first
   /// Update. Thread-safe, including concurrently with a hot-swap Update —

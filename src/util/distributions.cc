@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 namespace randrank {
 
@@ -27,69 +26,6 @@ std::vector<double> PowerLawQuantiles::Values(size_t n) const {
   std::vector<double> out(n);
   for (size_t i = 0; i < n; ++i) out[i] = Value(i, n);
   return out;
-}
-
-ZipfSampler::ZipfSampler(size_t n, double s) {
-  assert(n > 0);
-  cdf_.resize(n);
-  double total = 0.0;
-  for (size_t k = 1; k <= n; ++k) {
-    total += std::pow(static_cast<double>(k), -s);
-    cdf_[k - 1] = total;
-  }
-  for (auto& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against rounding
-}
-
-size_t ZipfSampler::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<size_t>(it - cdf_.begin()) + 1;
-}
-
-double ZipfSampler::Pmf(size_t k) const {
-  assert(k >= 1 && k <= cdf_.size());
-  const double below = (k == 1) ? 0.0 : cdf_[k - 2];
-  return cdf_[k - 1] - below;
-}
-
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  const size_t n = weights.size();
-  assert(n > 0);
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  assert(total > 0.0);
-
-  std::vector<double> scaled(n);
-  for (size_t i = 0; i < n; ++i) scaled[i] = weights[i] * n / total;
-
-  std::vector<uint32_t> small;
-  std::vector<uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const uint32_t s = small.back();
-    small.pop_back();
-    const uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  for (const uint32_t i : large) prob_[i] = 1.0;
-  for (const uint32_t i : small) prob_[i] = 1.0;  // numerical leftovers
-}
-
-size_t AliasSampler::Sample(Rng& rng) const {
-  const size_t column = rng.NextIndex(prob_.size());
-  return rng.NextDouble() < prob_[column] ? column : alias_[column];
 }
 
 RankBiasSampler::RankBiasSampler(size_t n, double exponent)

@@ -37,40 +37,6 @@ class PowerLawQuantiles {
   double max_value_;
 };
 
-/// Bounded Zipf(s) sampler over {1, ..., n} by inverse-CDF binary search.
-/// Used by graph generators and as a property-test reference.
-class ZipfSampler {
- public:
-  ZipfSampler(size_t n, double s);
-
-  /// Draws a value in [1, n].
-  size_t Sample(Rng& rng) const;
-
-  /// P(X = k).
-  double Pmf(size_t k) const;
-
-  size_t n() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;  // cdf_[k-1] = P(X <= k)
-};
-
-/// Walker alias method for O(1) sampling from a fixed discrete distribution.
-/// Weights need not be normalized; zero-weight entries are never drawn.
-class AliasSampler {
- public:
-  explicit AliasSampler(const std::vector<double>& weights);
-
-  /// Draws an index in [0, size()).
-  size_t Sample(Rng& rng) const;
-
-  size_t size() const { return prob_.size(); }
-
- private:
-  std::vector<double> prob_;
-  std::vector<uint32_t> alias_;
-};
-
 /// Samples a rank position from the paper's rank->visit law
 /// F2(i) = theta * i^(-3/2) truncated to ranks 1..n (Eq. 4). Visits to a
 /// result list are rank-biased; this is the distribution of the rank position

@@ -136,9 +136,9 @@ TEST(TopTwoThompsonTest, LeaderGetsItsShareWhileChallengersSurvive) {
   ExpectValidFractions(d, 3);
   EXPECT_EQ(d.best, 0u);
   // Leader share plus proportional challengers, floored.
-  EXPECT_NEAR(d.fractions[0], opts.leader_share, 0.05);
+  EXPECT_NEAR(d.fractions[0], TopTwoThompsonScheduler::kLeaderShare, 0.05);
   for (size_t a = 1; a < 3; ++a) {
-    EXPECT_GE(d.fractions[a], opts.explore_floor - 1e-9);
+    EXPECT_GE(d.fractions[a], TopTwoThompsonScheduler::kExploreFloor - 1e-9);
   }
 }
 
@@ -173,7 +173,7 @@ TEST(SuccessiveEliminationTest, EvenSplitThenDominatedArmsFallOff) {
   }
   EXPECT_TRUE(d.stop);
   EXPECT_EQ(d.best, kBest);
-  EXPECT_DOUBLE_EQ(d.confidence, 0.95);  // 1 - delta
+  EXPECT_DOUBLE_EQ(d.confidence, 0.95);  // 1 - kDelta
 }
 
 TEST(SuccessiveEliminationTest, NoEliminationWithoutEnoughClicks) {
@@ -195,7 +195,6 @@ ExperimentOptions SmallExpOptions(uint64_t seed) {
   ExperimentOptions opts;
   opts.shards = 2;
   opts.threads = 2;
-  opts.top_m = 10;
   opts.queries_per_epoch = 4000;
   opts.prediscovered_fraction = 0.5;
   opts.seed = seed;
@@ -226,10 +225,6 @@ TEST(BaiControllerTest, ValidatesItsInputs) {
   // Arm-count mismatch.
   EXPECT_THROW(BaiController(&exp, MakeTopTwoThompsonScheduler(3)),
                std::invalid_argument);
-  BaiControllerOptions bad;
-  bad.cvar_alpha = 0.0;
-  EXPECT_THROW(BaiController(&exp, MakeTopTwoThompsonScheduler(2), bad),
-               std::invalid_argument);
 }
 
 // The tested guardrail path: an arm whose clicked-quality tail collapses
@@ -255,7 +250,6 @@ TEST(BaiControllerTest, CvarGuardrailDemotesTheTailCollapsingArm) {
   BaiControllerOptions copts;
   copts.guardrail_floor = 0.7;
   copts.guardrail_epochs = 2;
-  copts.guardrail_min_clicks = 50;
   obs::MetricsRegistry registry;
   copts.metrics = &registry;
   BaiController controller(&exp, MakeTopTwoThompsonScheduler(3, sched_opts),

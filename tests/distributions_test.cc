@@ -39,57 +39,6 @@ TEST(PowerLawQuantilesTest, AllPositive) {
   for (const double v : q.Values(10000)) EXPECT_GT(v, 0.0);
 }
 
-TEST(ZipfSamplerTest, PmfSumsToOne) {
-  ZipfSampler zipf(50, 1.2);
-  double total = 0.0;
-  for (size_t k = 1; k <= 50; ++k) total += zipf.Pmf(k);
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(ZipfSamplerTest, PmfDecreasing) {
-  ZipfSampler zipf(50, 1.2);
-  for (size_t k = 2; k <= 50; ++k) EXPECT_LT(zipf.Pmf(k), zipf.Pmf(k - 1));
-}
-
-TEST(ZipfSamplerTest, SampleMatchesPmf) {
-  ZipfSampler zipf(10, 1.0);
-  Rng rng(61);
-  std::vector<int> counts(11, 0);
-  const int kDraws = 200000;
-  for (int i = 0; i < kDraws; ++i) ++counts[zipf.Sample(rng)];
-  for (size_t k = 1; k <= 10; ++k) {
-    EXPECT_NEAR(static_cast<double>(counts[k]) / kDraws, zipf.Pmf(k), 0.01);
-  }
-}
-
-TEST(AliasSamplerTest, MatchesWeights) {
-  const std::vector<double> weights{1.0, 2.0, 3.0, 4.0};
-  AliasSampler alias(weights);
-  Rng rng(67);
-  std::vector<int> counts(4, 0);
-  const int kDraws = 400000;
-  for (int i = 0; i < kDraws; ++i) ++counts[alias.Sample(rng)];
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / kDraws, weights[i] / 10.0,
-                0.01);
-  }
-}
-
-TEST(AliasSamplerTest, ZeroWeightNeverDrawn) {
-  AliasSampler alias({0.0, 1.0, 0.0, 1.0});
-  Rng rng(71);
-  for (int i = 0; i < 10000; ++i) {
-    const size_t s = alias.Sample(rng);
-    EXPECT_TRUE(s == 1 || s == 3);
-  }
-}
-
-TEST(AliasSamplerTest, SingleEntry) {
-  AliasSampler alias({5.0});
-  Rng rng(73);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(alias.Sample(rng), 0u);
-}
-
 TEST(RankBiasSamplerTest, PmfSumsToOne) {
   RankBiasSampler sampler(1000);
   double total = 0.0;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -208,6 +209,8 @@ TEST(HashBucketerTest, RoutingIsIndependentOfPolicyDraws) {
   community.n = 400;
   community.u = 200;
   community.m = 20;
+  // An endless page lifetime draws no deaths: the run has no churn.
+  community.lifetime_days = std::numeric_limits<double>::infinity();
 
   ExperimentOptions opts;
   opts.queries_per_epoch = 3000;
@@ -215,7 +218,6 @@ TEST(HashBucketerTest, RoutingIsIndependentOfPolicyDraws) {
   opts.shards = 2;
   opts.seed = 42;
   opts.split.fractions = {0.7, 0.3};
-  opts.churn = false;
 
   const auto run = [&](std::shared_ptr<const StochasticRankingPolicy> a,
                        std::shared_ptr<const StochasticRankingPolicy> b) {
@@ -516,7 +518,6 @@ TEST(ExperimentManagerTest, RandomizedArmDiscoversNewbornsFasterThanDeterministi
   ExperimentOptions opts;
   opts.shards = 4;
   opts.threads = 2;
-  opts.top_m = 10;
   opts.queries_per_epoch = 8000;
   opts.prediscovered_fraction = 0.9;
   opts.seed = 0x5ab7ULL;
@@ -569,6 +570,38 @@ TEST(ExperimentManagerTest, RandomizedArmDiscoversNewbornsFasterThanDeterministi
   EXPECT_LT(MannWhitneyZ(treatment_ttfc, control_ttfc), -3.29);
 }
 
+// The click law is the community's rank->visit law (paper Eq. 4). With a
+// bias exponent of 60 a click reaches rank 2 with odds 2^-60 against rank 1,
+// so every click lands on rank 1 — under selective(r=0.5, k=2) the
+// protected head, always a discovered page — and none reaches the
+// undiscovered half of the community, though the policy promotes it into
+// ranks 2 and below.
+TEST(ExperimentManagerTest, ClickLawFollowsCommunityRankBias) {
+  CommunityParams community = CommunityParams::Default();
+  community.n = 400;
+  community.u = 200;
+  community.m = 20;
+  community.rank_bias_exponent = 60.0;
+
+  ExperimentOptions opts;
+  opts.queries_per_epoch = 2000;
+  opts.shards = 2;
+  opts.prediscovered_fraction = 0.5;
+  opts.seed = 61;
+
+  std::vector<ArmSpec> arms;
+  arms.push_back(
+      {"selective",
+       MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 2))});
+  ExperimentManager exp(community, std::move(arms), opts);
+  const size_t kEpochs = 3;
+  for (size_t e = 0; e < kEpochs; ++e) exp.RunEpoch();
+
+  const LiveMetricsSnapshot snap = exp.ArmSnapshot(0);
+  EXPECT_EQ(snap.clicks, kEpochs * opts.queries_per_epoch);
+  EXPECT_DOUBLE_EQ(snap.tail_share, 0.0);
+}
+
 // Mid-run controls: SetSplit ramps traffic at the next epoch (hash-stable),
 // SwapPolicy publishes with the next epoch, and the JSONL feed reflects
 // both.
@@ -577,12 +610,13 @@ TEST(ExperimentManagerTest, RampAndHotSwapApplyAtTheNextEpoch) {
   community.n = 300;
   community.u = 150;
   community.m = 15;
+  // An endless page lifetime draws no deaths: the run has no churn.
+  community.lifetime_days = std::numeric_limits<double>::infinity();
 
   ExperimentOptions opts;
   opts.queries_per_epoch = 2000;
   opts.threads = 1;
   opts.shards = 2;
-  opts.churn = false;
   opts.seed = 31;
   opts.split.fractions = {0.9, 0.1};
 
@@ -632,12 +666,13 @@ TEST(ExperimentManagerTest, EliminationReallocationAndSwapComposeAtomically) {
   community.n = 300;
   community.u = 150;
   community.m = 15;
+  // An endless page lifetime draws no deaths: the run has no churn.
+  community.lifetime_days = std::numeric_limits<double>::infinity();
 
   ExperimentOptions opts;
   opts.queries_per_epoch = 3000;
   opts.threads = 2;
   opts.shards = 2;
-  opts.churn = false;
   opts.seed = 53;
   opts.split.fractions = {0.34, 0.33, 0.33};
 

@@ -518,8 +518,7 @@ TEST(NetDaemonTest, OverloadShedsWithExplicitReply) {
   DaemonHarness harness(2000, options);
 
   NetClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10, 100,
-                             10000));
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
   LoopHold hold(200000);
   uint64_t hold_id = 0;
   ASSERT_TRUE(client.SendQuery(10, 0, &hold_id));
@@ -939,13 +938,8 @@ TEST(NetDaemonTest, ClientRetriesThroughInjectedResets) {
     fault::FaultInjector injector(std::move(plan));
     fault::ScopedFaultInjector scoped(&injector);
 
-    RetryPolicy policy;
-    policy.max_attempts = 4;
-    policy.initial_backoff_ms = 1;
-    policy.seed = 7;
     NetClient::QueryResult result;
-    ASSERT_EQ(client.QueryWithRetry(10, 1, &result, policy),
-              NetClient::Status::kOk);
+    ASSERT_EQ(client.QueryWithRetry(10, 1, &result), NetClient::Status::kOk);
     EXPECT_EQ(result.pages.size(), 10u);
     EXPECT_EQ(injector.fired(fault::kNetWrite), 1u);
   }

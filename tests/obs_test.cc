@@ -318,15 +318,13 @@ TEST(TraceTest, SpanLinesValidateWithLabels) {
 }
 
 TEST(TraceTest, DropsBeyondCapacityAndCounts) {
-  TraceOptions topts;
-  topts.capacity = 4;
-  TraceLog trace(topts);
-  for (int i = 0; i < 10; ++i) {
+  TraceLog trace;
+  for (size_t i = 0; i < TraceLog::kCapacity + 6; ++i) {
     trace.EmitSpan("x", 1.0, {{"i", static_cast<double>(i)}});
   }
-  EXPECT_EQ(trace.emitted(), 4u);
+  EXPECT_EQ(trace.emitted(), TraceLog::kCapacity);
   EXPECT_EQ(trace.dropped(), 6u);
-  EXPECT_EQ(trace.Drain().size(), 4u);
+  EXPECT_EQ(trace.Drain().size(), TraceLog::kCapacity);
 }
 
 // --- serve-layer integration ------------------------------------------------

@@ -475,7 +475,7 @@ TEST(ServeTest, SnapshotSwapUnderConcurrentReadersIsSafe) {
 
 TEST(ServeTest, FeedbackCountsDrainExactly) {
   ShardedRankServer server(MakePromotionPolicy(RankPromotionConfig::None()), 10,
-                           {.shards = 2, .feedback_batch = 4});
+                           {.shards = 2});
   auto ctx = server.CreateContext();
   for (int i = 0; i < 10; ++i) server.RecordVisit(ctx, 3);
   server.RecordVisit(ctx, 7);

@@ -54,16 +54,16 @@ struct Counts {
   uint64_t slots = 0;  // pages received across OK replies
 };
 
-// A flag value is plain decimal digits within `max` (the destination
-// type's range); a sign, junk, or an out-of-range value is a flag error
-// rather than a silent wrap.
-uint64_t ParseU64(const char* s, const char* flag,
+// A flag value is plain decimal digits within [min, max] (`max` is the
+// destination type's range); a sign, junk, or an out-of-range value is a
+// flag error rather than a silent wrap.
+uint64_t ParseU64(const char* s, const char* flag, uint64_t min = 0,
                   uint64_t max = std::numeric_limits<uint64_t>::max()) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
   if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' ||
-      errno == ERANGE || v > max) {
+      errno == ERANGE || v < min || v > max) {
     std::cerr << "net_client: bad value for " << flag << ": " << s << "\n";
     std::exit(2);
   }
@@ -87,7 +87,7 @@ Counts RunWorker(const std::string& host, uint16_t port, int retries,
   Counts counts;
   std::vector<NetClient> clients(conns);
   for (size_t c = 0; c < conns; ++c) {
-    if (!clients[c].Connect(host, port, retries, 100, 10000)) {
+    if (!clients[c].Connect(host, port, retries)) {
       counts.io_error += 1;
       return counts;
     }
@@ -105,7 +105,7 @@ Counts RunWorker(const std::string& host, uint16_t port, int retries,
     // refuses a live client mid-run has gone away.
     NetClient& client = clients[q % conns];
     if (!client.connected() &&
-        !client.Connect(host, port, /*retries=*/0, 100, 10000)) {
+        !client.Connect(host, port)) {
       counts.io_error += 1;
       break;
     }
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
       host = next();
     } else if (arg == "--port") {
       port = static_cast<uint16_t>(ParseU64(
-          next(), "--port", std::numeric_limits<uint16_t>::max()));
+          next(), "--port", 0, std::numeric_limits<uint16_t>::max()));
     } else if (arg == "--procs") {
       procs = ParseU64(next(), "--procs");
     } else if (arg == "--conns") {
@@ -203,12 +203,12 @@ int main(int argc, char** argv) {
       seconds = ParseU64(next(), "--seconds");
     } else if (arg == "--m") {
       m = static_cast<uint32_t>(
-          ParseU64(next(), "--m", std::numeric_limits<uint32_t>::max()));
+          ParseU64(next(), "--m", 1, std::numeric_limits<uint32_t>::max()));
     } else if (arg == "--users") {
       users = ParseU64(next(), "--users");
     } else if (arg == "--retries") {
       retries = static_cast<int>(
-          ParseU64(next(), "--retries", std::numeric_limits<int>::max()));
+          ParseU64(next(), "--retries", 0, std::numeric_limits<int>::max()));
     } else if (arg == "--seed") {
       seed = ParseU64(next(), "--seed");
     } else if (arg == "--expect-no-shed") {
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   if (expect_epoch_advance) {
     NetClient probe;
     HealthReplyFrame health;
-    if (!probe.Connect(host, port, retries, 100, 10000) ||
+    if (!probe.Connect(host, port, retries) ||
         probe.Health(&health) != NetClient::Status::kOk) {
       std::cerr << "net_client: initial HEALTH probe failed\n";
       return 1;
@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
   if (expect_epoch_advance) {
     NetClient probe;
     HealthReplyFrame health;
-    if (!probe.Connect(host, port, retries, 100, 10000) ||
+    if (!probe.Connect(host, port, retries) ||
         probe.Health(&health) != NetClient::Status::kOk) {
       std::cerr << "net_client: FAIL: final HEALTH probe failed\n";
       pass = false;
@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
   if (scrape) {
     NetClient probe;
     std::string text;
-    if (!probe.Connect(host, port, retries, 100, 10000) ||
+    if (!probe.Connect(host, port, retries) ||
         probe.Scrape(&text) != NetClient::Status::kOk) {
       std::cerr << "net_client: FAIL: METRICS scrape failed\n";
       pass = false;

@@ -53,16 +53,16 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void OnSignal(int /*sig*/) { g_stop = 1; }
 
-// A flag value is plain decimal digits within `max` (the destination
-// type's range); a sign, junk, or an out-of-range value is a flag error
-// rather than a silent wrap.
-uint64_t ParseU64(const char* s, const char* flag,
+// A flag value is plain decimal digits within [min, max] (`max` is the
+// destination type's range); a sign, junk, or an out-of-range value is a
+// flag error rather than a silent wrap.
+uint64_t ParseU64(const char* s, const char* flag, uint64_t min = 0,
                   uint64_t max = std::numeric_limits<uint64_t>::max()) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
   if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' ||
-      errno == ERANGE || v > max) {
+      errno == ERANGE || v < min || v > max) {
     std::cerr << "randrankd: bad value for " << flag << ": " << s << "\n";
     std::exit(2);
   }
@@ -146,11 +146,11 @@ int main(int argc, char** argv) {
       bind_address = next();
     } else if (arg == "--port") {
       port = static_cast<uint16_t>(ParseU64(
-          next(), "--port", std::numeric_limits<uint16_t>::max()));
+          next(), "--port", 0, std::numeric_limits<uint16_t>::max()));
     } else if (arg == "--pages") {
-      pages = ParseU64(next(), "--pages");
+      pages = ParseU64(next(), "--pages", 1);
     } else if (arg == "--users") {
-      users = ParseU64(next(), "--users");
+      users = ParseU64(next(), "--users", 1);
     } else if (arg == "--shards") {
       shards = ParseU64(next(), "--shards");
     } else if (arg == "--policy") {
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       max_conns = ParseU64(next(), "--max-conns");
     } else if (arg == "--max-m") {
       max_m = static_cast<uint32_t>(ParseU64(
-          next(), "--max-m", std::numeric_limits<uint32_t>::max()));
+          next(), "--max-m", 1, std::numeric_limits<uint32_t>::max()));
     } else if (arg == "--drain-timeout-ms") {
       drain_timeout_ms = ParseU64(next(), "--drain-timeout-ms");
     } else if (arg == "--deadline-us") {
