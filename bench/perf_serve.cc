@@ -2,9 +2,10 @@
 // QPS and latency percentiles of fresh-realization top-m queries on a
 // 100k-page corpus, swept over worker threads, shard counts, the degree of
 // randomization r, ServeBatch batch sizes, and the policy families (plus a
-// 2x-corpus Plackett-Luce pl_largen point), plus an observability-overhead
-// ablation (serve/obs:{on,off} — identical point with and without the
-// metrics registry + sampled tracing attached).
+// 2x-corpus Plackett-Luce pl_largen point, and a large-m point per family
+// that reports its per-slot cost at m = 1024 over its own m = 20), plus an
+// observability-overhead ablation (serve/obs:{on,off} — identical point
+// with and without the metrics registry + sampled tracing attached).
 //
 // Output: the standard counter-benchmark table, a paper-style series table,
 // and one JSON line per data point (for the per-commit perf trajectory). The
@@ -17,6 +18,8 @@
 // `hw_threads` field).
 
 #include <benchmark/benchmark.h>
+
+#include <time.h>
 
 #include <chrono>
 #include <iostream>
@@ -169,6 +172,56 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
           {"chi2_critical", critical},
           {"df", static_cast<double>(df)},
           {"det_exact", det_exact ? 1.0 : 0.0}};
+}
+
+/// Large-m gate: the per-slot cost of top-1024 queries over the same
+/// family's top-20 queries, one server and one thread, timed in thread CPU
+/// over alternating chunks of equal slot counts (median of the chunk
+/// ratios). Every other point serves m <= 20, where a cost that grows as
+/// m^2 (say, a linear scan of the served prefix per slot) stays invisible;
+/// here it multiplies the ratio. A ratio within one run does not depend on
+/// the host's speed.
+std::map<std::string, double> LargeMRatio(
+    const Corpus& corpus,
+    std::shared_ptr<const StochasticRankingPolicy> policy) {
+  constexpr size_t kBaseM = 20;
+  constexpr size_t kLargeM = 1024;
+  constexpr size_t kSlotsPerChunk = 40960;
+  constexpr size_t kChunks = 9;
+  ServeOptions opts;
+  opts.seed = 0x1a29eULL;
+  ShardedRankServer server(std::move(policy), corpus.popularity.size(), opts);
+  server.Update(corpus.popularity, corpus.zero, corpus.birth);
+  auto ctx = server.CreateContext();
+  std::vector<uint32_t> out;
+  const auto cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e9 +
+           static_cast<double>(ts.tv_nsec);
+  };
+  const auto serve_chunk = [&](size_t m) {
+    const double t0 = cpu_ns();
+    for (size_t q = 0; q < kSlotsPerChunk / m; ++q) {
+      server.ServeTopM(ctx, m, &out);
+    }
+    return (cpu_ns() - t0) / static_cast<double>(kSlotsPerChunk / m * m);
+  };
+  std::vector<double> base_ns, large_ns, ratios;
+  for (size_t chunk = 0; chunk <= kChunks; ++chunk) {
+    const double base = serve_chunk(kBaseM);
+    const double large = serve_chunk(kLargeM);
+    if (chunk == 0) continue;  // warm-up: first-touch of the scratch
+    base_ns.push_back(base);
+    large_ns.push_back(large);
+    ratios.push_back(large / base);
+  }
+  return {{"m", static_cast<double>(kLargeM)},
+          {"base_m", static_cast<double>(kBaseM)},
+          {"pages", static_cast<double>(corpus.popularity.size())},
+          {"ns_per_slot", Percentile(large_ns, 50.0)},
+          {"base_ns_per_slot", Percentile(base_ns, 50.0)},
+          {"per_slot_vs_base", Percentile(ratios, 50.0)}};
 }
 
 }  // namespace
@@ -407,6 +460,28 @@ int main(int argc, char** argv) {
     const WorkloadResult res = MeasurePoint(large, p);
     emit("serve/pl_largen:" + pl->Label(), p, res, {}, "pl_largen",
          "n=" + std::to_string(kLargePages));
+  }
+
+  // Large-m sweep: each shipped family's per-slot cost at m = 1024 as a
+  // ratio to its own m = 20 (LargeMRatio).
+  for (const auto& policy : StandardPolicyFamilies()) {
+    const std::string name = "serve/large_m:" + policy->Label();
+    const auto fields = LargeMRatio(corpus, policy);
+    bench::RegisterCounterBenchmark(name, fields);
+    sink.Emit(std::cout, name, fields);
+    table.Row()
+        .Cell("large_m")
+        .Cell(static_cast<long long>(1))
+        .Cell("")
+        .Cell("")
+        .Cell(static_cast<long long>(fields.at("m")))
+        .Cell("")
+        .Cell("")
+        .Cell("")
+        .Cell("")
+        .Cell(policy->Label() + ": x" +
+              FormatFixed(fields.at("per_slot_vs_base"), 2) +
+              " per slot vs m=20");
   }
 
   // Serve-vs-MaterializeList distribution equivalence, shipped with every

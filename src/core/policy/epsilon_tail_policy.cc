@@ -51,12 +51,14 @@ size_t EpsilonTailPolicy::ServePrefix(const ShardView* views, size_t num_views,
 
   // Tail: uniform exploration draws are rejection-sampled against the pages
   // the uniform branch already served; the exploitation branch advances the
-  // cursor past those pages and drops them from the set, so the set (and
-  // with it the rejection rate) stays small while m << n.
-  scratch.emitted.clear();
+  // cursor past those pages. The cursor never moves back and the uniform
+  // branch draws only at or past it, so a passed page is never looked up
+  // again and stays in the set harmlessly. A query that never explores
+  // inserts nothing, and its Reset costs nothing.
+  scratch.emitted.Reset(count);
   size_t cursor = head_count;
   auto skip_emitted = [&]() {
-    while (cursor < n && scratch.emitted.erase(view.det[cursor]) > 0) ++cursor;
+    while (cursor < n && scratch.emitted.Contains(view.det[cursor])) ++cursor;
   };
   size_t appended = head_count;
   while (appended < count) {
@@ -68,7 +70,7 @@ size_t EpsilonTailPolicy::ServePrefix(const ShardView* views, size_t num_views,
         const size_t span = n - cursor;
         const size_t t = static_cast<size_t>(rng.NextIndex(span));
         const uint32_t page = view.det[cursor + t];
-        if (scratch.emitted.insert(page).second) {
+        if (scratch.emitted.Insert(page)) {
           out->push_back(page);
           break;
         }

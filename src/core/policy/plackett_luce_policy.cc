@@ -105,13 +105,13 @@ size_t PlackettLucePolicy::ServePrefix(const ShardView* views,
   size_t max_attempts = 16;
   for (size_t span = n; span > 0; span >>= 1) max_attempts += 4;
 
-  scratch.emitted.clear();
+  scratch.emitted.Reset(count);
   size_t appended = 0;
   while (table != nullptr && appended < count) {
     bool served = false;
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
       const size_t idx = table->Sample(rng);
-      if (scratch.emitted.insert(view.det[idx]).second) {
+      if (scratch.emitted.Insert(view.det[idx])) {
         out->push_back(view.det[idx]);
         ++appended;
         served = true;
@@ -129,7 +129,7 @@ size_t PlackettLucePolicy::ServePrefix(const ShardView* views,
   scratch.keyed.clear();
   scratch.keyed.reserve(n - appended);
   for (size_t j = 0; j < n; ++j) {
-    if (scratch.emitted.count(view.det[j]) > 0) continue;
+    if (scratch.emitted.Contains(view.det[j])) continue;
     scratch.keyed.emplace_back(
         view.det_score[j] / temperature_ + NextGumbel(rng), view.det[j]);
   }

@@ -1,5 +1,7 @@
 #include "core/policy/thompson_promotion_policy.h"
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
 #include <cassert>
 #include <cctype>
@@ -54,7 +56,59 @@ double NormalizedScore(double score, double max_score) {
   return std::clamp(score / max_score, 0.0, 1.0);
 }
 
+/// One sampled duel: true when the pool's Beta(a, b) draw beats the head's
+/// Beta(1 + c*s, 1 + c*(1 - s)) draw.
+bool SampledDuel(double a, double b, double evidence, double s, Rng& rng) {
+  const double theta_det =
+      SampleBeta(1.0 + evidence * s, 1.0 + evidence * (1.0 - s), rng);
+  const double theta_pool = SampleBeta(a, b, rng);
+  return theta_pool > theta_det;
+}
+
+/// log Gamma(x) through the reentrant lgamma_r: std::lgamma writes the
+/// global signgam, a data race between serving threads.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+/// Per-epoch state at a = 1: q of the head at each of the first det
+/// positions, in det order.
+class ThompsonEpochState final : public PolicyEpochState {
+ public:
+  std::vector<double> coin;
+};
+
+/// q of the head at det position `j` of `view`: from `table` when it covers
+/// j, else computed. Both give the same bits, so a served list does not
+/// depend on whether the table was there.
+double CoinAt(const ThompsonPromotionPolicy& policy, const ShardView& view,
+              const std::vector<double>* table, size_t j) {
+  if (table != nullptr && j < table->size()) return (*table)[j];
+  return policy.PoolWinProbability(
+      NormalizedScore(view.det_score[j], view.det_score[0]));
+}
+
 }  // namespace
+
+ThompsonPromotionPolicy::ThompsonPromotionPolicy(double a, double b,
+                                                 double evidence,
+                                                 size_t protect)
+    : a_(a),
+      b_(b),
+      evidence_(evidence),
+      protect_(protect),
+      log_coin_scale_(LogGamma(2.0 + evidence) - LogGamma(2.0 + evidence + b)) {
+}
+
+double ThompsonPromotionPolicy::PoolWinProbability(double s) const {
+  // With theta_pool ~ Beta(1, b), P(theta_pool > x) = (1 - x)^b, so
+  // q = E[(1 - theta_det)^b] = B(alpha, beta + b) / B(alpha, beta) over the
+  // head's Beta(alpha, beta), and alpha + beta = 2 + c.
+  assert(a_ == 1.0 && "q has a closed form only for a Beta(1, b) prior");
+  const double beta = 1.0 + evidence_ * (1.0 - s);
+  return std::exp(log_coin_scale_ + LogGamma(beta + b_) - LogGamma(beta));
+}
 
 std::string ThompsonPromotionPolicy::Label() const {
   char buf[96];
@@ -86,6 +140,18 @@ bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
   return true;
 }
 
+std::shared_ptr<const PolicyEpochState>
+ThompsonPromotionPolicy::BuildEpochState(const ShardView& global) const {
+  if (a_ != 1.0 || global.det_size == 0) return nullptr;
+  assert(global.det_score != nullptr);
+  auto state = std::make_shared<ThompsonEpochState>();
+  state->coin.resize(std::min(global.det_size, kCoinTablePositions));
+  for (size_t j = 0; j < state->coin.size(); ++j) {
+    state->coin[j] = CoinAt(*this, global, nullptr, j);
+  }
+  return state;
+}
+
 size_t ThompsonPromotionPolicy::ServePrefix(const ShardView* views,
                                             size_t num_views,
                                             const PolicyEpochState* epoch_state,
@@ -94,44 +160,42 @@ size_t ThompsonPromotionPolicy::ServePrefix(const ShardView* views,
                                             std::vector<uint32_t>* out) const {
   assert(num_views == 1 && "ServePrefix takes the one pre-merged view");
   (void)num_views;
-  (void)epoch_state;  // stateless: the merged view is the invariant
   const ShardView& view = views[0];
-  scratch.pool_sampler.Reset(view.pool, view.pool_size);
-  size_t det_cursor = 0;
-  size_t pool_remaining = view.pool_size;
+  const std::vector<double>* table =
+      epoch_state != nullptr
+          ? &static_cast<const ThompsonEpochState*>(epoch_state)->coin
+          : nullptr;
+  assert(table == nullptr ||
+         table->size() == std::min(view.det_size, kCoinTablePositions));
   // The duel normalizes head scores by the global maximum: the first entry
   // of the (descending) det list.
   assert(view.det_size == 0 || view.det_score != nullptr);
-  const double max_score = view.det_size > 0 ? view.det_score[0] : 0.0;
   const size_t count = std::min(m, view.n());
 
-  size_t appended = 0;
-  while (appended < count) {
-    const size_t det_remaining = view.det_size - det_cursor;
+  // The protected prefix never duels: one bulk copy of the det head.
+  const size_t head = std::min({protect_, count, view.det_size});
+  out->insert(out->end(), view.det, view.det + head);
+  PoolPrefixSampler& pool = scratch.pool_sampler;
+  pool.Reset(view.pool, view.pool_size);
+  size_t det_cursor = head;
+  for (size_t appended = head; appended < count; ++appended) {
     bool from_pool;
-    if (appended < protect_ && det_remaining > 0) {
-      from_pool = false;  // protected prefix never duels
-    } else if (det_remaining == 0) {
+    if (det_cursor == view.det_size) {
       from_pool = true;
-    } else if (pool_remaining == 0) {
+    } else if (pool.remaining() == 0) {
       from_pool = false;
+    } else if (a_ == 1.0) {
+      from_pool = rng.NextDouble() < CoinAt(*this, view, table, det_cursor);
     } else {
-      const double s =
-          NormalizedScore(view.det_score[det_cursor], max_score);
-      const double theta_det =
-          SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
-      const double theta_pool = SampleBeta(a_, b_, rng);
-      from_pool = theta_pool > theta_det;
+      from_pool = SampledDuel(
+          a_, b_, evidence_,
+          NormalizedScore(view.det_score[det_cursor], view.det_score[0]), rng);
     }
     if (from_pool) {
-      // Once picked the shard; still drawn so seeded lists stay identical.
-      (void)rng.NextIndex(pool_remaining);
-      --pool_remaining;
-      out->push_back(scratch.pool_sampler.Next(rng));
+      out->push_back(pool.Next(rng));
     } else {
       out->push_back(view.det[det_cursor++]);
     }
-    ++appended;
   }
   return count;
 }
@@ -140,8 +204,9 @@ std::vector<uint32_t> ThompsonPromotionPolicy::MaterializeReference(
     const ShardView& global, Rng& rng) const {
   // Naive slot-by-slot realization over explicit remaining lists; the
   // independent reference the distribution-equivalence tests compare
-  // ServePrefix against. Same duel, different plumbing: the pool is an
-  // explicit swap-pop vector instead of a lazy sampler.
+  // ServePrefix against. Same law, different plumbing: every duel samples
+  // both Betas (ServePrefix tosses the closed-form coin at a = 1), and the
+  // pool is an explicit swap-pop vector instead of a lazy sampler.
   std::vector<uint32_t> pool(global.pool, global.pool + global.pool_size);
   std::vector<uint32_t> out;
   out.reserve(global.n());
@@ -160,12 +225,9 @@ std::vector<uint32_t> ThompsonPromotionPolicy::MaterializeReference(
       from_pool = false;
     } else {
       assert(global.det_score != nullptr);
-      const double s =
-          NormalizedScore(global.det_score[det_cursor], max_score);
-      const double theta_det =
-          SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
-      const double theta_pool = SampleBeta(a_, b_, rng);
-      from_pool = theta_pool > theta_det;
+      from_pool = SampledDuel(
+          a_, b_, evidence_,
+          NormalizedScore(global.det_score[det_cursor], max_score), rng);
     }
     if (from_pool) {
       const size_t pick = static_cast<size_t>(rng.NextIndex(pool.size()));

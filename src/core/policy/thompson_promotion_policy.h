@@ -1,8 +1,10 @@
 #ifndef RANDRANK_CORE_POLICY_THOMPSON_PROMOTION_POLICY_H_
 #define RANDRANK_CORE_POLICY_THOMPSON_PROMOTION_POLICY_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/policy/stochastic_ranking_policy.h"
 
@@ -11,7 +13,7 @@ namespace randrank {
 /// Thompson-sampling promotion: the pool/list partition of the paper's
 /// selective rule (undiscovered pages form the stochastic pool) with the
 /// fixed promotion coin replaced by a per-slot Bayesian duel. Each contested
-/// slot draws
+/// slot compares
 ///
 ///   theta_pool ~ Beta(a, b)                         (the pool prior —
 ///     every pool page is zero-awareness, so they share one belief)
@@ -26,14 +28,27 @@ namespace randrank {
 /// evidence at each rank* instead of being one global r. The top `protect`
 /// slots never duel (the paper's protected prefix).
 ///
+/// The duel's outcome is a Bernoulli(q(s)) coin with
+/// q(s) = P(theta_pool > theta_det). At a = 1 (the shipped prior) q has a
+/// closed form (PoolWinProbability), so ServePrefix tosses one uniform per
+/// contested slot against q of the head's det position: read from the
+/// epoch state's table for the first kCoinTablePositions positions, computed
+/// per query past it. For a != 1 there is no closed form and ServePrefix
+/// samples both Betas. MaterializeReference samples both Betas for every a,
+/// so the equivalence tests compare the coin against an independent
+/// realization of the duel.
+///
 /// Structurally different from the promotion family (rank-dependent rather
 /// than constant promotion odds) and from epsilon-tail (explores a curated
 /// zero-awareness pool, not the whole tail) — which is exactly what the
 /// best-arm-identification example needs to discriminate.
 class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
  public:
-  ThompsonPromotionPolicy(double a, double b, double evidence, size_t protect)
-      : a_(a), b_(b), evidence_(evidence), protect_(protect) {}
+  /// Det positions whose coin BuildEpochState tabulates. Each entry costs
+  /// two lgamma_r calls at publish time.
+  static constexpr size_t kCoinTablePositions = 1024;
+
+  ThompsonPromotionPolicy(double a, double b, double evidence, size_t protect);
 
   std::string Label() const override;
   bool Valid() const override {
@@ -47,8 +62,10 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
   }
   size_t ProtectedPrefix() const override { return protect_; }
 
-  /// The epoch-invariant state is exactly the pre-merged global view (like
-  /// the promotion splice): nothing extra to build.
+  /// At a = 1: q for the first min(det_size, kCoinTablePositions) det
+  /// positions of `global`. Null for a != 1, which has no closed form.
+  std::shared_ptr<const PolicyEpochState> BuildEpochState(
+      const ShardView& global) const override;
 
   size_t ServePrefix(const ShardView* views, size_t num_views,
                      const PolicyEpochState* epoch_state,
@@ -57,6 +74,14 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
 
   std::vector<uint32_t> MaterializeReference(const ShardView& global,
                                              Rng& rng) const override;
+
+  /// q(s) = P(Beta(1, b) > Beta(1 + c*s, 1 + c*(1 - s))) for a head of
+  /// normalized score s, in closed form:
+  ///   q(s) = Gamma(2 + c) Gamma(beta + b) / (Gamma(2 + c + b) Gamma(beta)),
+  ///   beta = 1 + c*(1 - s).
+  /// Requires a == 1. Uses the reentrant lgamma_r (std::lgamma writes the
+  /// global signgam), so serving threads may call it concurrently.
+  double PoolWinProbability(double s) const;
 
   /// Inverse of Label(): parses "ts-promo(a=F,b=F,c=F,k=N)" into the out
   /// params and returns true; false (leaving them untouched) on any other
@@ -77,6 +102,8 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
   double evidence_;
   /// Leading slots that never duel.
   size_t protect_;
+  /// log(Gamma(2 + c) / Gamma(2 + c + b)), q's score-free factor.
+  double log_coin_scale_;
 };
 
 std::shared_ptr<const StochasticRankingPolicy> MakeThompsonPromotionPolicy(

@@ -86,6 +86,12 @@ bool NetClient::Connect(const std::string& host, uint16_t port, int retries) {
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd_ < 0) continue;
     if (ConnectWithTimeout(fd_, addr, kConnectTimeoutMs)) {
+      sockaddr_in local{};
+      socklen_t local_len = sizeof(local);
+      local_port_ = ::getsockname(fd_, reinterpret_cast<sockaddr*>(&local),
+                                  &local_len) == 0
+                        ? ntohs(local.sin_port)
+                        : 0;
       const int one = 1;
       ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       timeval tv{};
@@ -108,7 +114,9 @@ bool NetClient::Reconnect() {
 bool NetClient::WriteAll(const uint8_t* data, size_t size) {
   size_t off = 0;
   while (off < size) {
-    const ssize_t n = ::write(fd_, data + off, size - off);
+    // send, not write: a peer that closed must fail the call (EPIPE), not
+    // kill the process with SIGPIPE.
+    const ssize_t n = ::send(fd_, data + off, size - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;
@@ -207,14 +215,19 @@ NetClient::Status NetClient::QueryWithRetry(uint32_t m, uint64_t user_id,
                                             QueryResult* out) {
   Status status = Status::kIoError;
   double backoff_ms = kInitialBackoffMs;
+  retry_sleeps_ms_.clear();
   for (int attempt = 1; attempt <= kRetryAttempts; ++attempt) {
     if (attempt > 1) {
-      // Exponential backoff with deterministic jitter: the coin comes from
-      // the draw index, so the exact sleep schedule replays.
-      const uint64_t bits = SplitMix64(SplitMix64(retry_seq_++ + 1));
+      // Exponential backoff with deterministic jitter. The coin mixes the
+      // connection's local port into the draw index: clients shed at the
+      // same moment sleep different schedules instead of retrying in
+      // lockstep, and a schedule still replays given its connection.
+      const uint64_t bits =
+          SplitMix64(SplitMix64(local_port_) ^ (retry_seq_++ + 1));
       const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
       const double sleep_ms =
           std::min(backoff_ms, kMaxBackoffMs) * (1.0 - kBackoffJitter * u);
+      retry_sleeps_ms_.push_back(sleep_ms);
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(sleep_ms));
       backoff_ms *= kBackoffMultiplier;

@@ -53,11 +53,18 @@ class NetClient {
   /// connection; an IO error (reset, desync, timeout) closes and reconnects
   /// to the remembered endpoint first. At most 3 attempts; the sleep before
   /// attempt k (k >= 2) is min(10 ms * 2^(k-2), 1 s) scaled by (1 - 0.5 u),
-  /// where u in [0, 1) is a splitmix64 coin drawn from the client's retry
-  /// sequence, so the schedule replays exactly. Returns the final attempt's
-  /// status: kOk, a non-retryable kError, or the transient status that
-  /// exhausted the attempts.
+  /// where u in [0, 1) is a splitmix64 coin keyed on the connection's local
+  /// port and the client's retry sequence: clients shed together spread
+  /// their retries, and a schedule replays exactly given its connection.
+  /// Returns the final attempt's status: kOk, a non-retryable kError, or the
+  /// transient status that exhausted the attempts.
   Status QueryWithRetry(uint32_t m, uint64_t user_id, QueryResult* out);
+
+  /// The backoff sleeps the last QueryWithRetry computed, in attempt order
+  /// (empty when its first attempt settled the query).
+  const std::vector<double>& last_retry_sleeps_ms() const {
+    return retry_sleeps_ms_;
+  }
 
   /// Pipelining halves: send without waiting, then collect replies in
   /// order. `request_id` (returned by SendQuery) matches `ReadReply`'s.
@@ -88,8 +95,11 @@ class NetClient {
   /// Remembered endpoint for Reconnect().
   std::string host_;
   uint16_t port_ = 0;
+  /// Local port of the current connection; keys the retry jitter coin.
+  uint16_t local_port_ = 0;
   /// Monotone draw index for the deterministic retry jitter stream.
   uint64_t retry_seq_ = 0;
+  std::vector<double> retry_sleeps_ms_;
   uint64_t next_request_id_ = 1;
   std::vector<uint8_t> rbuf_;
   FrameHeader header_;

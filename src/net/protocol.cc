@@ -6,24 +6,31 @@ namespace randrank::net {
 
 namespace {
 
-// Little-endian scalar append/read. memcpy keeps this alignment-safe; the
-// byte order is explicit so the wire format does not depend on host
-// endianness (asserted byte-for-byte by the protocol tests).
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// Little-endian scalar store/read. The byte order is explicit so the wire
+// format does not depend on host endianness (asserted byte-for-byte by the
+// protocol tests); compilers merge each store into one word write.
+uint8_t* StoreU16(uint16_t v, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  return p + 2;
 }
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+uint8_t* StoreU32(uint32_t v, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+  return p + 4;
 }
 
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-  PutU32(static_cast<uint32_t>(v >> 32), out);
+uint8_t* StoreU64(uint64_t v, uint8_t* p) {
+  p = StoreU32(static_cast<uint32_t>(v), p);
+  return StoreU32(static_cast<uint32_t>(v >> 32), p);
+}
+
+uint8_t* StoreBytes(const std::string& bytes, uint8_t* p) {
+  if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
+  return p + bytes.size();
 }
 
 uint16_t GetU16(const uint8_t* p) {
@@ -40,35 +47,21 @@ uint64_t GetU64(const uint8_t* p) {
          static_cast<uint64_t>(GetU32(p + 4)) << 32;
 }
 
-/// Appends the 8-byte header. `payload_len` must already be known — the
-/// encoders below reserve the header, write the payload, then backpatch the
-/// length, so they never copy the payload twice.
-void PutHeader(FrameType type, uint32_t payload_len, std::vector<uint8_t>* out) {
-  PutU32(payload_len, out);
-  out->push_back(kMagic);
-  out->push_back(kProtocolVersion);
-  out->push_back(static_cast<uint8_t>(type));
-  out->push_back(0);  // flags
+/// Grows `out` once by a whole frame, writes the 8-byte header and returns
+/// where the `payload_len` payload bytes go. Every encoder knows its
+/// payload length up front, so each field is stored in place with no
+/// per-byte capacity check and nothing is backpatched.
+uint8_t* StartFrame(FrameType type, size_t payload_len,
+                    std::vector<uint8_t>* out) {
+  const size_t start = out->size();
+  out->resize(start + kHeaderSize + payload_len);
+  uint8_t* p = StoreU32(static_cast<uint32_t>(payload_len), out->data() + start);
+  p[0] = kMagic;
+  p[1] = kProtocolVersion;
+  p[2] = static_cast<uint8_t>(type);
+  p[3] = 0;  // flags
+  return p + 4;
 }
-
-/// RAII-free backpatch helper: remembers where the frame started, writes a
-/// placeholder header, and Finish() fills in the payload length.
-struct FrameWriter {
-  FrameWriter(FrameType type, std::vector<uint8_t>* out)
-      : out(out), start(out->size()) {
-    PutHeader(type, 0, out);
-  }
-  void Finish() {
-    const uint32_t payload_len =
-        static_cast<uint32_t>(out->size() - start - kHeaderSize);
-    (*out)[start + 0] = static_cast<uint8_t>(payload_len);
-    (*out)[start + 1] = static_cast<uint8_t>(payload_len >> 8);
-    (*out)[start + 2] = static_cast<uint8_t>(payload_len >> 16);
-    (*out)[start + 3] = static_cast<uint8_t>(payload_len >> 24);
-  }
-  std::vector<uint8_t>* out;
-  size_t start;
-};
 
 }  // namespace
 
@@ -90,59 +83,54 @@ DecodeStatus DecodeHeader(const uint8_t* data, size_t size, FrameHeader* out) {
 }
 
 void AppendQuery(const QueryFrame& frame, std::vector<uint8_t>* out) {
-  FrameWriter w(FrameType::kQuery, out);
-  PutU64(frame.request_id, out);
-  PutU64(frame.user_id, out);
-  PutU32(frame.m, out);
-  w.Finish();
+  uint8_t* p = StartFrame(FrameType::kQuery, 20, out);
+  p = StoreU64(frame.request_id, p);
+  p = StoreU64(frame.user_id, p);
+  StoreU32(frame.m, p);
 }
 
 void AppendQueryReply(const QueryReplyFrame& frame, std::vector<uint8_t>* out) {
-  FrameWriter w(FrameType::kQueryReply, out);
-  PutU64(frame.request_id, out);
-  PutU64(frame.epoch, out);
-  PutU32(static_cast<uint32_t>(frame.pages.size()), out);
-  for (const uint32_t page : frame.pages) PutU32(page, out);
-  w.Finish();
+  const size_t count = frame.pages.size();
+  uint8_t* p = StartFrame(FrameType::kQueryReply, 20 + 4 * count, out);
+  p = StoreU64(frame.request_id, p);
+  p = StoreU64(frame.epoch, p);
+  p = StoreU32(static_cast<uint32_t>(count), p);
+  for (const uint32_t page : frame.pages) p = StoreU32(page, p);
 }
 
 void AppendMetrics(std::vector<uint8_t>* out) {
-  FrameWriter w(FrameType::kMetrics, out);
-  w.Finish();
+  StartFrame(FrameType::kMetrics, 0, out);
 }
 
 void AppendMetricsReply(const MetricsReplyFrame& frame,
                         std::vector<uint8_t>* out) {
-  FrameWriter w(FrameType::kMetricsReply, out);
-  PutU32(static_cast<uint32_t>(frame.text.size()), out);
-  out->insert(out->end(), frame.text.begin(), frame.text.end());
-  w.Finish();
+  uint8_t* p =
+      StartFrame(FrameType::kMetricsReply, 4 + frame.text.size(), out);
+  p = StoreU32(static_cast<uint32_t>(frame.text.size()), p);
+  StoreBytes(frame.text, p);
 }
 
 void AppendHealth(std::vector<uint8_t>* out) {
-  FrameWriter w(FrameType::kHealth, out);
-  w.Finish();
+  StartFrame(FrameType::kHealth, 0, out);
 }
 
 void AppendHealthReply(const HealthReplyFrame& frame,
                        std::vector<uint8_t>* out) {
-  FrameWriter w(FrameType::kHealthReply, out);
-  out->push_back(static_cast<uint8_t>(frame.status));
-  PutU64(frame.epoch, out);
-  PutU64(frame.inflight, out);
-  PutU64(frame.queries, out);
-  out->push_back(frame.degraded ? 1 : 0);
-  PutU64(frame.stale_epochs, out);
-  w.Finish();
+  uint8_t* p = StartFrame(FrameType::kHealthReply, 34, out);
+  *p++ = static_cast<uint8_t>(frame.status);
+  p = StoreU64(frame.epoch, p);
+  p = StoreU64(frame.inflight, p);
+  p = StoreU64(frame.queries, p);
+  *p++ = frame.degraded ? 1 : 0;
+  StoreU64(frame.stale_epochs, p);
 }
 
 void AppendError(const ErrorFrame& frame, std::vector<uint8_t>* out) {
-  FrameWriter w(FrameType::kError, out);
-  PutU64(frame.request_id, out);
-  PutU16(static_cast<uint16_t>(frame.code), out);
-  PutU32(static_cast<uint32_t>(frame.message.size()), out);
-  out->insert(out->end(), frame.message.begin(), frame.message.end());
-  w.Finish();
+  uint8_t* p = StartFrame(FrameType::kError, 14 + frame.message.size(), out);
+  p = StoreU64(frame.request_id, p);
+  p = StoreU16(static_cast<uint16_t>(frame.code), p);
+  p = StoreU32(static_cast<uint32_t>(frame.message.size()), p);
+  StoreBytes(frame.message, p);
 }
 
 bool DecodeQuery(const uint8_t* payload, size_t len, QueryFrame* out) {

@@ -123,9 +123,10 @@ bool ShardedRankServer::Update(
     const Clock::time_point shards_done = Clock::now();
 
     // The materialized global merge order plus whatever the policy's
-    // BuildEpochState derives from it (Plackett-Luce's alias table) — the
-    // one view every query of this epoch realizes against. Carries the
-    // publish.merge / publish.epoch_state fault sites internally.
+    // BuildEpochState derives from it (Plackett-Luce's alias table,
+    // ts-promo's coin table) — the one view every query of this epoch
+    // realizes against. Carries the publish.merge / publish.epoch_state
+    // fault sites internally.
     EpochPrefixCache::BuildPhaseTimings cache_timings;
     view->cache =
         EpochPrefixCache::Build(*view, tracing ? &cache_timings : nullptr);
@@ -338,7 +339,9 @@ size_t ShardedRankServer::ServeUninstrumented(
   // were materialized once when this epoch was published; the policy
   // realizes against that single pre-merged global view (promotion:
   // protected-prefix copy + O(m) splice; Plackett-Luce: O(m) expected alias
-  // draws; epsilon-tail: head copy + explored slots only).
+  // draws rejected against a flat emitted set; epsilon-tail: head copy +
+  // explored slots only; ts-promo: head copy + one uniform per contested
+  // slot against the epoch's coin table).
   const EpochPrefixCache& cache = *view.cache;
   const ShardView global = cache.AsView();
   return view.policy->ServePrefix(&global, 1, cache.policy_state.get(),

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -182,6 +183,32 @@ TEST(ProtocolTest, QueryWireLayoutIsLittleEndian) {
       0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // request_id LE
       0x99, 0,    0,    0,    0,    0,    0,    0,     // user_id LE
       0x02, 0x01, 0,    0,     // m LE
+  };
+  ASSERT_EQ(bytes.size(), sizeof(expected));
+  EXPECT_EQ(std::memcmp(bytes.data(), expected, sizeof(expected)), 0);
+}
+
+// The exact on-wire bytes of a QUERY_REPLY, appended after bytes already in
+// the buffer (the daemon stages replies back to back in one write buffer).
+TEST(ProtocolTest, QueryReplyWireLayoutIsLittleEndian) {
+  QueryReplyFrame frame;
+  frame.request_id = 0x0102030405060708ULL;
+  frame.epoch = 0xa0b0c0d0e0f00011ULL;
+  frame.pages = {0x11223344u, 7u};
+  std::vector<uint8_t> bytes = {0xee};
+  AppendQueryReply(frame, &bytes);
+  const uint8_t expected[] = {
+      0xee,                    // earlier bytes stay untouched
+      28,   0,    0,    0,     // payload_len = 20 + 4 * 2
+      0x52,                    // magic 'R'
+      1,                       // version
+      0x81,                    // type QUERY_REPLY
+      0,                       // flags
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // request_id LE
+      0x11, 0x00, 0xf0, 0xe0, 0xd0, 0xc0, 0xb0, 0xa0,  // epoch LE
+      2,    0,    0,    0,     // page count LE
+      0x44, 0x33, 0x22, 0x11,  // pages[0] LE
+      7,    0,    0,    0,     // pages[1] LE
   };
   ASSERT_EQ(bytes.size(), sizeof(expected));
   EXPECT_EQ(std::memcmp(bytes.data(), expected, sizeof(expected)), 0);
@@ -546,6 +573,62 @@ TEST(NetDaemonTest, OverloadShedsWithExplicitReply) {
   }
   EXPECT_EQ(harness.daemon->stats().shed_overloaded, 60u);
   EXPECT_TRUE(harness.daemon->Drain());
+}
+
+// Clients shed at the same moment must not retry in lockstep. kClients
+// connections are open when the loop is held inside a query and a drain
+// starts; every client then sends one QueryWithRetry, so each first attempt
+// is read after the drain began and shed (ERROR/DRAINING, or a closed
+// connection once the drain finished). The daemon's overload cap counts
+// per connection read pass, so a one-query client is shed this way, not by
+// OVERLOADED. The first-retry sleeps must spread over at least a quarter of
+// the 10 ms first backoff. They are read from the schedule each client
+// computed, not from send times, so thread scheduling cannot decide the
+// outcome; with independent coins, 32 clients miss the spread with odds
+// near 1e-8.
+TEST(NetDaemonTest, ShedClientsSpreadTheirFirstRetry) {
+  DaemonHarness harness(2000);
+  const size_t kClients = 32;
+  std::vector<std::unique_ptr<NetClient>> clients;
+  for (size_t i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<NetClient>());
+    ASSERT_TRUE(clients.back()->Connect("127.0.0.1", harness.daemon->port(),
+                                        10));
+    ASSERT_EQ(clients.back()->Health(nullptr), NetClient::Status::kOk);
+  }
+  NetClient holder;
+  ASSERT_TRUE(holder.Connect("127.0.0.1", harness.daemon->port(), 10));
+  LoopHold hold(200000);
+  ASSERT_TRUE(holder.SendQuery(10, 0, nullptr));
+  ASSERT_TRUE(hold.WaitUntilHeld());
+  std::thread drainer([&] { harness.daemon->Drain(); });
+  while (!harness.daemon->draining()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::vector<NetClient::Status> statuses(kClients);
+  std::vector<std::thread> senders;
+  for (size_t i = 0; i < kClients; ++i) {
+    senders.emplace_back([&, i] {
+      NetClient::QueryResult result;
+      statuses[i] = clients[i]->QueryWithRetry(10, 100 + i, &result);
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  drainer.join();
+
+  double lo = 1e9;
+  double hi = -1e9;
+  for (size_t i = 0; i < kClients; ++i) {
+    EXPECT_NE(statuses[i], NetClient::Status::kOk) << "client " << i;
+    const std::vector<double>& sleeps = clients[i]->last_retry_sleeps_ms();
+    ASSERT_FALSE(sleeps.empty()) << "client " << i << " never retried";
+    EXPECT_GT(sleeps[0], 5.0 - 1e-9);
+    EXPECT_LE(sleeps[0], 10.0);
+    lo = std::min(lo, sleeps[0]);
+    hi = std::max(hi, sleeps[0]);
+  }
+  EXPECT_GE(hi - lo, 2.5) << "first retries within " << hi - lo << " ms";
 }
 
 // Graceful drain: frames read before the loop saw the drain complete and

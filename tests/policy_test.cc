@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,9 +32,10 @@ namespace {
 
 using testutil::Fixture;
 
-// Which families actually produce opaque per-epoch state (for every family
-// but Plackett-Luce the epoch-invariant state is the merged view itself, so
-// the hook returns null and the serve layer passes nothing extra).
+// Which families actually produce opaque per-epoch state (Plackett-Luce's
+// alias table, and ts-promo's coin table at a = 1; for the other families
+// the epoch-invariant state is the merged view itself, so the hook returns
+// null and the serve layer passes nothing extra).
 TEST(PolicyEpochStateTest, BuildEpochStateProducesStateWhereExpected) {
   const size_t n = 60;
   Fixture fx(n, 0);
@@ -45,10 +47,12 @@ TEST(PolicyEpochStateTest, BuildEpochStateProducesStateWhereExpected) {
   };
   EXPECT_EQ(build(MakePromotionPolicy(RankPromotionConfig::None())), nullptr);
   EXPECT_NE(build(MakePlackettLucePolicy(0.2)), nullptr);
-  // Epsilon-tail's protected head is a prefix of the merged order, and
-  // ts-promo duels over the merged view itself — nothing extra to build.
+  // Epsilon-tail's protected head is a prefix of the merged order: nothing
+  // extra to build. ts-promo tabulates its duel coin only where it has a
+  // closed form (a = 1).
   EXPECT_EQ(build(MakeEpsilonTailPolicy(0.3, 4)), nullptr);
-  EXPECT_EQ(build(MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1)), nullptr);
+  EXPECT_NE(build(MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1)), nullptr);
+  EXPECT_EQ(build(MakeThompsonPromotionPolicy(1.5, 1.5, 4.0, 1)), nullptr);
 }
 
 TEST(PolicyFactoryTest, LabelsRoundTripThroughMakePolicyFromLabel) {
@@ -219,6 +223,21 @@ TEST(PolicyFactoryTest, StandardFamiliesAreValidAndDistinct) {
   EXPECT_EQ(labels.size(), families.size());
 }
 
+// FNV-1a folds for the pinned-digest tests below.
+void Fold(uint64_t* h, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *h ^= (value >> (8 * byte)) & 0xff;
+    *h *= 0x100000001b3ULL;
+  }
+}
+
+void FoldAll(uint64_t* h, const std::vector<uint32_t>& list) {
+  Fold(h, list.size());
+  for (const uint32_t page : list) Fold(h, page);
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
 // Seeded streams pinned across commits. Per promotion config: two Updates,
 // each followed by 50 rounds of every realization the Ranker and the
 // PromotionPolicy offer over its view (full list, prefix, lazy rank, list
@@ -226,16 +245,6 @@ TEST(PolicyFactoryTest, StandardFamiliesAreValidAndDistinct) {
 // stream changes a digest; update a constant only in a change that means to
 // alter that stream.
 TEST(PromotionPolicyTest, SeededStreamsMatchPinnedDigests) {
-  const auto fold = [](uint64_t* h, uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      *h ^= (value >> (8 * byte)) & 0xff;
-      *h *= 0x100000001b3ULL;
-    }
-  };
-  const auto fold_all = [&](uint64_t* h, const std::vector<uint32_t>& list) {
-    fold(h, list.size());
-    for (const uint32_t page : list) fold(h, page);
-  };
   const std::pair<RankPromotionConfig, uint64_t> cases[] = {
       {RankPromotionConfig::None(), 0x69d1059b17b48aa5ULL},
       {RankPromotionConfig::Uniform(0.3, 3), 0xe3c93919807115beULL},
@@ -247,23 +256,80 @@ TEST(PromotionPolicyTest, SeededStreamsMatchPinnedDigests) {
     Ranker ranker(policy);
     Fixture fx(200, 40);
     Rng rng(11);
-    uint64_t h = 0xcbf29ce484222325ULL;
+    uint64_t h = kFnvOffset;
     for (int update = 0; update < 2; ++update) {
       ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
       for (int round = 0; round < 50; ++round) {
-        fold_all(&h, ranker.MaterializeList(rng));
-        fold_all(&h, ranker.TopM(17, rng));
-        fold(&h, policy->PageAtRank(ranker.view(), 9, rng));
+        FoldAll(&h, ranker.MaterializeList(rng));
+        FoldAll(&h, ranker.TopM(17, rng));
+        Fold(&h, policy->PageAtRank(ranker.view(), 9, rng));
         std::vector<uint32_t> det_pos;
         std::vector<uint32_t> pool_pos;
-        fold_all(&h, policy->MaterializeWithPositions(ranker.view(), rng,
-                                                      &det_pos, &pool_pos));
-        fold_all(&h, det_pos);
-        fold_all(&h, pool_pos);
+        FoldAll(&h, policy->MaterializeWithPositions(ranker.view(), rng,
+                                                     &det_pos, &pool_pos));
+        FoldAll(&h, det_pos);
+        FoldAll(&h, pool_pos);
       }
     }
     EXPECT_EQ(h, expected) << config.Label() << ": digest 0x" << std::hex
                            << h;
+  }
+}
+
+// Seeded served lists of the non-promotion families, pinned the same way:
+// per case, 200 ServePrefix calls over one Ranker's view at each listed m,
+// folded into one FNV-1a digest. The cases cover every reader of
+// PolicyScratch::emitted (Plackett-Luce's alias rejection, its null-state
+// Gumbel path and its mid-query fallback at T = 0.01; eps-tail's uniform
+// rejection with and without a protected head) and ts-promo's duel (the
+// epoch-state coin table, and past it or without it the same coin computed
+// per query). One scratch serves every call of a case, so a set that leaks
+// entries between queries changes the digest.
+TEST(StochasticPolicyTest, SeededServedListsMatchPinnedDigests) {
+  struct Case {
+    const char* name;
+    std::shared_ptr<const StochasticRankingPolicy> policy;
+    size_t n;
+    size_t zeros;
+    bool null_state;
+    std::vector<size_t> ms;
+    uint64_t expected;
+  };
+  const Case cases[] = {
+      {"plackett-luce alias", MakePlackettLucePolicy(0.15), 120, 6, false,
+       {1, 10, 40}, 0x8a313c6e94ef113aULL},
+      {"plackett-luce null state", MakePlackettLucePolicy(0.15), 120, 6, true,
+       {1, 10, 40}, 0x0c1ee9bc9482c685ULL},
+      {"plackett-luce T=0.01 fallback", MakePlackettLucePolicy(0.01), 30, 0,
+       false, {12, 30}, 0x2dd942fdcec388cfULL},
+      {"eps-tail k=0", MakeEpsilonTailPolicy(0.35, 0), 90, 0, false,
+       {10, 90}, 0x43d6685af316c3eaULL},
+      {"eps-tail k=3", MakeEpsilonTailPolicy(0.35, 3), 90, 0, false,
+       {10, 90}, 0x554050e7c04bece6ULL},
+      {"ts-promo", MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1), 1500, 300,
+       false, {10, 1500}, 0x2d296d12176aa589ULL},
+      {"ts-promo null state", MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1),
+       1500, 300, true, {10, 1500}, 0x2d296d12176aa589ULL},
+  };
+  for (const Case& c : cases) {
+    Fixture fx(c.n, c.zeros);
+    Ranker ranker(c.policy);
+    Rng rng(13);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+    const ShardView view = ranker.view();
+    const std::shared_ptr<const PolicyEpochState> state =
+        c.null_state ? nullptr : c.policy->BuildEpochState(view);
+    PolicyScratch scratch;
+    std::vector<uint32_t> out;
+    uint64_t h = kFnvOffset;
+    for (int round = 0; round < 200; ++round) {
+      for (const size_t m : c.ms) {
+        out.clear();
+        c.policy->ServePrefix(&view, 1, state.get(), scratch, m, rng, &out);
+        FoldAll(&h, out);
+      }
+    }
+    EXPECT_EQ(h, c.expected) << c.name << ": digest 0x" << std::hex << h;
   }
 }
 
@@ -336,6 +402,134 @@ TEST(PlackettLucePolicyTest, FullRealizationIsAPermutation) {
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);
   const std::set<uint32_t> seen(list.begin(), list.end());
   EXPECT_EQ(seen.size(), n);
+}
+
+// log of the integral over (0, 1) of x^(p-1) (1-x)^(r-1), p, r >= 1, by
+// tanh-sinh quadrature in long double: x = (1 + tanh u) / 2 with
+// u = (pi/2) sinh t, summed at step 1/64 over |t| <= 5. Both endpoint
+// behaviours (x^0.3, (1-x)^0.5) converge doubly exponentially, so the sum
+// is exact far below 1e-12. Logs throughout keep the tails finite.
+long double LogBetaIntegral(long double p, long double r) {
+  const long double kPi = 3.14159265358979323846264338327950288L;
+  const long double h = 1.0L / 64.0L;
+  const auto log_cosh = [](long double v) {
+    const long double a = std::fabs(v);
+    return a + std::log1p(std::exp(-2.0L * a)) - std::log(2.0L);
+  };
+  long double max_term = -INFINITY;
+  std::vector<long double> terms;
+  for (int i = -320; i <= 320; ++i) {
+    const long double t = h * i;
+    const long double u = kPi / 2.0L * std::sinh(t);
+    const long double log_x = -std::log1p(std::exp(-2.0L * u));
+    const long double log_1mx = -std::log1p(std::exp(2.0L * u));
+    const long double log_weight =
+        std::log(kPi / 4.0L) + log_cosh(t) - 2.0L * log_cosh(u);
+    terms.push_back(log_weight + (p - 1.0L) * log_x + (r - 1.0L) * log_1mx);
+    max_term = std::max(max_term, terms.back());
+  }
+  long double sum = 0.0L;
+  for (const long double term : terms) sum += std::exp(term - max_term);
+  return max_term + std::log(sum * h);
+}
+
+// The closed-form duel coin against an independent quadrature of its
+// definition: q(s) = E[(1 - theta_det)^b] over theta_det ~ Beta(alpha,
+// beta), the ratio of two Beta integrals.
+TEST(ThompsonPromotionPolicyTest, CoinMatchesQuadrature) {
+  for (const double b : {0.5, 3.0}) {
+    for (const double c : {0.0, 6.0, 20.0}) {
+      const ThompsonPromotionPolicy policy(1.0, b, c, 1);
+      for (const double s : {0.0, 0.05, 0.3, 0.9, 1.0}) {
+        const long double alpha = 1.0L + c * s;
+        const long double beta = 1.0L + c * (1.0L - s);
+        const double expected = static_cast<double>(
+            std::exp(LogBetaIntegral(alpha, beta + b) -
+                     LogBetaIntegral(alpha, beta)));
+        EXPECT_NEAR(policy.PoolWinProbability(s), expected, 1e-9)
+            << "b=" << b << " c=" << c << " s=" << s;
+      }
+    }
+  }
+  // The evidence-free head is a uniform draw: q = 1 / (1 + b).
+  EXPECT_NEAR(ThompsonPromotionPolicy(1.0, 3.0, 0.0, 1).PoolWinProbability(0.4),
+              0.25, 1e-12);
+}
+
+// The coin table is a cache, not a different law: the table path, and the
+// null-state path that computes every coin per query, serve bit-identical
+// lists from the same seed. Full lists reach past the table's last
+// position, so the table path also computes coins per query.
+TEST(ThompsonPromotionPolicyTest, TableAndNullStateServeIdenticalLists) {
+  const size_t n = 1500;
+  Fixture fx(n, 300);
+  const auto policy = MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1);
+  Ranker ranker(policy);
+  Rng build_rng(3);
+  ranker.Update(fx.popularity, fx.zero, fx.birth, build_rng);
+  const ShardView view = ranker.view();
+  const auto state = policy->BuildEpochState(view);
+  ASSERT_NE(state, nullptr);
+  const std::set<uint32_t> pool(ranker.pool().begin(), ranker.pool().end());
+
+  const size_t m = n;
+  PolicyScratch scratch;
+  size_t deepest_det = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::vector<uint32_t> with_table;
+    std::vector<uint32_t> without;
+    Rng a(seed);
+    Rng b(seed);
+    ASSERT_EQ(policy->ServePrefix(&view, 1, state.get(), scratch, m, a,
+                                  &with_table),
+              m);
+    ASSERT_EQ(policy->ServePrefix(&view, 1, nullptr, scratch, m, b, &without),
+              m);
+    ASSERT_EQ(with_table, without) << "seed " << seed;
+    size_t det_served = 0;
+    for (const uint32_t page : with_table) det_served += pool.count(page) == 0;
+    deepest_det = std::max(deepest_det, det_served);
+  }
+  EXPECT_GT(deepest_det, ThompsonPromotionPolicy::kCoinTablePositions);
+}
+
+// Serving threads compute coins concurrently past the table (and with no
+// table at all); each thread's lists equal a serial replay of its seed. The
+// CI TSan job runs this case: the coin's lgamma must not share state.
+TEST(ThompsonPromotionPolicyTest, ConcurrentServingComputesCoinsPerQuery) {
+  const size_t n = 1500;
+  Fixture fx(n, 300);
+  const auto policy = MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1);
+  Ranker ranker(policy);
+  Rng build_rng(3);
+  ranker.Update(fx.popularity, fx.zero, fx.birth, build_rng);
+  const ShardView view = ranker.view();
+  const auto state = policy->BuildEpochState(view);
+
+  const auto serve = [&](uint64_t seed, const PolicyEpochState* epoch_state) {
+    PolicyScratch scratch;
+    Rng rng(seed);
+    uint64_t h = kFnvOffset;
+    std::vector<uint32_t> out;
+    for (int q = 0; q < 40; ++q) {
+      out.clear();
+      policy->ServePrefix(&view, 1, epoch_state, scratch, n, rng, &out);
+      FoldAll(&h, out);
+    }
+    return h;
+  };
+  const size_t kThreads = 4;
+  std::vector<uint64_t> digests(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      digests[t] = serve(100 + t, t % 2 == 0 ? nullptr : state.get());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(digests[t], serve(100 + t, nullptr)) << "thread " << t;
+  }
 }
 
 // --- Satellite: chi-squared serve-vs-materialize equivalence -------------
@@ -548,6 +742,49 @@ TEST(PolicyEquivalenceTest, ThompsonPromoServeMatchesMaterializeChiSquared) {
   const std::vector<double> served =
       ServeCounts(policy, fx, n, 4, m, kTrials, m + 1, 502, stat);
   ExpectChiSquaredAgreement(served, reference, "ts-promo");
+}
+
+// The same property at the shipped prior (a = 1: the served duel is the
+// closed-form coin, read from the epoch table on the server and computed
+// per query with a null state) and at a != 1, where ServePrefix keeps the
+// sampled duel. m = 30 reaches heads of middling score, where the coin is
+// far from 0.
+TEST(PolicyEquivalenceTest, ThompsonPromoCoinAndSampledDuelMatchChiSquared) {
+  const size_t n = 90;
+  const size_t m = 30;
+  const int kTrials = 20000;
+  Fixture fx(n, 20);
+  struct Case {
+    const char* name;
+    std::shared_ptr<const StochasticRankingPolicy> policy;
+  };
+  const Case cases[] = {
+      {"ts-promo shipped (1, 3, 20, 1)",
+       MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1)},
+      {"ts-promo a != 1 (1.5, 1.5, 4, 1)",
+       MakeThompsonPromotionPolicy(1.5, 1.5, 4.0, 1)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Ranker ranker(c.policy);
+    Rng rng(6);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+    const std::set<uint32_t> det_top(ranker.deterministic_order().begin(),
+                                     ranker.deterministic_order().begin() + m);
+    const auto stat = [&](const std::vector<uint32_t>& prefix) {
+      size_t hits = 0;
+      for (const uint32_t page : prefix) hits += det_top.count(page);
+      return hits;
+    };
+    const std::vector<double> reference =
+        MaterializeCounts(c.policy, fx, m, kTrials, m + 1, 601, stat);
+    ExpectChiSquaredAgreement(
+        ServeCounts(c.policy, fx, n, 4, m, kTrials, m + 1, 602, stat),
+        reference, c.name);
+    ExpectChiSquaredAgreement(
+        NullStateCounts(c.policy, fx, m, kTrials, m + 1, 603, stat), reference,
+        c.name);
+  }
 }
 
 TEST(PolicyServingTest, AllStandardFamiliesServeThroughBatchesAndWorkload) {

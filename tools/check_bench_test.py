@@ -132,6 +132,28 @@ class GateTest(unittest.TestCase):
                 records[bench]["qps"] = (keep - 0.01) * floor
                 self.assertEqual(len(self.gate(records)), 1)
 
+    def test_large_m_rule_per_family_fires(self):
+        """Each family of the policy sweep has a large-m rule that fires
+        just past its bound and carries the spread it was recorded from."""
+        families = {name.split(":", 1)[1] for name in self.baseline["qps"]
+                    if name.startswith("serve/policy:")}
+        large_m = [rule for rule in self.baseline["rules"]
+                   if rule["bench"].startswith("serve/large_m:")]
+        self.assertEqual({rule["bench"].split(":", 1)[1] for rule in large_m},
+                         families)
+        for rule in large_m:
+            with self.subTest(bench=rule["bench"]):
+                self.assertEqual((rule["field"], rule["op"]),
+                                 ("per_slot_vs_base", "<="))
+                self.assertIn("spread", rule)
+                records = self.passing_records()
+                records[rule["bench"]]["per_slot_vs_base"] = \
+                    rule["bound"] * 1.01
+                failures = self.gate(records)
+                self.assertEqual(len(failures), 1, failures)
+                self.assertIn(f"{rule['bench']} per_slot_vs_base <=",
+                              failures[0])
+
     def test_span_lines_fold_to_median(self):
         path = os.path.join(self.tmp.name, "spans.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
