@@ -96,14 +96,11 @@ int main(int argc, char** argv) {
   const size_t kDecisions = smoke ? 200 : 2000;
   for (const bool thompson : {true, false}) {
     std::unique_ptr<bai::ArmScheduler> scheduler;
+    // min_clicks 2^60: never eliminate, so K arms every decision.
     if (thompson) {
-      bai::TopTwoThompsonOptions opts;
-      opts.min_clicks = 1ULL << 60;  // never eliminate: K arms every decision
-      scheduler = bai::MakeTopTwoThompsonScheduler(kArms, opts);
+      scheduler = bai::MakeTopTwoThompsonScheduler(kArms, 1ULL << 60);
     } else {
-      bai::SuccessiveEliminationOptions opts;
-      opts.min_clicks = 1ULL << 60;
-      scheduler = bai::MakeSuccessiveEliminationScheduler(kArms, opts);
+      scheduler = bai::MakeSuccessiveEliminationScheduler(kArms, 1ULL << 60);
     }
     const std::string name =
         std::string("bai/decide:") + scheduler->Name();
@@ -160,12 +157,12 @@ int main(int argc, char** argv) {
   };
   const auto run_adaptive = [&]() {
     ExperimentManager exp(community, OverheadArms(), eopts);
-    bai::TopTwoThompsonOptions sopts;
-    sopts.min_clicks = 1ULL << 60;  // keep all arms: epochs stay comparable
     bai::BaiControllerOptions copts;
     copts.guardrail = false;
+    // min_clicks 2^60 keeps all arms, so epochs stay comparable.
     bai::BaiController controller(
-        &exp, bai::MakeTopTwoThompsonScheduler(OverheadArms().size(), sopts),
+        &exp,
+        bai::MakeTopTwoThompsonScheduler(OverheadArms().size(), 1ULL << 60),
         copts);
     const Clock::time_point t0 = Clock::now();
     for (size_t e = 0; e < kEpochs; ++e) controller.Step();

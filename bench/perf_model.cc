@@ -46,10 +46,8 @@ BENCHMARK(BM_RankMapQuery);
 void BM_AnalyticSolve(benchmark::State& state) {
   const auto classes = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    AnalyticOptions options;
-    options.max_classes = classes;
     AnalyticModel model(CommunityParams::Default(),
-                        RankPromotionConfig::Selective(0.1, 1), options);
+                        RankPromotionConfig::Selective(0.1, 1), classes);
     benchmark::DoNotOptimize(model.NormalizedQpc());
   }
 }

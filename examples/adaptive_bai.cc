@@ -101,16 +101,10 @@ int main(int argc, char** argv) {
   // clicks even for challengers riding the exploration floor, so the
   // identification plays out as a multi-epoch ramp instead of a one-epoch
   // verdict (each arm starts with ~queries/arms clicks per epoch).
-  std::unique_ptr<bai::ArmScheduler> scheduler;
-  if (succ_elim) {
-    bai::SuccessiveEliminationOptions sopts;
-    sopts.min_clicks = fast ? 5000 : 15000;
-    scheduler = bai::MakeSuccessiveEliminationScheduler(kArms, sopts);
-  } else {
-    bai::TopTwoThompsonOptions sopts;
-    sopts.min_clicks = fast ? 5000 : 15000;
-    scheduler = bai::MakeTopTwoThompsonScheduler(kArms, sopts);
-  }
+  const uint64_t min_clicks = fast ? 5000 : 15000;
+  std::unique_ptr<bai::ArmScheduler> scheduler =
+      succ_elim ? bai::MakeSuccessiveEliminationScheduler(kArms, min_clicks)
+                : bai::MakeTopTwoThompsonScheduler(kArms, min_clicks);
 
   bai::BaiControllerOptions copts;
   copts.metrics = &registry;

@@ -101,8 +101,8 @@ size_t ArmScheduler::EmpiricalLeader() const {
 // --- Top-two Thompson sampling ---
 
 TopTwoThompsonScheduler::TopTwoThompsonScheduler(size_t arms,
-                                                 TopTwoThompsonOptions options)
-    : ArmScheduler(arms), opts_(options), last_prob_best_(arms, 0.0) {}
+                                                 uint64_t min_clicks)
+    : ArmScheduler(arms), min_clicks_(min_clicks), last_prob_best_(arms, 0.0) {}
 
 void TopTwoThompsonScheduler::PosteriorOf(const ArmStats& stats,
                                           double pooled_mean, double* mean,
@@ -181,7 +181,7 @@ SchedulerDecision TopTwoThompsonScheduler::Decide() {
   // out despite real evidence. The leader itself is never an epigon.
   for (size_t a = 0; a < stats_.size(); ++a) {
     if (!stats_[a].active || a == leader) continue;
-    if (stats_[a].clicks >= opts_.min_clicks &&
+    if (stats_[a].clicks >= min_clicks_ &&
         prob_best[a] < kEliminateBelow && active_arms() > 1) {
       stats_[a].active = false;
       decision.eliminated.push_back(a);
@@ -245,8 +245,8 @@ std::vector<ArmPosterior> TopTwoThompsonScheduler::Posteriors() const {
 // --- Successive elimination ---
 
 SuccessiveEliminationScheduler::SuccessiveEliminationScheduler(
-    size_t arms, SuccessiveEliminationOptions options)
-    : ArmScheduler(arms), opts_(options) {}
+    size_t arms, uint64_t min_clicks)
+    : ArmScheduler(arms), min_clicks_(min_clicks) {}
 
 double SuccessiveEliminationScheduler::Radius(const ArmStats& stats) const {
   if (stats.clicks == 0) return std::numeric_limits<double>::infinity();
@@ -268,12 +268,12 @@ SchedulerDecision SuccessiveEliminationScheduler::Decide() {
   // so epigons fall off one by one while the contenders keep even traffic.
   double best_lcb = -std::numeric_limits<double>::infinity();
   for (size_t a = 0; a < stats_.size(); ++a) {
-    if (!stats_[a].active || stats_[a].clicks < opts_.min_clicks) continue;
+    if (!stats_[a].active || stats_[a].clicks < min_clicks_) continue;
     best_lcb = std::max(best_lcb, stats_[a].mean() - Radius(stats_[a]));
   }
   if (std::isfinite(best_lcb)) {
     for (size_t a = 0; a < stats_.size(); ++a) {
-      if (!stats_[a].active || stats_[a].clicks < opts_.min_clicks) continue;
+      if (!stats_[a].active || stats_[a].clicks < min_clicks_) continue;
       if (active_arms() <= 1) break;
       const double ucb = stats_[a].mean() + Radius(stats_[a]);
       if (ucb < best_lcb) {
@@ -328,13 +328,13 @@ std::vector<ArmPosterior> SuccessiveEliminationScheduler::Posteriors() const {
 }
 
 std::unique_ptr<ArmScheduler> MakeTopTwoThompsonScheduler(
-    size_t arms, TopTwoThompsonOptions options) {
-  return std::make_unique<TopTwoThompsonScheduler>(arms, options);
+    size_t arms, uint64_t min_clicks) {
+  return std::make_unique<TopTwoThompsonScheduler>(arms, min_clicks);
 }
 
 std::unique_ptr<ArmScheduler> MakeSuccessiveEliminationScheduler(
-    size_t arms, SuccessiveEliminationOptions options) {
-  return std::make_unique<SuccessiveEliminationScheduler>(arms, options);
+    size_t arms, uint64_t min_clicks) {
+  return std::make_unique<SuccessiveEliminationScheduler>(arms, min_clicks);
 }
 
 }  // namespace randrank::bai

@@ -145,10 +145,6 @@ class ArmScheduler {
 ///
 /// Stopping rule: one active arm left. Confidence reported is the leader's
 /// p_a (1.0 once stopped).
-struct TopTwoThompsonOptions {
-  uint64_t min_clicks = 200;
-};
-
 class TopTwoThompsonScheduler final : public ArmScheduler {
  public:
   static constexpr double kLeaderShare = 0.5;
@@ -160,7 +156,7 @@ class TopTwoThompsonScheduler final : public ArmScheduler {
   /// un-sampled arms stay wide instead of degenerate.
   static constexpr double kPriorClicks = 8.0;
 
-  TopTwoThompsonScheduler(size_t arms, TopTwoThompsonOptions options = {});
+  TopTwoThompsonScheduler(size_t arms, uint64_t min_clicks = 200);
 
   std::string Name() const override { return "tt-thompson"; }
   SchedulerDecision Decide() override;
@@ -173,7 +169,7 @@ class TopTwoThompsonScheduler final : public ArmScheduler {
   /// Monte-Carlo P(best) over the active arms (indexes into stats_).
   std::vector<double> ProbBest();
 
-  TopTwoThompsonOptions opts_;
+  uint64_t min_clicks_;
   Rng rng_{0xba1a11ceULL};
   /// p_a from the last Decide, kept for Posteriors().
   std::vector<double> last_prob_best_;
@@ -187,16 +183,11 @@ class TopTwoThompsonScheduler final : public ArmScheduler {
 ///
 /// Stopping rule: one active arm left; confidence reported is 1 - kDelta
 /// once stopped, else the margin-normalized gap between the top two bounds.
-struct SuccessiveEliminationOptions {
-  uint64_t min_clicks = 100;
-};
-
 class SuccessiveEliminationScheduler final : public ArmScheduler {
  public:
   static constexpr double kDelta = 0.05;
 
-  SuccessiveEliminationScheduler(size_t arms,
-                                 SuccessiveEliminationOptions options = {});
+  SuccessiveEliminationScheduler(size_t arms, uint64_t min_clicks = 100);
 
   std::string Name() const override { return "succ-elim"; }
   SchedulerDecision Decide() override;
@@ -205,13 +196,13 @@ class SuccessiveEliminationScheduler final : public ArmScheduler {
  private:
   double Radius(const ArmStats& stats) const;
 
-  SuccessiveEliminationOptions opts_;
+  uint64_t min_clicks_;
 };
 
 std::unique_ptr<ArmScheduler> MakeTopTwoThompsonScheduler(
-    size_t arms, TopTwoThompsonOptions options = {});
+    size_t arms, uint64_t min_clicks = 200);
 std::unique_ptr<ArmScheduler> MakeSuccessiveEliminationScheduler(
-    size_t arms, SuccessiveEliminationOptions options = {});
+    size_t arms, uint64_t min_clicks = 100);
 
 }  // namespace randrank::bai
 

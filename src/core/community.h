@@ -43,8 +43,11 @@ struct CommunityParams {
   /// True when the parameter combination is usable.
   bool Valid() const;
 
-  /// Stationary page-quality values, descending (deterministic power-law
-  /// quantiles; see DESIGN.md section 5 for why quantiles, not samples).
+  /// Stationary page-quality values, descending: deterministic power-law
+  /// quantiles, not samples. Every model and simulator given the same
+  /// community then sees the same qualities, sweeps carry no sampling
+  /// noise in the few head pages that dominate QPC, and a retired page is
+  /// replaced by one of equal quality, as the steady state requires.
   std::vector<double> QualityValues() const;
 };
 

@@ -34,7 +34,7 @@ size_t PromotionPolicy::ServePrefix(const ShardView* views, size_t num_views,
   const uint32_t* det = views[0].det;
   const size_t det_size = views[0].det_size;
   PoolPrefixSampler& sampler = scratch.pool_sampler;
-  sampler.Reset(views[0].pool, views[0].pool_size);
+  sampler.Reset(views[0].pool, views[0].pool_size, m);
 
   const size_t count = std::min(m, det_size + sampler.remaining());
   const size_t protected_prefix = std::min(config_.k - 1, det_size);

@@ -1,7 +1,6 @@
 #ifndef RANDRANK_CORE_POLICY_STOCHASTIC_RANKING_POLICY_H_
 #define RANDRANK_CORE_POLICY_STOCHASTIC_RANKING_POLICY_H_
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "core/pool_prefix_sampler.h"
+#include "util/flat_u32_map.h"
 #include "util/rng.h"
 
 namespace randrank {
@@ -46,63 +46,6 @@ class PolicyEpochState {
   virtual ~PolicyEpochState() = default;
 };
 
-/// The pages one query has already emitted, for rejection tracking: a flat
-/// open-addressed set of page ids (linear probing over a power-of-two table
-/// at most half full). There is no erase, and Reset() empties only the slots
-/// filled since the last Reset, so a query that inserts nothing pays
-/// nothing and the table is allocated once per scratch, at its largest m.
-class EmittedPageSet {
- public:
-  /// Empties the set and sizes it for at most `max_entries` inserts. Call
-  /// it before the first query's inserts too.
-  void Reset(size_t max_entries) {
-    for (const uint32_t slot : filled_) slots_[slot] = kEmpty;
-    filled_.clear();
-    unsigned bits = 4;
-    while ((size_t{1} << bits) < 2 * max_entries) ++bits;
-    shift_ = 64 - bits;
-    if (slots_.size() < (size_t{1} << bits)) {
-      slots_.assign(size_t{1} << bits, kEmpty);
-    }
-  }
-
-  /// Adds `page`; false when it was already present.
-  bool Insert(uint32_t page) {
-    assert(page != kEmpty && filled_.size() < (size_t{1} << (63 - shift_)));
-    for (size_t slot = Home(page);; slot = Next(slot)) {
-      if (slots_[slot] == page) return false;
-      if (slots_[slot] == kEmpty) {
-        slots_[slot] = page;
-        filled_.push_back(static_cast<uint32_t>(slot));
-        return true;
-      }
-    }
-  }
-
-  bool Contains(uint32_t page) const {
-    for (size_t slot = Home(page);; slot = Next(slot)) {
-      if (slots_[slot] == page) return true;
-      if (slots_[slot] == kEmpty) return false;
-    }
-  }
-
- private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-
-  /// Fibonacci hashing: the top bits of a multiplicative hash, so runs of
-  /// consecutive page ids spread over the table.
-  size_t Home(uint32_t page) const {
-    return static_cast<size_t>((page * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-  size_t Next(size_t slot) const {
-    return (slot + 1) & ((size_t{1} << (64 - shift_)) - 1);
-  }
-
-  std::vector<uint32_t> slots_;
-  std::vector<uint32_t> filled_;
-  unsigned shift_ = 60;
-};
-
 /// Reusable per-caller scratch for ServePrefix: the sampler and buffers that
 /// would otherwise allocate on every query. One scratch per serving thread;
 /// a scratch must not be shared between concurrent calls. Policies use the
@@ -112,7 +55,7 @@ struct PolicyScratch {
   PoolPrefixSampler pool_sampler;
   /// Pages already emitted this query (Plackett-Luce's and eps-tail's
   /// rejection tracking).
-  EmittedPageSet emitted;
+  FlatU32Map emitted;
   /// (key, page) buffer for weighted families (Plackett-Luce top-m).
   std::vector<std::pair<double, uint32_t>> keyed;
 };

@@ -176,7 +176,7 @@ size_t ThompsonPromotionPolicy::ServePrefix(const ShardView* views,
   const size_t head = std::min({protect_, count, view.det_size});
   out->insert(out->end(), view.det, view.det + head);
   PoolPrefixSampler& pool = scratch.pool_sampler;
-  pool.Reset(view.pool, view.pool_size);
+  pool.Reset(view.pool, view.pool_size, count - head);
   size_t det_cursor = head;
   for (size_t appended = head; appended < count; ++appended) {
     bool from_pool;

@@ -44,30 +44,4 @@ CsrGraph UniformRandomGraph(size_t num_nodes, size_t avg_out_degree,
   return CsrGraph::FromEdges(num_nodes, edges);
 }
 
-CsrGraph CopyModelGraph(size_t num_nodes, size_t edges_per_node,
-                        double copy_prob, Rng& rng) {
-  assert(num_nodes >= 2);
-  assert(copy_prob >= 0.0 && copy_prob <= 1.0);
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  edges.reserve(num_nodes * edges_per_node);
-  // adjacency of already-created nodes, for prototype copying
-  std::vector<std::vector<uint32_t>> out(num_nodes);
-  out[0] = {};
-  for (uint32_t node = 1; node < num_nodes; ++node) {
-    const auto prototype = static_cast<uint32_t>(rng.NextIndex(node));
-    for (size_t e = 0; e < edges_per_node; ++e) {
-      uint32_t target;
-      if (e < out[prototype].size() && rng.NextBernoulli(copy_prob)) {
-        target = out[prototype][e];
-      } else {
-        target = static_cast<uint32_t>(rng.NextIndex(node));
-      }
-      if (target == node) continue;
-      edges.emplace_back(node, target);
-      out[node].push_back(target);
-    }
-  }
-  return CsrGraph::FromEdges(num_nodes, edges);
-}
-
 }  // namespace randrank

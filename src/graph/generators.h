@@ -19,13 +19,6 @@ CsrGraph PreferentialAttachmentGraph(size_t num_nodes, size_t edges_per_node,
 /// edges, endpoints uniform (self-loops dropped by CSR construction).
 CsrGraph UniformRandomGraph(size_t num_nodes, size_t avg_out_degree, Rng& rng);
 
-/// Kleinberg-style copy model: each new node picks a random prototype; each
-/// of its `edges_per_node` links copies the prototype's corresponding link
-/// with probability `copy_prob`, otherwise points to a uniform random node.
-/// Mimics topical locality plus a heavy in-degree tail.
-CsrGraph CopyModelGraph(size_t num_nodes, size_t edges_per_node,
-                        double copy_prob, Rng& rng);
-
 }  // namespace randrank
 
 #endif  // RANDRANK_GRAPH_GENERATORS_H_

@@ -21,7 +21,7 @@ struct LiveStudyParams {
   /// the 45-day funny-vote ratio is dominated by a handful of items and the
   /// measured lift swings wildly across seeds. A flatter tail (exponent 3.0,
   /// i.e. funniness_i ~ i^-0.5) keeps the entrenchment mechanics identical
-  /// while reproducing the paper's ~1.6x lift stably; see EXPERIMENTS.md.
+  /// while reproducing the paper's ~1.6x lift stably.
   double funniness_exponent = 3.0;
   double max_funniness = 0.9;
   /// Treatment-group promotion: new items below rank `promote_below` - 1.

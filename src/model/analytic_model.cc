@@ -3,111 +3,45 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "model/awareness.h"
+#include "model/rank_maps.h"
 
 namespace randrank {
 
 AnalyticModel::AnalyticModel(const CommunityParams& params,
                              const RankPromotionConfig& config,
-                             const AnalyticOptions& options)
-    : params_(params), config_(config), options_(options) {
+                             size_t max_classes)
+    : params_(params), config_(config), max_classes_(max_classes) {
   assert(params_.Valid());
   assert(config_.Valid());
-  // Full-population dynamics: vu visits/day drive awareness among u users.
-  f2_ = ContinuousF2::Make(params_.n, params_.visits_per_day,
-                           params_.rank_bias_exponent);
 }
 
 const SteadyState& AnalyticModel::Solve() {
   if (solved_) return state_;
 
-  state_.classes = QualityClasses::FromCommunity(params_, options_.max_classes);
+  state_.classes = QualityClasses::FromCommunity(params_, max_classes_);
   const size_t population = params_.u;
-  const size_t levels = std::min(population, options_.awareness_levels);
+  const size_t levels = std::min(population, kAwarenessLevels);
   const double lambda = params_.lambda();
-  const double v = params_.visits_per_day;
-  const size_t classes = state_.classes.size();
+  state_.awareness.assign(state_.classes.size(), {});
 
-  const double q_max = state_.classes.value.front();
-  const double q_min = state_.classes.value.back();
-  const double x_lo = q_min / static_cast<double>(population);
-  const double x_hi = q_max;
-
-  // Log-spaced popularity grid, endpoints included.
-  std::vector<double> grid(options_.grid_points);
-  const double log_lo = std::log(x_lo);
-  const double log_hi = std::log(x_hi);
-  for (size_t g = 0; g < grid.size(); ++g) {
-    const double t =
-        static_cast<double>(g) / static_cast<double>(grid.size() - 1);
-    grid[g] = std::exp(log_lo + t * (log_hi - log_lo));
-  }
-
-  state_.F = VisitRateCurve(
-      grid, std::vector<double>(grid.size(), v / static_cast<double>(params_.n)),
-      v / static_cast<double>(params_.n));
-  state_.awareness.assign(classes, {});
-
-  std::vector<double> f_new(grid.size());
-
-  // The z <-> F(0) loop can limit-cycle in fast-discovery regimes; halve the
-  // blend weight whenever progress stalls across a 20-iteration window.
-  double damping = options_.damping;
-  double checkpoint_residual = std::numeric_limits<double>::infinity();
-
-  for (size_t iter = 1; iter <= options_.max_iterations; ++iter) {
-    const VisitRateFn F = [this](double x) { return state_.F(x); };
-    for (size_t c = 0; c < classes; ++c) {
+  // Theorem 1 chains per class under F; F1 integrates them (Eq. 5).
+  std::optional<RankMap> map;
+  const auto refresh = [&](const VisitRateCurve& F) {
+    const VisitRateFn fn = [&F](double x) { return F(x); };
+    for (size_t c = 0; c < state_.classes.size(); ++c) {
       state_.awareness[c] = AwarenessDistribution(
-          state_.classes.value[c], population, lambda, F, levels);
+          state_.classes.value[c], population, lambda, fn, levels);
     }
-    const RankMap map(state_.classes, state_.awareness);
-    // Damp z as well: the z -> F(0) -> z map is the oscillation source in
-    // fast-discovery regimes.
-    const double z_new = std::max(1e-9, map.zero_awareness_count());
-    state_.z = iter == 1 ? z_new
-                         : std::exp((1.0 - damping) * std::log(state_.z) +
-                                    damping * std::log(z_new));
-
-    const PromotionVisitMap visit_map(f2_, config_.rule, config_.r, config_.k,
-                                      state_.z,
-                                      static_cast<double>(params_.n),
-                                      options_.per_query_lists);
-    for (size_t g = 0; g < grid.size(); ++g) {
-      f_new[g] = std::max(
-          visit_map.VisitRate(map.DeterministicRank(grid[g])), 1e-300);
-    }
-    const double f0_new = std::max(visit_map.ZeroVisitRate(), 1e-300);
-
-    const VisitRateCurve fresh(grid, f_new, f0_new);
-    const VisitRateCurve next = state_.F.BlendWith(fresh, damping);
-    const double residual =
-        next.LogDistance(state_.F, std::min(1.0, state_.z / 10.0));
-    state_.F = next;
-    state_.iterations = iter;
-    state_.residual = residual;
-    if (residual < options_.tolerance) {
-      state_.converged = true;
-      break;
-    }
-    if (iter % 20 == 0) {
-      if (residual > 0.7 * checkpoint_residual) {
-        damping = std::max(0.05, damping * 0.5);
-      }
-      checkpoint_residual = residual;
-    }
-  }
-
-  // Refresh awareness with the final F so outputs are self-consistent.
-  const VisitRateFn F = [this](double x) { return state_.F(x); };
-  for (size_t c = 0; c < classes; ++c) {
-    state_.awareness[c] = AwarenessDistribution(
-        state_.classes.value[c], population, lambda, F, levels);
-  }
-  const RankMap map(state_.classes, state_.awareness);
-  state_.z = map.zero_awareness_count();
-
+    map.emplace(state_.classes, state_.awareness);
+    return map->zero_awareness_count();
+  };
+  // One ranked-list realization per day, as in the agent simulator.
+  static_cast<FixedPoint&>(state_) = SolveFixedPoint(
+      params_, config_, state_.classes, /*per_query_lists=*/false, refresh,
+      [&map](double x) { return map->DeterministicRank(x); });
   solved_ = true;
   return state_;
 }
@@ -151,7 +85,7 @@ std::vector<double> AnalyticModel::PopularityTrajectory(double quality,
   // zero state dominates entrenched evolution (see AwarenessTransient).
   std::vector<double> a = AwarenessTransient(
       quality, params_.u, [&s](double x) { return s.F(x); }, days,
-      std::min(params_.u, options_.awareness_levels));
+      std::min(params_.u, kAwarenessLevels));
   for (double& x : a) x *= quality;
   return a;
 }

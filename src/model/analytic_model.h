@@ -6,69 +6,47 @@
 
 #include "core/community.h"
 #include "core/ranking_policy.h"
+#include "model/fixed_point.h"
 #include "model/quality_classes.h"
-#include "model/rank_maps.h"
-#include "model/visit_curve.h"
 
 namespace randrank {
 
-/// Tuning knobs for the steady-state fixed-point solver (Section 5.3).
-struct AnalyticOptions {
-  /// Quality classes cap; n <= cap keeps one class per page.
-  size_t max_classes = 2048;
-  /// Awareness-chain levels cap (the chain runs over the u-user population;
-  /// communities with u above this are coarsened, level 0 kept exact).
-  size_t awareness_levels = 512;
-  /// Log-spaced popularity grid size used to refit F each iteration.
-  size_t grid_points = 64;
-  size_t max_iterations = 120;
-  /// Convergence threshold on sup |delta log F| over the grid.
-  double tolerance = 5e-4;
-  /// Fraction of the new estimate blended in per iteration (log space).
-  /// The z <-> F(0) feedback is stiff near the discovery knee; conservative
-  /// blending avoids limit cycles.
-  double damping = 0.35;
-  /// Pool discovery regime: false models one ranked-list realization per
-  /// day (the engineering default of the agent simulator; discoveries
-  /// saturate at one per slot per day); true models a fresh merge per query
-  /// (the paper's Section 4 wording; no saturation).
-  bool per_query_lists = false;
-};
-
-/// Converged steady state: per-class awareness distributions coupled with the
-/// fitted popularity->visit-rate curve.
-struct SteadyState {
+/// Converged steady state: per-class awareness distributions coupled with
+/// the self-consistent popularity->visit-rate curve F (FixedPoint).
+struct SteadyState : FixedPoint {
   QualityClasses classes;
   /// awareness[c][i]: fraction of class-c pages at awareness i/m.
   std::vector<std::vector<double>> awareness;
-  VisitRateCurve F;
-  /// Expected number of zero-awareness pages.
-  double z = 0.0;
-  size_t iterations = 0;
-  double residual = 0.0;
-  bool converged = false;
 };
 
 /// Analytical model of Web-page popularity evolution under (randomized)
 /// ranking (paper Section 5). Solves the circular dependence between the
 /// awareness distribution (Theorem 1) and the popularity->visit-rate
-/// function F = F2 o F1 by fixed-point iteration, fitting F to the paper's
-/// quadratic-in-log-log form each round.
+/// function F = F2 o F1 by fixed-point iteration (SolveFixedPoint).
 ///
 /// Population semantics: awareness dynamics run over the full user
 /// population (u users, vu visits/day); the monitored sample is treated as a
 /// representative estimator, per Section 3.1 and the Appendix A pool rule.
-/// See DESIGN.md ("population semantics") for the mass-conservation argument
-/// behind this reading.
+/// That keeps visits conserved: F2 hands out exactly the vu visits the
+/// population makes per day, and a page leaves the zero-awareness pool at
+/// its first visit by any user, not by a monitored one (Appendix A: "not
+/// yet been viewed by any user"). Running the chain over the m monitored
+/// users instead would stretch every discovery wait u/m-fold.
 ///
 /// The paper's analysis targets small r ("only intended to be accurate for
 /// small values of r"); the same caveat applies here. Use the simulators for
 /// large r or k.
 class AnalyticModel {
  public:
+  /// Awareness-chain levels cap: the chain runs over the u-user
+  /// population, and communities with u above this are coarsened (level 0
+  /// kept exact).
+  static constexpr size_t kAwarenessLevels = 512;
+
+  /// `max_classes` caps the quality classes; n <= cap keeps one class per
+  /// page.
   AnalyticModel(const CommunityParams& params,
-                const RankPromotionConfig& config,
-                const AnalyticOptions& options = {});
+                const RankPromotionConfig& config, size_t max_classes = 2048);
 
   /// Runs (or returns the cached) fixed point.
   const SteadyState& Solve();
@@ -97,8 +75,7 @@ class AnalyticModel {
  private:
   CommunityParams params_;
   RankPromotionConfig config_;
-  AnalyticOptions options_;
-  ContinuousF2 f2_;
+  size_t max_classes_;
   SteadyState state_;
   bool solved_ = false;
 };

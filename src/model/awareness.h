@@ -27,7 +27,7 @@ using VisitRateFn = std::function<double(double)>;
 /// lambda + F(q a_i)(1 - a_i) -- which diverges at a_i = 1 and does not sum
 /// to 1. The corrected recurrence follows from the paper's own Eq. (8); the
 /// two agree closely at low awareness, so all qualitative results are
-/// unaffected. See DESIGN.md.
+/// unaffected.
 ///
 /// `levels` coarsens the chain for large populations: the returned vector
 /// has levels+1 entries for awareness fractions j/levels. Level 0 (the

@@ -104,7 +104,12 @@ double PoolVisitRate(const ContinuousF2& f2, size_t k, double r,
 ///   uniform:   r-blend of the promoted pool average and the displaced,
 ///              pool-thinned deterministic position
 /// The uniform analytic form is our derivation (the paper omits it as
-/// "rather complex"); see DESIGN.md section 5.
+/// "rather complex"). The uniform rule promotes each page with probability
+/// r whatever its awareness, so the pool holds r*n pages. A page is then
+/// promoted with probability r and earns the pool-slot average of F2;
+/// otherwise only the fraction 1 - r of the pages above it stays in Ld, so
+/// its index there is 1 + (1 - r)(F1(x) - 1), pushed down by the
+/// interleaved pool (DisplacedRank).
 class PromotionVisitMap {
  public:
   /// `zero_count` is the expected number of zero-awareness pages z;

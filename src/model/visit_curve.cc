@@ -23,13 +23,6 @@ VisitRateCurve::VisitRateCurve(std::vector<double> xs, std::vector<double> fs,
   }
 }
 
-VisitRateCurve VisitRateCurve::Constant(double value, double x_lo,
-                                        double x_hi) {
-  assert(value > 0.0);
-  assert(0.0 < x_lo && x_lo < x_hi);
-  return VisitRateCurve({x_lo, x_hi}, {value, value}, value);
-}
-
 double VisitRateCurve::operator()(double x) const {
   if (x <= 0.0) return f0_;
   assert(!xs_.empty());
@@ -44,10 +37,6 @@ double VisitRateCurve::operator()(double x) const {
   const size_t lo = hi - 1;
   const double t = (lx - log_xs_[lo]) / (log_xs_[hi] - log_xs_[lo]);
   return std::exp(log_fs_[lo] + t * (log_fs_[hi] - log_fs_[lo]));
-}
-
-LogLogQuadratic VisitRateCurve::PaperFit() const {
-  return LogLogQuadratic::Fit(xs_, fs_);
 }
 
 VisitRateCurve VisitRateCurve::BlendWith(const VisitRateCurve& other,

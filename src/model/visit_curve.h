@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "util/curve_fit.h"
-
 namespace randrank {
 
 /// The popularity -> visit-rate function F(x) used by the steady-state
@@ -15,10 +13,9 @@ namespace randrank {
 /// Representation: tabulated on a fixed log-spaced grid and interpolated
 /// linearly in log-log space (flat extension outside the grid). The paper
 /// fits a global quadratic in log-log space instead (Section 5.3); that fit
-/// is still computed and exposed via PaperFit() for parity, but it is not
-/// used for evaluation -- under heavy entrenchment F develops a sharp knee
-/// that a global quadratic smooths away, which inflates mid-popularity visit
-/// rates by orders of magnitude and destabilizes the fixed point.
+/// is not used -- under heavy entrenchment F develops a sharp knee that a
+/// global quadratic smooths away, which inflates mid-popularity visit rates
+/// by orders of magnitude and destabilizes the fixed point.
 class VisitRateCurve {
  public:
   VisitRateCurve() = default;
@@ -26,9 +23,6 @@ class VisitRateCurve {
   /// Tabulated curve. `xs` must be positive and strictly increasing;
   /// `fs` positive, same length (>= 2).
   VisitRateCurve(std::vector<double> xs, std::vector<double> fs, double f0);
-
-  /// A constant function F(x) = value (used to seed the fixed point).
-  static VisitRateCurve Constant(double value, double x_lo, double x_hi);
 
   /// F(x); x <= 0 returns f0.
   double operator()(double x) const;
@@ -38,9 +32,6 @@ class VisitRateCurve {
   double x_hi() const { return xs_.empty() ? 0.0 : xs_.back(); }
   const std::vector<double>& grid() const { return xs_; }
   const std::vector<double>& values() const { return fs_; }
-
-  /// The paper's quadratic-in-log-log fit of this curve (diagnostic).
-  LogLogQuadratic PaperFit() const;
 
   /// Geometric blend: result(x) = this(x)^(1-w) * other(x)^w, pointwise on
   /// this curve's grid (grids must match; used for fixed-point damping).

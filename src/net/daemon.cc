@@ -351,16 +351,12 @@ bool NetDaemon::ParseFrames(Connection& conn, ReadPass& pass) {
     FrameHeader header;
     const DecodeStatus status = DecodeHeader(base, available, &header);
     if (status == DecodeStatus::kMalformed) {
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (bad_ctr_ != nullptr) bad_ctr_->Add();
-      SendError(conn, 0, ErrorCode::kBadFrame, "malformed frame header");
+      RejectFrame(conn, 0, ErrorCode::kBadFrame, "malformed frame header");
       return false;
     }
     if (status == DecodeStatus::kUnsupportedVersion) {
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (bad_ctr_ != nullptr) bad_ctr_->Add();
-      SendError(conn, 0, ErrorCode::kUnsupportedVersion,
-                "server speaks version " + std::to_string(kProtocolVersion));
+      RejectFrame(conn, 0, ErrorCode::kUnsupportedVersion,
+                  "server speaks version " + std::to_string(kProtocolVersion));
       return false;
     }
     if (available < kHeaderSize + header.payload_len) break;  // incomplete
@@ -370,20 +366,21 @@ bool NetDaemon::ParseFrames(Connection& conn, ReadPass& pass) {
       case FrameType::kQuery: {
         QueryFrame query;
         if (!DecodeQuery(payload, len, &query)) {
-          bad_frames_.fetch_add(1, std::memory_order_relaxed);
-          if (bad_ctr_ != nullptr) bad_ctr_->Add();
-          SendError(conn, 0, ErrorCode::kBadFrame, "bad QUERY payload");
+          RejectFrame(conn, 0, ErrorCode::kBadFrame, "bad QUERY payload");
         } else if (query.m > opts_.max_query_m) {
-          bad_frames_.fetch_add(1, std::memory_order_relaxed);
-          if (bad_ctr_ != nullptr) bad_ctr_->Add();
-          SendError(conn, query.request_id, ErrorCode::kBadFrame,
-                    "m exceeds cap " + std::to_string(opts_.max_query_m));
+          RejectFrame(conn, query.request_id, ErrorCode::kBadFrame,
+                      "m exceeds cap " + std::to_string(opts_.max_query_m));
         } else {
           HandleQuery(conn, query, pass);
         }
         break;
       }
       case FrameType::kMetrics: {
+        MetricsFrame request;
+        if (!DecodeMetrics(payload, len, &request)) {
+          RejectFrame(conn, 0, ErrorCode::kBadFrame, "bad METRICS payload");
+          break;
+        }
         scrapes_.fetch_add(1, std::memory_order_relaxed);
         if (scrapes_ctr_ != nullptr) scrapes_ctr_->Add();
         MetricsReplyFrame reply;
@@ -394,6 +391,11 @@ bool NetDaemon::ParseFrames(Connection& conn, ReadPass& pass) {
         break;
       }
       case FrameType::kHealth: {
+        HealthFrame request;
+        if (!DecodeHealth(payload, len, &request)) {
+          RejectFrame(conn, 0, ErrorCode::kBadFrame, "bad HEALTH payload");
+          break;
+        }
         health_checks_.fetch_add(1, std::memory_order_relaxed);
         if (health_ctr_ != nullptr) health_ctr_->Add();
         HealthReplyFrame reply;
@@ -409,11 +411,9 @@ bool NetDaemon::ParseFrames(Connection& conn, ReadPass& pass) {
       default:
         // Reply frames from a client, or an unknown id: the length is
         // known, so skip the payload and keep the connection.
-        bad_frames_.fetch_add(1, std::memory_order_relaxed);
-        if (bad_ctr_ != nullptr) bad_ctr_->Add();
-        SendError(conn, 0, ErrorCode::kBadType,
-                  std::string("unexpected frame type ") +
-                      FrameTypeName(header.type));
+        RejectFrame(conn, 0, ErrorCode::kBadType,
+                    std::string("unexpected frame type ") +
+                        FrameTypeName(header.type));
         break;
     }
     conn.rpos += kHeaderSize + len;
@@ -489,6 +489,13 @@ void NetDaemon::SendError(Connection& conn, uint64_t request_id,
   frame.code = code;
   frame.message = message;
   AppendError(frame, &conn.wbuf);
+}
+
+void NetDaemon::RejectFrame(Connection& conn, uint64_t request_id,
+                            ErrorCode code, const std::string& message) {
+  bad_frames_.fetch_add(1, std::memory_order_relaxed);
+  if (bad_ctr_ != nullptr) bad_ctr_->Add();
+  SendError(conn, request_id, code, message);
 }
 
 void NetDaemon::FlushWrites(const std::shared_ptr<Connection>& conn) {

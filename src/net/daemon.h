@@ -166,6 +166,9 @@ class NetDaemon {
   /// Stages an ERROR reply (event-loop thread).
   void SendError(Connection& conn, uint64_t request_id, ErrorCode code,
                  const std::string& message);
+  /// Counts a bad frame (stats() and the registry) and stages its ERROR.
+  void RejectFrame(Connection& conn, uint64_t request_id, ErrorCode code,
+                   const std::string& message);
   /// Writes as much buffered output as the socket takes; arms/disarms
   /// EPOLLOUT and read-pause watermarks. Event-loop thread only.
   void FlushWrites(const std::shared_ptr<Connection>& conn);

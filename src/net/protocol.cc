@@ -222,16 +222,4 @@ const char* FrameTypeName(FrameType type) {
   return "UNKNOWN";
 }
 
-const char* ErrorCodeName(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kBadFrame: return "BAD_FRAME";
-    case ErrorCode::kUnsupportedVersion: return "UNSUPPORTED_VERSION";
-    case ErrorCode::kBadType: return "BAD_TYPE";
-    case ErrorCode::kOverloaded: return "OVERLOADED";
-    case ErrorCode::kDraining: return "DRAINING";
-    case ErrorCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
-  }
-  return "UNKNOWN";
-}
-
 }  // namespace randrank::net

@@ -189,7 +189,6 @@ bool DecodeError(const uint8_t* payload, size_t len, ErrorFrame* out);
 
 /// Human-readable slug for diagnostics ("QUERY", "METRICS_REPLY", ...).
 const char* FrameTypeName(FrameType type);
-const char* ErrorCodeName(ErrorCode code);
 
 }  // namespace randrank::net
 

@@ -102,13 +102,6 @@ uint64_t HistogramSnapshot::Max() const {
   return 0;
 }
 
-uint64_t HistogramSnapshot::Min() const {
-  for (uint32_t b = 0; b < counts.size(); ++b) {
-    if (counts[b] > 0) return LatencyHistogram::BucketLo(b);
-  }
-  return 0;
-}
-
 void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
   if (counts.empty()) counts.assign(LatencyHistogram::kBuckets, 0);
   assert(other.counts.empty() || other.counts.size() == counts.size());

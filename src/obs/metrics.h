@@ -75,10 +75,9 @@ struct HistogramSnapshot {
   /// relative error is bounded by the bucket width (~1/32 beyond the exact
   /// linear region). Returns 0 for an empty snapshot.
   double Quantile(double q) const;
-  /// Upper bound of the highest (lower bound of the lowest) non-empty
-  /// bucket — the recorded max (min) up to bucket resolution. 0 when empty.
+  /// Upper bound of the highest non-empty bucket — the recorded max up to
+  /// bucket resolution. 0 when empty.
   uint64_t Max() const;
-  uint64_t Min() const;
 
   /// Adds `other`'s counts into this snapshot (same bucket layout).
   void Merge(const HistogramSnapshot& other);

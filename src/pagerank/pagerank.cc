@@ -52,7 +52,7 @@ PageRankResult ComputePageRank(const CsrGraph& graph,
   ThreadPool owned_pool(options.threads > 1 ? options.threads : 1);
   if (options.threads > 1) pool = &owned_pool;
 
-  for (size_t iter = 1; iter <= options.max_iterations; ++iter) {
+  for (size_t iter = 1; iter <= kPageRankMaxIterations; ++iter) {
     double dangling = 0.0;
     for (uint32_t u = 0; u < n; ++u) {
       if (graph.OutDegree(u) == 0) dangling += scores[u];

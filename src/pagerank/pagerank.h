@@ -8,6 +8,9 @@
 
 namespace randrank {
 
+/// Power-iteration cap; past it the result reports converged = false.
+inline constexpr size_t kPageRankMaxIterations = 200;
+
 /// Options for the PageRank power iteration.
 struct PageRankOptions {
   /// Damping factor (1 - teleportation probability); the paper's mixed-
@@ -15,7 +18,6 @@ struct PageRankOptions {
   double damping = 0.85;
   /// L1 convergence threshold on successive score vectors.
   double tolerance = 1e-10;
-  size_t max_iterations = 200;
   /// Worker threads for the gather phase (1 = sequential).
   size_t threads = 1;
 };

@@ -73,13 +73,6 @@ class SnapshotHandle {
     return cached_.get();
   }
 
-  /// Drops the cached reference (releases this reader's pin on the old
-  /// generation without acquiring a new one).
-  void Release() {
-    cached_.reset();
-    cached_version_ = 0;
-  }
-
  private:
   const SnapshotStore<T>* store_ = nullptr;
   std::shared_ptr<const T> cached_;

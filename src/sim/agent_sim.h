@@ -84,10 +84,9 @@ struct SimOptions {
 /// m/u; awareness is tracked exactly for both subpopulations, so the
 /// simulator supports both the paper's idealized ranking signal (true
 /// awareness; the monitored sample is "representative", Section 3.1) and the
-/// subsampled engine estimate (SimOptions::measured_ranking). See DESIGN.md
-/// ("population semantics") for why dynamics must run on the full
-/// population: the paper's own TBP/QPC magnitudes and the Appendix A pool
-/// rule ("not yet been viewed by any user") require it.
+/// subsampled engine estimate (SimOptions::measured_ranking). Dynamics must
+/// run on the full population: the paper's own TBP/QPC magnitudes and the
+/// Appendix A pool rule ("not yet been viewed by any user") require it.
 ///
 /// Exactness notes:
 ///  * Awareness is tracked as counts of aware users per page; each visit

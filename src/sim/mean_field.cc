@@ -13,9 +13,6 @@ MeanFieldModel::MeanFieldModel(const CommunityParams& params,
     : params_(params), config_(config), options_(options) {
   assert(params_.Valid());
   assert(config_.Valid());
-  // Full-population dynamics: vu visits/day drive awareness among u users.
-  f2_ = ContinuousF2::Make(params_.n, params_.visits_per_day,
-                           params_.rank_bias_exponent);
 }
 
 std::vector<double> MeanFieldModel::IntegrateTrajectory(
@@ -59,9 +56,8 @@ double MeanFieldModel::CrossingAge(size_t c, double x) const {
   return state_.tau[lo] + frac * (state_.tau[hi] - state_.tau[lo]);
 }
 
-double MeanFieldModel::RankOf(double x) const {
+double MeanFieldModel::RankOf(double x, double f0) const {
   const double lambda = params_.lambda();
-  const double f0 = state_.F.f0();
   double rank = 1.0;
   for (size_t c = 0; c < state_.classes.size(); ++c) {
     const double tau_x = CrossingAge(c, x);
@@ -80,10 +76,9 @@ const MeanFieldState& MeanFieldModel::Solve() {
       QualityClasses::FromCommunity(params_, options_.max_classes);
   const size_t classes = state_.classes.size();
   const double lambda = params_.lambda();
-  const double v = params_.visits_per_day;
 
   // Log-spaced discovery-age grid from a quarter day to the horizon.
-  const double horizon = options_.horizon_lifetimes / lambda;
+  const double horizon = kHorizonLifetimes / lambda;
   state_.tau.resize(options_.trajectory_points);
   const double t_lo = 0.25;
   for (size_t j = 0; j < state_.tau.size(); ++j) {
@@ -93,81 +88,24 @@ const MeanFieldState& MeanFieldModel::Solve() {
                              : std::exp(std::log(t_lo) +
                                         t * (std::log(horizon) - std::log(t_lo)));
   }
-
-  const double q_max = state_.classes.value.front();
-  const double q_min = state_.classes.value.back();
-  const double x_lo = q_min / static_cast<double>(params_.u);
-  const double x_hi = q_max;
-  std::vector<double> grid(options_.grid_points);
-  for (size_t g = 0; g < grid.size(); ++g) {
-    const double t =
-        static_cast<double>(g) / static_cast<double>(grid.size() - 1);
-    grid[g] = std::exp(std::log(x_lo) + t * (std::log(x_hi) - std::log(x_lo)));
-  }
-  state_.F = VisitRateCurve(
-      grid,
-      std::vector<double>(grid.size(), v / static_cast<double>(params_.n)),
-      v / static_cast<double>(params_.n));
   state_.awareness.assign(classes, {});
   state_.zero_mass.assign(classes, 0.0);
 
-  std::vector<double> f_new(grid.size());
-  // Stall-adaptive blending, as in AnalyticModel::Solve.
-  double damping = options_.damping;
-  double checkpoint_residual = std::numeric_limits<double>::infinity();
-  for (size_t iter = 1; iter <= options_.max_iterations; ++iter) {
-    const double f0 = state_.F.f0();
-    double z_new = 0.0;
+  // Undiscovered mass and discovered trajectories per class under F.
+  double f0 = 0.0;
+  const auto refresh = [&](const VisitRateCurve& F) {
+    f0 = F.f0();
+    double z = 0.0;
     for (size_t c = 0; c < classes; ++c) {
-      state_.zero_mass[c] =
-          lambda * state_.classes.count[c] / (lambda + f0);
-      z_new += state_.zero_mass[c];
-      state_.awareness[c] =
-          IntegrateTrajectory(state_.classes.value[c], state_.F);
+      state_.zero_mass[c] = lambda * state_.classes.count[c] / (lambda + f0);
+      z += state_.zero_mass[c];
+      state_.awareness[c] = IntegrateTrajectory(state_.classes.value[c], F);
     }
-    // Damp z (see AnalyticModel::Solve).
-    z_new = std::max(1e-9, z_new);
-    state_.z = iter == 1 ? z_new
-                         : std::exp((1.0 - damping) * std::log(state_.z) +
-                                    damping * std::log(z_new));
-
-    const PromotionVisitMap visit_map(f2_, config_.rule, config_.r, config_.k,
-                                      state_.z,
-                                      static_cast<double>(params_.n),
-                                      options_.per_query_lists);
-    for (size_t g = 0; g < grid.size(); ++g) {
-      f_new[g] = std::max(visit_map.VisitRate(RankOf(grid[g])), 1e-300);
-    }
-    const double f0_new = std::max(visit_map.ZeroVisitRate(), 1e-300);
-
-    const VisitRateCurve fresh(grid, f_new, f0_new);
-    const VisitRateCurve next = state_.F.BlendWith(fresh, damping);
-    const double residual =
-        next.LogDistance(state_.F, std::min(1.0, state_.z / 10.0));
-    state_.F = next;
-    state_.iterations = iter;
-    state_.residual = residual;
-    if (residual < options_.tolerance) {
-      state_.converged = true;
-      break;
-    }
-    if (iter % 20 == 0) {
-      if (residual > 0.7 * checkpoint_residual) {
-        damping = std::max(0.05, damping * 0.5);
-      }
-      checkpoint_residual = residual;
-    }
-  }
-
-  // Final self-consistent refresh.
-  const double f0 = state_.F.f0();
-  state_.z = 0.0;
-  for (size_t c = 0; c < classes; ++c) {
-    state_.zero_mass[c] = lambda * state_.classes.count[c] / (lambda + f0);
-    state_.z += state_.zero_mass[c];
-    state_.awareness[c] =
-        IntegrateTrajectory(state_.classes.value[c], state_.F);
-  }
+    return z;
+  };
+  static_cast<FixedPoint&>(state_) = SolveFixedPoint(
+      params_, config_, state_.classes, options_.per_query_lists, refresh,
+      [this, &f0](double x) { return RankOf(x, f0); });
   solved_ = true;
   return state_;
 }

@@ -6,9 +6,8 @@
 
 #include "core/community.h"
 #include "core/ranking_policy.h"
+#include "model/fixed_point.h"
 #include "model/quality_classes.h"
-#include "model/rank_maps.h"
-#include "model/visit_curve.h"
 
 namespace randrank {
 
@@ -17,19 +16,16 @@ struct MeanFieldOptions {
   size_t max_classes = 1024;
   /// Log-spaced cohort-age grid size for the awareness trajectories.
   size_t trajectory_points = 320;
-  /// Integrate trajectories to this many expected lifetimes.
-  double horizon_lifetimes = 8.0;
-  size_t max_iterations = 120;
-  double tolerance = 5e-4;
-  double damping = 0.35;
-  /// See AnalyticOptions::per_query_lists.
+  /// Pool discovery regime: false models one ranked-list realization per
+  /// day (the agent simulator's default; discoveries saturate at one per
+  /// slot per day); true models a fresh merge per query (the paper's
+  /// Section 4 wording; no saturation).
   bool per_query_lists = false;
-  /// Popularity grid used to refit the visit-rate curve each iteration.
-  size_t grid_points = 64;
 };
 
-/// Converged mean-field steady state.
-struct MeanFieldState {
+/// Converged mean-field steady state; F and z come from FixedPoint (z is
+/// the total undiscovered page mass).
+struct MeanFieldState : FixedPoint {
   QualityClasses classes;
   /// Cohort-age grid tau[j] (days since discovery) shared by all classes.
   std::vector<double> tau;
@@ -38,11 +34,6 @@ struct MeanFieldState {
   std::vector<std::vector<double>> awareness;
   /// Zero-awareness (undiscovered) page mass per class.
   std::vector<double> zero_mass;
-  VisitRateCurve F;
-  double z = 0.0;  // total undiscovered pages
-  size_t iterations = 0;
-  double residual = 0.0;
-  bool converged = false;
 };
 
 /// Cohort mean-field model of popularity evolution: the expected-value twin
@@ -58,8 +49,8 @@ struct MeanFieldState {
 ///    (births at zero, deaths, discovery at rate F(0)); and
 ///  * a deterministic discovered trajectory a_c(tau) with a_c(0) = 1/u and
 ///    da/dtau = F(q_c a)(1 - a)/u, with cohort density F(0)*Z_c*e^(-lambda
-///    tau) by Poisson churn. (Dynamics run over the full u-user population;
-///    see DESIGN.md "population semantics".)
+///    tau) by Poisson churn. (Dynamics run over the full u-user population,
+///    as in AnalyticModel.)
 ///
 /// The fixed point couples trajectories to ranks exactly as the analytic
 /// model couples Theorem 1 to Eq. 5 (the rank of popularity x integrates the
@@ -73,6 +64,9 @@ class MeanFieldModel {
   MeanFieldModel(const CommunityParams& params,
                  const RankPromotionConfig& config,
                  const MeanFieldOptions& options = {});
+
+  /// Trajectories integrate to this many expected lifetimes.
+  static constexpr double kHorizonLifetimes = 8.0;
 
   const MeanFieldState& Solve();
 
@@ -90,8 +84,9 @@ class MeanFieldModel {
   /// Integrates a discovered-awareness trajectory under visit-rate curve F.
   std::vector<double> IntegrateTrajectory(double q,
                                           const VisitRateCurve& F) const;
-  /// Expected rank of popularity x > 0 given current trajectories.
-  double RankOf(double x) const;
+  /// Expected rank of popularity x > 0 given current trajectories and the
+  /// zero-state exit rate f0 = F(0) they were integrated under.
+  double RankOf(double x, double f0) const;
   /// First discovery-age at which class c exceeds popularity x; infinity if
   /// never. Linear interpolation on the tau grid.
   double CrossingAge(size_t c, double x) const;
@@ -99,7 +94,6 @@ class MeanFieldModel {
   CommunityParams params_;
   RankPromotionConfig config_;
   MeanFieldOptions options_;
-  ContinuousF2 f2_;
   MeanFieldState state_;
   bool solved_ = false;
 };

@@ -59,12 +59,6 @@ uint64_t Rng::NextIndex(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextIndex(span));
-}
-
 bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -30,9 +30,6 @@ class Rng {
   /// `bound` must be positive.
   uint64_t NextIndex(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// True with probability `p` (clamped to [0, 1]).
   bool NextBernoulli(double p);
 

@@ -40,43 +40,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, size_t bins) : lo_(lo), hi_(hi) {
-  assert(hi > lo);
-  assert(bins > 0);
-  counts_.assign(bins, 0.0);
-}
-
-void Histogram::Add(double x, double weight) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto b = static_cast<long>(std::floor((x - lo_) / width));
-  b = std::clamp<long>(b, 0, static_cast<long>(counts_.size()) - 1);
-  counts_[static_cast<size_t>(b)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(size_t b) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(b);
-}
-
-double Histogram::bin_hi(size_t b) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(b + 1);
-}
-
-double Histogram::Fraction(size_t b) const {
-  return total_ > 0.0 ? counts_[b] / total_ : 0.0;
-}
-
-double Histogram::ApproxMean() const {
-  if (total_ <= 0.0) return 0.0;
-  double acc = 0.0;
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    acc += counts_[b] * 0.5 * (bin_lo(b) + bin_hi(b));
-  }
-  return acc / total_;
-}
-
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return std::nan("");
   assert(p >= 0.0 && p <= 100.0);
@@ -268,18 +231,6 @@ double MannWhitneyZ(const std::vector<double>& a, const std::vector<double>& b) 
       da * db / 12.0 * (dn + 1.0 - tie_term / (dn * (dn - 1.0)));
   if (variance <= 0.0) return 0.0;
   return (u - mean_u) / std::sqrt(variance);
-}
-
-double WeightedMean(const std::vector<double>& values,
-                    const std::vector<double>& weights) {
-  assert(values.size() == weights.size());
-  double num = 0.0;
-  double den = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    num += values[i] * weights[i];
-    den += weights[i];
-  }
-  return den > 0.0 ? num / den : 0.0;
 }
 
 }  // namespace randrank

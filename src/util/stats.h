@@ -30,30 +30,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-width histogram over [lo, hi) with out-of-range clamping.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x, double weight = 1.0);
-
-  size_t bins() const { return counts_.size(); }
-  double bin_lo(size_t b) const;
-  double bin_hi(size_t b) const;
-  double count(size_t b) const { return counts_[b]; }
-  double total() const { return total_; }
-  /// Fraction of mass in bin b (0 if empty histogram).
-  double Fraction(size_t b) const;
-  /// Mass-weighted mean of samples (using bin midpoints).
-  double ApproxMean() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
 /// Exact percentile of a sample (sorts a copy; linear interpolation).
 /// `p` in [0, 100]. Returns NaN for an empty vector.
 double Percentile(std::vector<double> values, double p);
@@ -87,10 +63,6 @@ double TwoSampleChiSquared(const std::vector<double>& a,
 /// asymptotic distribution to hold.
 void MergeSparseCells(std::vector<double>* a, std::vector<double>* b,
                       double min_total);
-
-/// Weighted mean: sum(w*x)/sum(w). Returns 0 when total weight is 0.
-double WeightedMean(const std::vector<double>& values,
-                    const std::vector<double>& weights);
 
 /// Gini coefficient of a non-negative mass vector (0 = perfectly even,
 /// -> 1 = all mass on one entry). Zero entries count — a catalogue where

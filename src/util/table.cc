@@ -53,18 +53,6 @@ void Table::Print(std::ostream& os) const {
   for (const auto& row : cells_) print_row(row);
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  print_row(header_);
-  for (const auto& row : cells_) print_row(row);
-}
-
 std::string FormatFixed(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

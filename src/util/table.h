@@ -9,7 +9,7 @@ namespace randrank {
 
 /// Column-aligned ASCII table writer used by benches and examples to print
 /// paper-style figure series. Cells are strings; numeric helpers format with
-/// fixed precision. Also emits CSV for downstream plotting.
+/// fixed precision.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -24,9 +24,6 @@ class Table {
 
   /// Renders with aligned columns and a header rule.
   void Print(std::ostream& os) const;
-
-  /// Renders as CSV (header + rows).
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

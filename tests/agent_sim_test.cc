@@ -190,8 +190,8 @@ TEST(AgentSimTest, PerVisitModeRuns) {
 TEST(AgentSimTest, PerVisitModeDiscoversAtLeastAsFast) {
   // Per-visit list realizations re-shuffle the pool on every visit, so a
   // top pool slot can discover several pages per day instead of one (per-day
-  // lists saturate, see DESIGN.md). QPC should therefore be at least as good
-  // as the per-day mode, modulo noise.
+  // lists saturate at one discovery per slot). QPC should therefore be at
+  // least as good as the per-day mode, modulo noise.
   const CommunityParams community = TestCommunity();
   double per_day_sum = 0.0;
   double per_visit_sum = 0.0;

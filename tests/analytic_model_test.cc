@@ -15,15 +15,12 @@ CommunityParams SmallCommunity() {
   return ScaledDown(CommunityParams::Default(), 10);  // n=1000, m=10, v=10
 }
 
-AnalyticOptions FastOptions() {
-  AnalyticOptions o;
-  o.max_classes = 512;
-  return o;
-}
+// Quality-class cap for the tests (the model's default is 2048).
+constexpr size_t kFastClasses = 512;
 
 TEST(AnalyticModelTest, FixedPointConverges) {
   AnalyticModel model(SmallCommunity(), RankPromotionConfig::None(),
-                      FastOptions());
+                      kFastClasses);
   const SteadyState& s = model.Solve();
   EXPECT_TRUE(s.converged) << "residual " << s.residual;
   EXPECT_GT(s.z, 0.0);
@@ -32,19 +29,19 @@ TEST(AnalyticModelTest, FixedPointConverges) {
 
 TEST(AnalyticModelTest, ConvergesUnderSelectivePromotion) {
   AnalyticModel model(SmallCommunity(),
-                      RankPromotionConfig::Selective(0.2, 1), FastOptions());
+                      RankPromotionConfig::Selective(0.2, 1), kFastClasses);
   EXPECT_TRUE(model.Solve().converged);
 }
 
 TEST(AnalyticModelTest, ConvergesUnderUniformPromotion) {
   AnalyticModel model(SmallCommunity(), RankPromotionConfig::Uniform(0.2, 1),
-                      FastOptions());
+                      kFastClasses);
   EXPECT_TRUE(model.Solve().converged);
 }
 
 TEST(AnalyticModelTest, AwarenessDistributionsSumToOne) {
   AnalyticModel model(SmallCommunity(),
-                      RankPromotionConfig::Selective(0.1, 1), FastOptions());
+                      RankPromotionConfig::Selective(0.1, 1), kFastClasses);
   const SteadyState& s = model.Solve();
   for (const auto& f : s.awareness) {
     double total = 0.0;
@@ -55,7 +52,7 @@ TEST(AnalyticModelTest, AwarenessDistributionsSumToOne) {
 
 TEST(AnalyticModelTest, QpcWithinBounds) {
   AnalyticModel model(SmallCommunity(), RankPromotionConfig::None(),
-                      FastOptions());
+                      kFastClasses);
   const double qpc = model.Qpc();
   EXPECT_GT(qpc, 0.0);
   EXPECT_LE(qpc, 0.4);
@@ -68,10 +65,10 @@ TEST(AnalyticModelTest, SelectivePromotionImprovesQpc) {
   // The paper's central claim (Fig. 5): moderate selective randomization
   // beats deterministic ranking on QPC.
   AnalyticModel none(SmallCommunity(), RankPromotionConfig::None(),
-                     FastOptions());
+                     kFastClasses);
   AnalyticModel selective(SmallCommunity(),
                           RankPromotionConfig::Selective(0.1, 1),
-                          FastOptions());
+                          kFastClasses);
   EXPECT_GT(selective.NormalizedQpc(), none.NormalizedQpc());
 }
 
@@ -82,9 +79,9 @@ TEST(AnalyticModelTest, SelectiveBeatsUniformOnTbp) {
   // list gets visits and the effect washes out (cf. Fig. 7a).
   const CommunityParams community = CommunityParams::Default();
   AnalyticModel selective(community, RankPromotionConfig::Selective(0.1, 1),
-                          FastOptions());
+                          kFastClasses);
   AnalyticModel uniform(community, RankPromotionConfig::Uniform(0.1, 1),
-                        FastOptions());
+                        kFastClasses);
   EXPECT_LT(selective.Tbp(0.4), uniform.Tbp(0.4));
 }
 
@@ -93,7 +90,7 @@ TEST(AnalyticModelTest, TbpDecreasesWithR) {
   double prev = std::numeric_limits<double>::infinity();
   for (const double r : {0.05, 0.1, 0.2}) {
     AnalyticModel model(community, RankPromotionConfig::Selective(r, 1),
-                        FastOptions());
+                        kFastClasses);
     const double tbp = model.Tbp(0.4);
     EXPECT_LT(tbp, prev) << "r=" << r;
     prev = tbp;
@@ -104,9 +101,9 @@ TEST(AnalyticModelTest, PromotionShiftsAwarenessMassUpward) {
   // Fig. 3: under selective promotion high-quality pages spend most of their
   // lifetime near full awareness; without it, near zero.
   AnalyticModel none(SmallCommunity(), RankPromotionConfig::None(),
-                     FastOptions());
+                     kFastClasses);
   AnalyticModel sel(SmallCommunity(), RankPromotionConfig::Selective(0.2, 1),
-                    FastOptions());
+                    kFastClasses);
   const std::vector<double> f_none = none.AwarenessDistributionFor(0.4);
   const std::vector<double> f_sel = sel.AwarenessDistributionFor(0.4);
   const size_t m = f_none.size() - 1;
@@ -121,7 +118,7 @@ TEST(AnalyticModelTest, PromotionShiftsAwarenessMassUpward) {
 
 TEST(AnalyticModelTest, PopularityTrajectoryMonotone) {
   AnalyticModel model(SmallCommunity(),
-                      RankPromotionConfig::Selective(0.2, 1), FastOptions());
+                      RankPromotionConfig::Selective(0.2, 1), kFastClasses);
   const std::vector<double> traj = model.PopularityTrajectory(0.4, 300);
   ASSERT_EQ(traj.size(), 301u);
   EXPECT_DOUBLE_EQ(traj[0], 0.0);
@@ -135,9 +132,9 @@ TEST(AnalyticModelTest, PromotedTrajectoryRisesFaster) {
   // Fig. 4(a) on the default community: the selective curve reaches high
   // popularity while the deterministic curve is still near zero.
   AnalyticModel none(CommunityParams::Default(), RankPromotionConfig::None(),
-                     FastOptions());
+                     kFastClasses);
   AnalyticModel sel(CommunityParams::Default(),
-                    RankPromotionConfig::Selective(0.2, 1), FastOptions());
+                    RankPromotionConfig::Selective(0.2, 1), kFastClasses);
   const std::vector<double> t_none = none.PopularityTrajectory(0.4, 300);
   const std::vector<double> t_sel = sel.PopularityTrajectory(0.4, 300);
   EXPECT_GT(t_sel[150], t_none[150] + 0.05);
@@ -147,9 +144,9 @@ TEST(AnalyticModelTest, KTwoProtectsTopResult) {
   // k = 2 must converge and not crash; its QPC should be within a few
   // percent of k = 1 (only one slot differs).
   AnalyticModel k1(SmallCommunity(), RankPromotionConfig::Selective(0.1, 1),
-                   FastOptions());
+                   kFastClasses);
   AnalyticModel k2(SmallCommunity(), RankPromotionConfig::Selective(0.1, 2),
-                   FastOptions());
+                   kFastClasses);
   EXPECT_NEAR(k1.NormalizedQpc(), k2.NormalizedQpc(), 0.15);
 }
 
@@ -158,7 +155,7 @@ class AnalyticSweepTest : public ::testing::TestWithParam<double> {};
 TEST_P(AnalyticSweepTest, ConvergesAcrossR) {
   const double r = GetParam();
   AnalyticModel model(SmallCommunity(), RankPromotionConfig::Selective(r, 1),
-                      FastOptions());
+                      kFastClasses);
   const SteadyState& s = model.Solve();
   EXPECT_TRUE(s.converged) << "r=" << r << " residual=" << s.residual;
   EXPECT_GT(model.Qpc(), 0.0);

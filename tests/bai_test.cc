@@ -125,9 +125,8 @@ TEST(TopTwoThompsonTest, IdentifiesThePlantedBestAndRetiresEpigons) {
 }
 
 TEST(TopTwoThompsonTest, LeaderGetsItsShareWhileChallengersSurvive) {
-  TopTwoThompsonOptions opts;
-  opts.min_clicks = 1 << 30;  // never eliminate: isolate the sampling rule
-  TopTwoThompsonScheduler sched(3, opts);
+  // min_clicks 2^30: never eliminate, to isolate the sampling rule.
+  TopTwoThompsonScheduler sched(3, 1 << 30);
   SchedulerDecision d;
   for (int e = 0; e < 8; ++e) {
     sched.Observe(GapEpoch(3, 0, 200));
@@ -245,14 +244,13 @@ TEST(BaiControllerTest, CvarGuardrailDemotesTheTailCollapsingArm) {
   opts.split = TrafficSplit::Even(3);
   ExperimentManager exp(community, std::move(arms), opts);
 
-  TopTwoThompsonOptions sched_opts;
-  sched_opts.min_clicks = 1 << 30;  // statistical elimination off
   BaiControllerOptions copts;
   copts.guardrail_floor = 0.7;
   copts.guardrail_epochs = 2;
   obs::MetricsRegistry registry;
   copts.metrics = &registry;
-  BaiController controller(&exp, MakeTopTwoThompsonScheduler(3, sched_opts),
+  // min_clicks 2^30: statistical elimination off.
+  BaiController controller(&exp, MakeTopTwoThompsonScheduler(3, 1 << 30),
                            copts);
 
   for (int e = 0; e < 10 && controller.eliminations().empty(); ++e) {
@@ -294,13 +292,10 @@ TEST(BaiControllerTest, AdaptiveRunConvergesOnThePlantedBestArm) {
   opts.metrics = &registry;
   ExperimentManager exp(community, std::move(arms), opts);
 
-  TopTwoThompsonOptions sched_opts;
-  sched_opts.min_clicks = 400;
   BaiControllerOptions copts;
   copts.guardrail = false;  // let the statistical rule do all the work
   copts.metrics = &registry;
-  BaiController controller(&exp, MakeTopTwoThompsonScheduler(3, sched_opts),
-                           copts);
+  BaiController controller(&exp, MakeTopTwoThompsonScheduler(3, 400), copts);
 
   const size_t ran = controller.Run(40);
   EXPECT_TRUE(controller.stopped()) << "no convergence in " << ran << " epochs";

@@ -37,32 +37,6 @@ TEST(GeneratorsTest, UniformRandomDegreesConcentrate) {
   EXPECT_LT(in[0], 30u);
 }
 
-TEST(GeneratorsTest, CopyModelProducesEdges) {
-  Rng rng(4);
-  const CsrGraph g = CopyModelGraph(2000, 4, 0.5, rng);
-  EXPECT_EQ(g.num_nodes(), 2000u);
-  EXPECT_GT(g.num_edges(), 4000u);
-}
-
-TEST(GeneratorsTest, CopyModelSkewsWithHighCopyProb) {
-  Rng rng_a(5);
-  Rng rng_b(5);
-  const CsrGraph skewed = CopyModelGraph(4000, 4, 0.9, rng_a);
-  const CsrGraph flat = CopyModelGraph(4000, 4, 0.0, rng_b);
-  auto top_share = [](const CsrGraph& g) {
-    std::vector<uint32_t> in = g.InDegrees();
-    std::sort(in.rbegin(), in.rend());
-    double top = 0.0;
-    double total = 0.0;
-    for (size_t i = 0; i < in.size(); ++i) {
-      if (i < 40) top += in[i];
-      total += in[i];
-    }
-    return total > 0 ? top / total : 0.0;
-  };
-  EXPECT_GT(top_share(skewed), top_share(flat));
-}
-
 TEST(GeneratorsTest, DeterministicGivenSeed) {
   Rng a(7);
   Rng b(7);

@@ -48,19 +48,15 @@ TEST(IntegrationTest, AnalysisVsSimulationQpcNone) {
   // QPC under entrenchment depends on which qualities got lucky, so the
   // simulation side is a three-seed mean and the tolerance is generous
   // (the paper's own Fig. 5 analysis/simulation points differ visibly).
-  AnalyticOptions ao;
-  ao.max_classes = 1024;
-  AnalyticModel analytic(MidCommunity(), RankPromotionConfig::None(), ao);
+  AnalyticModel analytic(MidCommunity(), RankPromotionConfig::None(), 1024);
   const double a = analytic.NormalizedQpc();
   const double s = MeanSimQpc(MidCommunity(), RankPromotionConfig::None(), 101);
   EXPECT_NEAR(a, s, 0.3) << "analytic=" << a << " sim=" << s;
 }
 
 TEST(IntegrationTest, AnalysisVsSimulationQpcSelective) {
-  AnalyticOptions ao;
-  ao.max_classes = 1024;
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.1, 1);
-  AnalyticModel analytic(MidCommunity(), config, ao);
+  AnalyticModel analytic(MidCommunity(), config, 1024);
   const double a = analytic.NormalizedQpc();
   const double s = MeanSimQpc(MidCommunity(), config, 103);
   EXPECT_NEAR(a, s, 0.3) << "analytic=" << a << " sim=" << s;
@@ -79,10 +75,8 @@ TEST(IntegrationTest, MeanFieldVsSimulationQpc) {
 TEST(IntegrationTest, HeadlineResultSelectiveR01BeatsNone) {
   // The recommendation of Section 6.4 delivers a substantial QPC gain on the
   // (scaled) default community, by every method.
-  AnalyticOptions ao;
-  ao.max_classes = 1024;
-  AnalyticModel a_none(MidCommunity(), RankPromotionConfig::None(), ao);
-  AnalyticModel a_sel(MidCommunity(), RankPromotionConfig::Recommended(), ao);
+  AnalyticModel a_none(MidCommunity(), RankPromotionConfig::None(), 1024);
+  AnalyticModel a_sel(MidCommunity(), RankPromotionConfig::Recommended(), 1024);
   EXPECT_GT(a_sel.NormalizedQpc(), a_none.NormalizedQpc() * 1.1);
 
   AgentSimulator s_none(MidCommunity(), RankPromotionConfig::None(),

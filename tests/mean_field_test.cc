@@ -127,10 +127,8 @@ TEST(MeanFieldTest, AgreesWithAnalyticOnDefaultCommunity) {
   // normalized QPC for the deterministic baseline.
   MeanFieldModel mf(CommunityParams::Default(), RankPromotionConfig::None(),
                     FastOptions());
-  AnalyticOptions ao;
-  ao.max_classes = 512;
   AnalyticModel an(CommunityParams::Default(), RankPromotionConfig::None(),
-                   ao);
+                   512);
   EXPECT_NEAR(mf.NormalizedQpc(), an.NormalizedQpc(), 0.15);
 }
 

@@ -924,6 +924,52 @@ TEST(NetDaemonTest, ViolationsGetExplicitErrorsNotHangs) {
   EXPECT_TRUE(harness.daemon->Drain());
 }
 
+// HEALTH and METRICS payloads are empty, so a frame of either type that
+// carries a byte is a payload-level violation on an intact frame: it gets
+// ERROR/BAD_FRAME and counts as a bad frame, not as a health check or a
+// scrape, and the next frame on the connection is served.
+TEST(NetDaemonTest, HealthAndMetricsWithPayloadsGetBadFrame) {
+  obs::MetricsRegistry registry;
+  NetDaemonOptions options;
+  options.metrics = &registry;
+  DaemonHarness harness(2000, options);
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+
+  std::vector<uint8_t> bytes;
+  for (const auto append : {&AppendHealth, &AppendMetrics}) {
+    const size_t frame = bytes.size();
+    append(&bytes);
+    bytes[frame] = 1;    // payload_len 1 (little-endian u32)...
+    bytes.push_back(0);  // ...and the byte it announces
+  }
+  AppendHealth(&bytes);
+  ASSERT_TRUE(client.SendRaw(bytes));
+
+  FrameHeader header;
+  std::vector<uint8_t> payload;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+    ASSERT_EQ(header.type, FrameType::kError);
+    ErrorFrame error;
+    ASSERT_TRUE(DecodeError(payload.data(), payload.size(), &error));
+    EXPECT_EQ(error.code, ErrorCode::kBadFrame);
+    EXPECT_EQ(error.request_id, 0u);
+  }
+  ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+  EXPECT_EQ(header.type, FrameType::kHealthReply);
+
+  const NetDaemonStats stats = harness.daemon->stats();
+  EXPECT_EQ(stats.bad_frames, 2u);
+  EXPECT_EQ(stats.health_checks, 1u);
+  EXPECT_EQ(stats.scrapes, 0u);
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("net/bad_frames"), 2u);
+  EXPECT_EQ(snap.counters.at("net/health_checks"), 1u);
+  EXPECT_EQ(snap.counters.at("net/scrapes"), 0u);
+  EXPECT_TRUE(harness.daemon->Drain());
+}
+
 // A query whose turn comes past its per-query deadline gets an explicit
 // ERROR/DEADLINE_EXCEEDED — never a hang and never a silently empty reply —
 // the connection survives, and once the stall clears queries serve again.

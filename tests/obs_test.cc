@@ -129,7 +129,6 @@ TEST(HistogramQuantileTest, MatchesExactSortedPercentiles) {
     EXPECT_NEAR(est, exact, exact * 0.05) << "q=" << q;
   }
   EXPECT_EQ(snap.Max() >= values.back(), true);
-  EXPECT_LE(snap.Min(), values.front());
   EXPECT_NEAR(snap.Mean(),
               static_cast<double>(snap.sum) / static_cast<double>(snap.total),
               1e-9);

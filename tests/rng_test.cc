@@ -62,21 +62,6 @@ TEST(RngTest, NextIndexUniform) {
   for (const int c : counts) EXPECT_NEAR(c, kDraws / 10, kDraws / 10 * 0.1);
 }
 
-TEST(RngTest, NextIntInclusiveRange) {
-  Rng rng(19);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const int64_t x = rng.NextInt(-3, 3);
-    EXPECT_GE(x, -3);
-    EXPECT_LE(x, 3);
-    saw_lo |= x == -3;
-    saw_hi |= x == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, BernoulliEdgeCases) {
   Rng rng(23);
   for (int i = 0; i < 100; ++i) {

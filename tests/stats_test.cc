@@ -65,49 +65,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 1.5);
 }
 
-TEST(HistogramTest, BinEdges) {
-  Histogram h(0.0, 1.0, 10);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 0.1);
-  EXPECT_DOUBLE_EQ(h.bin_lo(9), 0.9);
-  EXPECT_DOUBLE_EQ(h.bin_hi(9), 1.0);
-}
-
-TEST(HistogramTest, CountsAndFractions) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(0.1);
-  h.Add(0.3);
-  h.Add(0.35);
-  h.Add(0.9);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(3), 1.0);
-  EXPECT_DOUBLE_EQ(h.Fraction(1), 0.5);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-}
-
-TEST(HistogramTest, OutOfRangeClamped) {
-  Histogram h(0.0, 1.0, 2);
-  h.Add(-5.0);
-  h.Add(7.0);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 1.0);
-}
-
-TEST(HistogramTest, WeightedAdds) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(2.5, 3.0);
-  EXPECT_DOUBLE_EQ(h.count(2), 3.0);
-  EXPECT_DOUBLE_EQ(h.total(), 3.0);
-}
-
-TEST(HistogramTest, ApproxMean) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(1.2);  // midpoint 1.5
-  h.Add(8.7);  // midpoint 8.5
-  EXPECT_NEAR(h.ApproxMean(), 5.0, 1e-12);
-}
-
 TEST(PercentileTest, MedianAndExtremes) {
   std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(Percentile(v, 50.0), 3.0);
@@ -204,14 +161,6 @@ TEST(MergeSparseCellsTest, AllSparseCollapsesToOneCell) {
   ASSERT_EQ(a.size(), 1u);
   EXPECT_DOUBLE_EQ(a[0], 2.0);
   EXPECT_DOUBLE_EQ(b[0], 2.0);
-}
-
-TEST(WeightedMeanTest, Basic) {
-  EXPECT_DOUBLE_EQ(WeightedMean({1.0, 3.0}, {1.0, 3.0}), 2.5);
-}
-
-TEST(WeightedMeanTest, ZeroWeights) {
-  EXPECT_DOUBLE_EQ(WeightedMean({1.0, 2.0}, {0.0, 0.0}), 0.0);
 }
 
 TEST(GiniCoefficientTest, EvenMassScoresZeroAndConcentrationApproachesOne) {

@@ -22,14 +22,6 @@ TEST(TableTest, AlignsColumns) {
   EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.Row().Cell("x").Cell(2LL);
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\nx,2\n");
-}
-
 TEST(TableTest, RowCount) {
   Table t({"a"});
   EXPECT_EQ(t.rows(), 0u);

@@ -20,6 +20,11 @@ VisitRateCurve MakePowerLaw() {
   return VisitRateCurve(xs, fs, 0.001);
 }
 
+// F(x) = value everywhere, f0 included.
+VisitRateCurve Flat(double value) {
+  return VisitRateCurve({0.01, 1.0}, {value, value}, value);
+}
+
 TEST(VisitRateCurveTest, InterpolatesExactlyAtNodes) {
   const VisitRateCurve curve = MakePowerLaw();
   for (size_t i = 0; i < curve.grid().size(); ++i) {
@@ -47,15 +52,9 @@ TEST(VisitRateCurveTest, ZeroAndNegativeReturnF0) {
   EXPECT_DOUBLE_EQ(curve(-1.0), 0.001);
 }
 
-TEST(VisitRateCurveTest, ConstantFactory) {
-  const VisitRateCurve curve = VisitRateCurve::Constant(5.0, 0.01, 1.0);
-  EXPECT_DOUBLE_EQ(curve(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(curve(0.0), 5.0);
-}
-
 TEST(VisitRateCurveTest, BlendIsGeometric) {
-  const VisitRateCurve a = VisitRateCurve::Constant(1.0, 0.01, 1.0);
-  const VisitRateCurve b = VisitRateCurve::Constant(4.0, 0.01, 1.0);
+  const VisitRateCurve a = Flat(1.0);
+  const VisitRateCurve b = Flat(4.0);
   const VisitRateCurve half = a.BlendWith(b, 0.5);
   EXPECT_NEAR(half(0.1), 2.0, 1e-12);  // sqrt(1*4)
   EXPECT_NEAR(half.f0(), 2.0, 1e-12);
@@ -64,29 +63,11 @@ TEST(VisitRateCurveTest, BlendIsGeometric) {
 }
 
 TEST(VisitRateCurveTest, LogDistanceAndF0Weight) {
-  const VisitRateCurve a = VisitRateCurve::Constant(1.0, 0.01, 1.0);
+  const VisitRateCurve a = Flat(1.0);
   VisitRateCurve b({0.01, 1.0}, {1.0, 1.0}, std::exp(1.0));  // only f0 differs
   EXPECT_NEAR(a.LogDistance(b), 1.0, 1e-12);
   EXPECT_NEAR(a.LogDistance(b, 0.25), 0.25, 1e-12);
   EXPECT_NEAR(a.LogDistance(b, 0.0), 0.0, 1e-12);
-}
-
-TEST(VisitRateCurveTest, PaperFitRecoversQuadratic) {
-  // Tabulate a log-log quadratic and confirm PaperFit recovers it.
-  const LogLogQuadratic truth(0.1, -0.8, 0.3);
-  std::vector<double> xs;
-  std::vector<double> fs;
-  for (int i = 0; i <= 30; ++i) {
-    const double x = std::exp(-5.0 + 0.2 * i);
-    xs.push_back(x);
-    fs.push_back(truth(x));
-  }
-  const VisitRateCurve curve(xs, fs, 1.0);
-  const LogLogQuadratic fit = curve.PaperFit();
-  ASSERT_TRUE(fit.valid());
-  EXPECT_NEAR(fit.alpha(), 0.1, 1e-9);
-  EXPECT_NEAR(fit.beta(), -0.8, 1e-9);
-  EXPECT_NEAR(fit.gamma(), 0.3, 1e-9);
 }
 
 }  // namespace

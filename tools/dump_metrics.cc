@@ -145,13 +145,12 @@ int main(int argc, char** argv) {
     eopts.trace = &trace;
     const size_t num_arms = arms.size();
     ExperimentManager experiment(community, std::move(arms), eopts);
-    bai::TopTwoThompsonOptions sopts;
-    sopts.min_clicks = 1ULL << 60;  // never eliminate in an inventory run
     bai::BaiControllerOptions copts;
     copts.metrics = &registry;
     copts.trace = &trace;
+    // min_clicks 2^60: never eliminate in an inventory run.
     bai::BaiController controller(
-        &experiment, bai::MakeTopTwoThompsonScheduler(num_arms, sopts),
+        &experiment, bai::MakeTopTwoThompsonScheduler(num_arms, 1ULL << 60),
         copts);
     controller.Step();
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the docs drift from the code they document.
 
-Two mechanical checks, both run by default:
+Three mechanical checks, all run by default:
 
   --protocol   docs/PROTOCOL.md vs src/net/protocol.h. Every enumerator of
                FrameType / ErrorCode / HealthStatus (parsed as `kName = value`)
@@ -20,10 +20,18 @@ Two mechanical checks, both run by default:
                matched as one path component ([^/]+), so `exp/arm:<arm>/split`
                covers every arm.
 
+  --links      every `.md` file named in the source under src/, tests/,
+               tools/, bench/ and examples/ (comments, docstrings, messages)
+               must exist: a path with a slash relative to the repository
+               root or to the naming file, a bare name anywhere in the
+               repository. A comment that defers its argument to a missing
+               document leaves the reader with no argument at all.
+
 Usage:
-  tools/lint_docs.py                      # both checks, default paths
+  tools/lint_docs.py                      # all checks, default paths
   tools/lint_docs.py --protocol
   tools/lint_docs.py --metrics --dump ./build/tools/dump_metrics
+  tools/lint_docs.py --links
 """
 
 import argparse
@@ -35,6 +43,9 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 PROTOCOL_ENUMS = ("FrameType", "ErrorCode", "HealthStatus")
+LINK_DIRS = ("src", "tests", "tools", "bench", "examples")
+LINK_SUFFIXES = (".h", ".cc", ".py")
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 PROTOCOL_CONSTANTS = ("kMagic", "kProtocolVersion", "kHeaderSize",
                       "kMaxPayload")
 
@@ -183,17 +194,44 @@ def check_metrics(dump_path, doc_path):
     return failures
 
 
+def check_links(repo):
+    failures = []
+    skip = ("build", ".bench_build", ".git")
+    docs = [p for p in repo.rglob("*.md")
+            if not any(part.startswith(skip)
+                       for part in p.relative_to(repo).parts)]
+    doc_names = {p.name for p in docs}
+    for top in LINK_DIRS:
+        for path in sorted((repo / top).rglob("*")):
+            if path.suffix not in LINK_SUFFIXES:
+                continue
+            rel = path.relative_to(repo)
+            for num, line in enumerate(path.read_text().splitlines(), 1):
+                for name in MD_NAME.findall(line):
+                    if "/" in name:
+                        ok = ((repo / name).is_file()
+                              or (path.parent / name).is_file())
+                    else:
+                        ok = name in doc_names
+                    if not ok:
+                        failures.append(
+                            f"{rel}:{num}: names {name}, which is not in "
+                            f"the repository")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--protocol", action="store_true")
     ap.add_argument("--metrics", action="store_true")
+    ap.add_argument("--links", action="store_true")
     ap.add_argument("--header", default=str(REPO / "src/net/protocol.h"))
     ap.add_argument("--protocol-doc", default=str(REPO / "docs/PROTOCOL.md"))
     ap.add_argument("--dump", default=str(REPO / "build/tools/dump_metrics"))
     ap.add_argument("--metrics-doc", default=str(REPO / "docs/METRICS.md"))
     args = ap.parse_args()
 
-    run_all = not (args.protocol or args.metrics)
+    run_all = not (args.protocol or args.metrics or args.links)
     failures = []
     if args.protocol or run_all:
         failures += check_protocol(pathlib.Path(args.header),
@@ -201,6 +239,8 @@ def main():
     if args.metrics or run_all:
         failures += check_metrics(pathlib.Path(args.dump),
                                   pathlib.Path(args.metrics_doc))
+    if args.links or run_all:
+        failures += check_links(REPO)
 
     if failures:
         print(f"lint_docs: {len(failures)} failure(s)")
