@@ -368,8 +368,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Epoch-publish latency: one Update() = per-shard snapshot rebuild +
-  // cross-shard merge + the policy's BuildEpochState + epoch-cache build +
+  // Epoch-publish latency: one Update() = pool/list partition + one
+  // deterministic sort over the corpus + the policy's BuildEpochState +
   // atomic swap. This is also the unit cost of an online policy hot-swap
   // (a swap IS a publish carrying a different policy), so the point tracks
   // both: plain republish latency and alternating-family swap latency
@@ -396,8 +396,8 @@ int main(int argc, char** argv) {
         };
     std::vector<double> republish_us;
     std::vector<double> swap_us;
-    // Untimed warmup: the first-ever publish allocates every shard
-    // snapshot and cache; the point tracks steady-state publish latency.
+    // Untimed warmup: the first-ever publish faults in fresh heap pages;
+    // the point tracks steady-state publish latency.
     std::vector<double> warmup_us;
     publish(nullptr, &warmup_us);
     for (size_t i = 0; i < kPublishes; ++i) publish(nullptr, &republish_us);

@@ -86,11 +86,11 @@ class StochasticRankingPolicy {
 
   /// Partition hook: whether a page with the given zero-awareness flag
   /// enters the stochastic pool Pp rather than the deterministic list Ld.
-  /// Single source of truth — Ranker::Update, RankSnapshot::Build, and the
-  /// simulator's ghost placement all consult it, or sharded serving
-  /// silently diverges from the simulated distribution. Must draw from
-  /// `rng` a per-page-deterministic number of times (zero for most
-  /// families).
+  /// Single source of truth — Ranker::Update, ShardedRankServer::Update,
+  /// RankSnapshot::Build, and the simulator's ghost placement all consult
+  /// it, or serving silently diverges from the simulated distribution.
+  /// Must draw from `rng` a per-page-deterministic number of times (zero
+  /// for most families).
   virtual bool PoolMembership(bool zero_awareness, Rng& rng) const = 0;
 
   /// Leading slots of the realization that are always filled from the

@@ -5,6 +5,32 @@
 
 namespace randrank {
 
+void SortByRankOrder(const std::vector<double>& popularity,
+                     const std::vector<int64_t>& birth_step,
+                     std::vector<uint32_t>* det,
+                     std::vector<double>* det_score) {
+  struct Key {
+    double score;
+    int64_t birth;
+    uint32_t page;
+  };
+  std::vector<Key> keys;
+  keys.reserve(det->size());
+  for (const uint32_t p : *det) {
+    keys.push_back({popularity[p], birth_step[p], p});
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return RankOrderBefore(a.score, a.birth, a.page, b.score, b.birth,
+                           b.page);
+  });
+  det_score->clear();
+  det_score->reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    (*det)[i] = keys[i].page;
+    det_score->push_back(keys[i].score);
+  }
+}
+
 Ranker::Ranker(std::shared_ptr<const StochasticRankingPolicy> policy)
     : policy_(std::move(policy)) {
   assert(policy_ != nullptr);
@@ -26,13 +52,7 @@ void Ranker::Update(const std::vector<double>& popularity,
         .push_back(p);
   }
 
-  std::sort(det_.begin(), det_.end(), [&](uint32_t a, uint32_t b) {
-    return RankOrderBefore(popularity[a], birth_step[a], a, popularity[b],
-                           birth_step[b], b);
-  });
-  det_score_.clear();
-  det_score_.reserve(det_.size());
-  for (const uint32_t p : det_) det_score_.push_back(popularity[p]);
+  SortByRankOrder(popularity, birth_step, &det_, &det_score_);
   // Per-epoch policy state (no Rng by contract, so seeded streams are
   // unaffected).
   epoch_state_ = policy_->BuildEpochState(view());

@@ -13,15 +13,28 @@ namespace randrank {
 /// The global deterministic ranking key (Appendix A): popularity descending,
 /// ties by age (older, i.e. smaller birth step, first), then by page id.
 /// Every sorted deterministic list in the system — Ranker::Update, the
-/// per-shard serving snapshots, and the cross-shard merge — must order by
-/// exactly this predicate, or sharded serving silently stops matching the
-/// unsharded distribution. Keep it in one place.
+/// server's epoch publish, and the per-shard snapshots — must order by
+/// exactly this predicate, or serving silently stops matching the simulated
+/// distribution. Keep it in one place.
 inline bool RankOrderBefore(double score_a, int64_t birth_a, uint32_t page_a,
                             double score_b, int64_t birth_b, uint32_t page_b) {
   if (score_a != score_b) return score_a > score_b;
   if (birth_a != birth_b) return birth_a < birth_b;
   return page_a < page_b;
 }
+
+/// Sorts the page ids in `det` (any order) by RankOrderBefore over
+/// (`popularity[p]`, `birth_step[p]`, p) and writes each sorted page's
+/// popularity to the same slot of `det_score`. The one deterministic sort
+/// behind Ranker::Update, ShardedRankServer::Update and RankSnapshot::Build.
+/// It sorts packed {popularity, birth, id} records (24 B per page, freed on
+/// return) rather than ids: an id sort loads both keys through the id at
+/// every comparison, which misses the cache once the key arrays outgrow it
+/// (16 MiB at 1M pages).
+void SortByRankOrder(const std::vector<double>& popularity,
+                     const std::vector<int64_t>& birth_step,
+                     std::vector<uint32_t>* det,
+                     std::vector<double>* det_score);
 
 /// Executes the ranking pipeline for one time step under any
 /// StochasticRankingPolicy (the paper's Section 4 pipeline is the promotion

@@ -366,7 +366,11 @@ bool NetDaemon::ParseFrames(Connection& conn, ReadPass& pass) {
       case FrameType::kQuery: {
         QueryFrame query;
         if (!DecodeQuery(payload, len, &query)) {
-          RejectFrame(conn, 0, ErrorCode::kBadFrame, "bad QUERY payload");
+          // A 20-byte payload with m = 0 has already yielded its id, so the
+          // error echoes it; a payload of the wrong length leaves the
+          // default id 0.
+          RejectFrame(conn, query.request_id, ErrorCode::kBadFrame,
+                      "bad QUERY payload");
         } else if (query.m > opts_.max_query_m) {
           RejectFrame(conn, query.request_id, ErrorCode::kBadFrame,
                       "m exceeds cap " + std::to_string(opts_.max_query_m));

@@ -30,8 +30,8 @@ struct TraceOptions {
 ///
 /// The serve layer emits two span families: per-query spans (service time,
 /// policy family — sampled) and epoch-publish
-/// phase spans (shard re-sort, merge, BuildEpochState, policy swap, RCU
-/// publish — always emitted). The network daemon adds sampled per-request
+/// phase spans (partition, deterministic sort, BuildEpochState, policy swap,
+/// RCU publish — always emitted). The network daemon adds sampled per-request
 /// spans (`net/request`: decode to reply staged).
 ///
 /// Thread-safe: emission takes a mutex, which is fine because spans are

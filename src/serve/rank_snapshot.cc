@@ -1,6 +1,5 @@
 #include "serve/rank_snapshot.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "core/rank_merge.h"
@@ -41,16 +40,9 @@ std::shared_ptr<const RankSnapshot> RankSnapshot::Build(
         .push_back(p);
   }
 
-  std::sort(snap->det.begin(), snap->det.end(), [&](uint32_t a, uint32_t b) {
-    return RankOrderBefore(popularity[a], birth_step[a], a, popularity[b],
-                           birth_step[b], b);
-  });
-  snap->det_score.reserve(snap->det.size());
+  SortByRankOrder(popularity, birth_step, &snap->det, &snap->det_score);
   snap->det_birth.reserve(snap->det.size());
-  for (const uint32_t p : snap->det) {
-    snap->det_score.push_back(popularity[p]);
-    snap->det_birth.push_back(birth_step[p]);
-  }
+  for (const uint32_t p : snap->det) snap->det_birth.push_back(birth_step[p]);
   // Per-epoch policy state over this shard's finished view (deterministic,
   // so parallel shard builds stay reproducible; no Rng by contract).
   if (build_epoch_state) {
@@ -78,12 +70,6 @@ size_t BestDetHead(const RankSnapshot* const* snaps, const size_t* cursors,
     }
   }
   return best;
-}
-
-size_t ServingView::n() const {
-  size_t total = 0;
-  for (const auto& shard : shards) total += shard->n();
-  return total;
 }
 
 }  // namespace randrank

@@ -11,12 +11,13 @@
 namespace randrank {
 
 /// An immutable snapshot of one shard's ranking state: the deterministic
-/// order Ld (best first, with the sort keys kept alongside for the
-/// cross-shard merge) plus the promotion pool Pp. Built off the serving path
-/// by the writer and merged into the epoch's EpochPrefixCache, which is what
-/// queries read; a snapshot may also be served standalone (TopM /
-/// PageAtRank). Immutable after Build, so any number of threads may read it
-/// while the writer assembles its successor.
+/// order Ld (best first, with the sort keys kept alongside for a
+/// cross-shard merge) plus the promotion pool Pp, servable standalone
+/// (TopM / PageAtRank). Immutable after Build, so any number of threads may
+/// read it. ShardedRankServer does not build these (its publish sorts the
+/// whole corpus at once); kept only because perfbench/probes.cc builds
+/// per-shard snapshots and merges them with
+/// EpochPrefixCache::Build(const ServingView&), and for its own tests.
 struct RankSnapshot {
   /// Monotone publish generation; every shard snapshot in one ServingView
   /// carries the same epoch.
@@ -36,8 +37,7 @@ struct RankSnapshot {
   /// Policy-owned per-epoch state over this shard's own view (Build calls
   /// the policy's BuildEpochState hook), reused by every TopM/PageAtRank
   /// against this snapshot. Null for stateless families, and when the
-  /// builder opted out (ShardedRankServer does — see Build). The state the
-  /// server's queries use is the EpochPrefixCache's, over the merged view.
+  /// builder opted out (see Build).
   std::shared_ptr<const PolicyEpochState> epoch_state;
 
   size_t n() const { return det.size() + pool.size(); }
@@ -59,14 +59,13 @@ struct RankSnapshot {
 
   /// Builds a snapshot for the shard owning `pages` from global page state,
   /// mirroring Ranker::Update: pool membership per the policy's hook, then
-  /// the remainder sorted by (popularity desc, birth asc, id asc). `rng` is
-  /// only drawn from when the policy's PoolMembership draws (the uniform
-  /// promotion rule; membership is re-sampled per build, as in Ranker).
+  /// the remainder sorted by SortByRankOrder. `rng` is only drawn from when
+  /// the policy's PoolMembership draws (the uniform promotion rule;
+  /// membership is re-sampled per build, as in Ranker).
   /// `build_epoch_state` controls whether the per-shard BuildEpochState
   /// product is materialized: callers that serve this snapshot directly
-  /// (TopM/PageAtRank) want it; ShardedRankServer passes false because its
-  /// queries only ever consume the EpochPrefixCache's *global* state, so S
-  /// per-shard alias tables per epoch would be pure waste.
+  /// (TopM/PageAtRank) want it; callers that merge the shards into an
+  /// EpochPrefixCache pass false, since the cache builds the global state.
   static std::shared_ptr<const RankSnapshot> Build(
       std::shared_ptr<const StochasticRankingPolicy> policy, uint64_t epoch,
       const std::vector<uint32_t>& pages, const std::vector<double>& popularity,
@@ -78,16 +77,16 @@ struct RankSnapshot {
 /// One step of the S-way deterministic merge: the index of the shard whose
 /// det-list head (at its cursor) is next under the global sort key
 /// RankOrderBefore, or `shards` when every list is exhausted.
-/// EpochPrefixCache::Build runs it to completion once per epoch.
+/// EpochPrefixCache::Build(const ServingView&) runs it to completion; like
+/// that overload it is kept only for perfbench/probes.cc.
 size_t BestDetHead(const RankSnapshot* const* snaps, const size_t* cursors,
                    size_t shards);
 
 struct EpochPrefixCache;
 struct ServeObsHooks;
 
-/// One published generation of the whole server: every shard's snapshot,
-/// swapped in atomically as a unit so a query never observes shards from two
-/// different epochs (cross-shard snapshot isolation).
+/// One published generation of the whole server, swapped in atomically as
+/// a unit so a query never observes state from two different epochs.
 struct ServingView {
   uint64_t epoch = 0;
   /// The policy this epoch was ranked and is served under. Queries dispatch
@@ -95,13 +94,16 @@ struct ServingView {
   /// hot-swap (ShardedRankServer::Update with a new policy) is exactly as
   /// atomic as the epoch publish itself: every query realizes under the one
   /// policy its pinned view was built with, even while the writer publishes
-  /// a different one. Always equals shards[s]->policy for every shard.
+  /// a different one.
   std::shared_ptr<const StochasticRankingPolicy> policy;
+  /// Per-shard snapshots to merge with EpochPrefixCache::Build(const
+  /// ServingView&). Published views leave it empty; kept only for
+  /// perfbench/probes.cc.
   std::vector<std::shared_ptr<const RankSnapshot>> shards;
-  /// Per-epoch materialization of the cross-shard deterministic merge order
-  /// and global pool (see serve/epoch_prefix_cache.h) — what every query
-  /// realizes against. Built by the writer at every publish; immutable
-  /// after it and invalidated only by the next epoch's view.
+  /// The epoch's deterministic order, global pool and policy state (see
+  /// serve/epoch_prefix_cache.h) — what every query realizes against.
+  /// Built by the writer at every publish; immutable after it and
+  /// invalidated only by the next epoch's view.
   std::shared_ptr<const EpochPrefixCache> cache;
   /// Observability endpoints resolved at publish time (the per-query
   /// latency histogram for this epoch's policy family, the trace sink, span
@@ -111,8 +113,6 @@ struct ServingView {
   /// metrics that match what actually served it. Null when the server runs
   /// without observability — the hot path then pays one branch.
   std::shared_ptr<const ServeObsHooks> obs;
-
-  size_t n() const;
 };
 
 }  // namespace randrank

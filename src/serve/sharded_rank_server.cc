@@ -1,8 +1,10 @@
 #include "serve/sharded_rank_server.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
+#include <string_view>
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -29,6 +31,12 @@ double MicrosBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
+/// The fault point guarding each entry of kPublishPhases.
+constexpr std::array<std::string_view, 4> kPhasePoints = {
+    fault::kPublishShards, fault::kPublishMerge, fault::kPublishEpochState,
+    fault::kPublishRcu};
+static_assert(kPhasePoints.size() == ShardedRankServer::kPublishPhases.size());
+
 }  // namespace
 
 ShardedRankServer::ShardedRankServer(
@@ -38,19 +46,21 @@ ShardedRankServer::ShardedRankServer(
       initial_policy_(policy_),
       n_(num_pages),
       opts_(options),
+      shards_(std::min(std::max<size_t>(1, options.shards),
+                       std::max<size_t>(1, num_pages))),
       writer_rng_(Rng::ForStream(options.seed, 0)),
       visit_counts_(num_pages, 0) {
   assert(policy_ != nullptr && policy_->Valid());
-  const size_t shards = std::max<size_t>(1, opts_.shards);
-  shard_pages_.resize(std::min(shards, std::max<size_t>(1, num_pages)));
-  for (uint32_t p = 0; p < num_pages; ++p) {
-    shard_pages_[p % shard_pages_.size()].push_back(p);
-  }
   if (opts_.metrics != nullptr) {
     // Failure-path endpoints are resolved (and the gauges zeroed) up front,
     // so a scrape sees them before any publish has failed.
     publish_failures_ctr_ =
         &opts_.metrics->GetCounter(opts_.obs_prefix + "/publish_failures");
+    for (size_t i = 0; i < kPublishPhases.size(); ++i) {
+      phase_failures_ctr_[i] = &opts_.metrics->GetCounter(
+          opts_.obs_prefix + "/publish_failures/" +
+          std::string(kPublishPhases[i]));
+    }
     degraded_gauge_ = &opts_.metrics->GetGauge(opts_.obs_prefix + "/degraded");
     stale_epochs_gauge_ =
         &opts_.metrics->GetGauge(opts_.obs_prefix + "/epochs_since_publish");
@@ -94,48 +104,64 @@ bool ShardedRankServer::Update(
   }
 
   const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  // The kPublishPhases entry running, so a rollback records where it failed.
+  size_t phase = 0;
+  const auto begin_phase = [&phase, epoch](size_t next) {
+    phase = next;
+    // Fault site: abort (kFail) or slow (kDelay) this phase.
+    fault::CheckAbortable(kPhasePoints[next], fault::Hash(kPhasePoints[next]),
+                          epoch);
+  };
   try {
-    auto view = std::make_shared<ServingView>();
-    view->epoch = epoch;
-    view->policy = policy_;
-    view->shards.resize(shard_pages_.size());
-
-    // Fault site: abort (kFail) or slow (kDelay) the shard-build phase.
-    fault::CheckAbortable(fault::kPublishShards,
-                          fault::Hash(fault::kPublishShards), epoch);
-
-    // Each shard build gets its own fork of the writer stream, so the build
-    // is deterministic given that stream.
+    begin_phase(0);  // shards
+    // Partition: page p draws its pool membership from the writer-stream
+    // fork of shard p % S and joins that shard's pool, so every Rng draw and
+    // the pool order (shard by shard, ascending id within each) are those of
+    // S separate shard partitions.
     std::vector<Rng> build_rngs;
-    build_rngs.reserve(shard_pages_.size());
-    for (size_t s = 0; s < shard_pages_.size(); ++s) {
+    build_rngs.reserve(shards_);
+    for (size_t s = 0; s < shards_; ++s) {
       build_rngs.push_back(writer_rng_.Fork());
     }
-
     const Clock::time_point shards_start = Clock::now();
-    for (size_t s = 0; s < shard_pages_.size(); ++s) {
-      // Per-shard epoch state is skipped: server queries consume only the
-      // EpochPrefixCache's global state, never a shard-local one.
-      view->shards[s] = RankSnapshot::Build(
-          policy_, epoch, shard_pages_[s], popularity, zero_awareness,
-          birth_step, build_rngs[s], /*build_epoch_state=*/false);
+    auto cache = std::make_shared<EpochPrefixCache>();
+    cache->epoch = epoch;
+    cache->det.reserve(n_);
+    std::vector<std::vector<uint32_t>> shard_pools(shards_);
+    size_t shard = 0;
+    for (uint32_t p = 0; p < n_; ++p) {
+      if (policy_->PoolMembership(zero_awareness[p] != 0, build_rngs[shard])) {
+        shard_pools[shard].push_back(p);
+      } else {
+        cache->det.push_back(p);
+      }
+      if (++shard == shards_) shard = 0;
+    }
+    for (const std::vector<uint32_t>& pool : shard_pools) {
+      cache->pool.insert(cache->pool.end(), pool.begin(), pool.end());
     }
     const Clock::time_point shards_done = Clock::now();
 
-    // The materialized global merge order plus whatever the policy's
-    // BuildEpochState derives from it (Plackett-Luce's alias table,
-    // ts-promo's coin table) — the one view every query of this epoch
-    // realizes against. Carries the publish.merge / publish.epoch_state
-    // fault sites internally.
-    EpochPrefixCache::BuildPhaseTimings cache_timings;
-    view->cache =
-        EpochPrefixCache::Build(*view, tracing ? &cache_timings : nullptr);
+    // The global deterministic order: one sort over the whole corpus.
+    begin_phase(1);  // merge
+    SortByRankOrder(popularity, birth_step, &cache->det, &cache->det_score);
+    const Clock::time_point merge_done = Clock::now();
 
+    // Whatever the policy derives from the global view (Plackett-Luce's
+    // alias table, ts-promo's coin table) — with the arrays above, the one
+    // view every query of this epoch realizes against.
+    begin_phase(2);  // epoch_state
+    cache->policy_state = policy_->BuildEpochState(cache->AsView());
+    const Clock::time_point state_done = Clock::now();
+
+    auto view = std::make_shared<ServingView>();
+    view->epoch = epoch;
+    view->policy = policy_;
+    view->cache = std::move(cache);
     view->obs = BuildObsHooks();
-    // Fault site: the last abort point before the irreversible RCU swap —
-    // past here the epoch is published and cannot roll back by design.
-    fault::CheckAbortable(fault::kPublishRcu, fault::Hash(fault::kPublishRcu),
-                          epoch);
+    // The last abort point before the irreversible RCU swap — past here the
+    // epoch is published and cannot roll back by design.
+    begin_phase(3);  // rcu_publish
     const Clock::time_point rcu_start = Clock::now();
     store_.Publish(std::move(view));
     epoch_.store(epoch, std::memory_order_release);
@@ -163,19 +189,20 @@ bool ShardedRankServer::Update(
     }
     if (tracing) {
       // Per-phase publish spans, one line each, always emitted (publishes are
-      // rare): shard re-sort, merge, BuildEpochState, the policy swap when
-      // one rode this publish, the RCU pointer swap, and the whole publish
-      // as the parent span.
+      // rare): the partition (publish/shards), the deterministic sort
+      // (publish/merge), BuildEpochState, the policy swap when one rode this
+      // publish, the RCU pointer swap, and the whole publish as the parent
+      // span.
       const auto e = static_cast<double>(epoch);
-      const auto s = static_cast<double>(shard_pages_.size());
+      const auto s = static_cast<double>(shards_);
       const double sw = swapping ? 1.0 : 0.0;
       obs::TraceLog& trace = *opts_.trace;
       trace.EmitSpan("publish/shards", MicrosBetween(shards_start, shards_done),
                      {{"epoch", e}, {"shards", s}});
-      trace.EmitSpan("publish/merge", cache_timings.merge_us,
+      trace.EmitSpan("publish/merge", MicrosBetween(shards_done, merge_done),
                      {{"epoch", e}, {"shards", s}});
-      trace.EmitSpan("publish/epoch_state", cache_timings.epoch_state_us,
-                     {{"epoch", e}});
+      trace.EmitSpan("publish/epoch_state",
+                     MicrosBetween(merge_done, state_done), {{"epoch", e}});
       if (swapping) {
         trace.EmitSpan("publish/policy_swap", swap_us, {{"epoch", e}},
                        {{"family", FamilySlug(policy_->Label())}});
@@ -195,10 +222,12 @@ bool ShardedRankServer::Update(
     // failed publish is undone too — it never became observable.
     if (swapping) policy_ = prev_policy;
     publish_failures_.fetch_add(1, std::memory_order_relaxed);
+    phase_failures_[phase].fetch_add(1, std::memory_order_relaxed);
     const uint64_t stale =
         failed_since_success_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (opts_.metrics != nullptr) {
       publish_failures_ctr_->Add();
+      phase_failures_ctr_[phase]->Add();
       degraded_gauge_->Set(1.0);
       stale_epochs_gauge_->Set(static_cast<double>(stale));
     }
@@ -207,7 +236,8 @@ bool ShardedRankServer::Update(
           "publish/aborted", MicrosBetween(publish_start, Clock::now()),
           {{"epoch", static_cast<double>(epoch)},
            {"stale_epochs", static_cast<double>(stale)}},
-          {{"reason", ex.what()}});
+          {{"reason", ex.what()},
+           {"phase", std::string(kPublishPhases[phase])}});
     }
     return false;
   }
@@ -334,10 +364,10 @@ size_t ShardedRankServer::ServeUninstrumented(
   }
   // Dispatch through the policy the pinned view was built with — not any
   // server-level member — so a concurrent hot-swap Update can never pair a
-  // query with a policy that mismatches its ranking state. The cross-shard
-  // deterministic merge, the global pool, and the policy's per-epoch state
+  // query with a policy that mismatches its ranking state. The global
+  // deterministic order, the global pool, and the policy's per-epoch state
   // were materialized once when this epoch was published; the policy
-  // realizes against that single pre-merged global view (promotion:
+  // realizes against that single global view (promotion:
   // protected-prefix copy + O(m) splice; Plackett-Luce: O(m) expected alias
   // draws rejected against a flat emitted set; epsilon-tail: head copy +
   // explored slots only; ts-promo: head copy + one uniform per contested

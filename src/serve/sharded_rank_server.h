@@ -1,11 +1,13 @@
 #ifndef RANDRANK_SERVE_SHARDED_RANK_SERVER_H_
 #define RANDRANK_SERVE_SHARDED_RANK_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/policy/stochastic_ranking_policy.h"
@@ -25,8 +27,12 @@ class TraceLog;
 }  // namespace obs
 
 struct ServeOptions {
-  /// Number of shards pages are partitioned across (page p lives on shard
-  /// p % shards). 0 selects 1.
+  /// Page p belongs to shard p % shards, which sets only two things: the
+  /// pool order (shard 0's pool pages first, ascending id within each
+  /// shard) and, for the uniform rule, the writer-stream fork each page's
+  /// membership draw comes from. Every publish sorts the deterministic list
+  /// over the whole corpus at once, and the law of the served lists does
+  /// not depend on it. 0 selects 1.
   size_t shards = 4;
   /// Base seed; each serving context gets its own non-overlapping stream.
   uint64_t seed = 0x5eedULL;
@@ -39,10 +45,10 @@ struct ServeOptions {
   /// epoch. Null (default) keeps the hot path identical to the
   /// uninstrumented server except for one pointer test per query.
   obs::MetricsRegistry* metrics = nullptr;
-  /// With `trace` also set, Update() emits epoch-publish phase spans (shard
-  /// re-sort, merge, BuildEpochState, policy swap, RCU publish) and the
-  /// query path emits sampled per-query spans (service time, policy family)
-  /// at the TraceLog's sample_every stride.
+  /// With `trace` also set, Update() emits epoch-publish phase spans
+  /// (partition, deterministic sort, BuildEpochState, policy swap, RCU
+  /// publish) and the query path emits sampled per-query spans (service
+  /// time, policy family) at the TraceLog's sample_every stride.
   obs::TraceLog* trace = nullptr;
   /// Metric-name prefix, so several servers (e.g. experiment arms) can share
   /// one registry without colliding.
@@ -91,11 +97,11 @@ struct QueryBatch {
 /// the policy supports it.
 ///
 /// Concurrency model — single writer, many readers:
-///  * Pages are partitioned across S shards. The writer thread calls
-///    Update() with new page state; it rebuilds every shard's RankSnapshot
-///    off the serving path and then publishes all of them as one
-///    ServingView in a single atomic swap, so queries are snapshot-isolated
-///    across shards: a query never mixes ranking state from two different
+///  * The writer thread calls Update() with new page state. Off the serving
+///    path it partitions the pages into the deterministic list and the
+///    pool, sorts the list once over the whole corpus, builds the policy's
+///    epoch state, and publishes the result as one ServingView in a single
+///    atomic swap, so a query never mixes ranking state from two different
 ///    epochs.
 ///  * Each serving thread owns a Context (per-thread Rng stream, cached
 ///    snapshot handle, policy scratch, feedback batch). The query hot path
@@ -106,14 +112,14 @@ struct QueryBatch {
 ///    them into popularity/awareness for the next Update (see
 ///    serve/feedback.h), closing the simulate → serve loop.
 ///
-/// Distribution guarantee: ServeTopM over S shards is distributed exactly as
-/// the first m slots of Ranker::MaterializeList over the same global page
-/// state, for every policy family: every query realizes against the epoch's
-/// EpochPrefixCache, the pre-merged global view the S shards publish as.
+/// Distribution guarantee: ServeTopM is distributed exactly as the first m
+/// slots of Ranker::MaterializeList over the same global page state, for
+/// every policy family and shard count: every query realizes against the
+/// epoch's EpochPrefixCache, the same global view a Ranker holds up to the
+/// pool order, which every draw path samples uniformly.
 ///
 /// Amortization layers on the read path: (1) the EpochPrefixCache makes
-/// per-query cost O(m) independent of S, and (2) ServeBatch answers B
-/// queries per view pin.
+/// per-query cost O(m), and (2) ServeBatch answers B queries per view pin.
 class ShardedRankServer {
  public:
   /// A serving thread's private state. Create one per worker via
@@ -137,14 +143,14 @@ class ShardedRankServer {
 
   // --- Writer API (one thread at a time) ---
 
-  /// Rebuilds every shard snapshot from global page state and publishes them
-  /// as one new epoch. Safe to call while readers are serving.
+  /// Builds the epoch's EpochPrefixCache from global page state and
+  /// publishes it as one new epoch. Safe to call while readers are serving.
   ///
   /// With `new_policy` set, this is a policy hot-swap: the new epoch is
   /// ranked and served under `new_policy`, which becomes the server's policy
   /// for every later Update too. The swap is published atomically with the
-  /// epoch — the snapshots, the epoch cache (rebuilt for the *new* policy),
-  /// and the policy itself swap in as one ServingView, so a query pinned to
+  /// epoch — the epoch cache (built for the *new* policy) and the policy
+  /// itself swap in as one ServingView, so a query pinned to
   /// the old view keeps realizing under the old policy and a query pinned to
   /// the new one under the new: no query is ever dropped, and none is served
   /// by a policy that mismatches its ranking state. This is the online A/B
@@ -152,12 +158,14 @@ class ShardedRankServer {
   /// the current policy.
   ///
   /// Transactional: the publish either completes (returns true) or rolls
-  /// back completely (returns false) — a failure in any build phase (shard
-  /// re-sort, merge, epoch state, or an injected fault at the RCU boundary)
-  /// leaves the previous epoch serving untouched, the epoch counter
-  /// unadvanced, and the previous policy in place for the next attempt (a
-  /// hot-swap that rode a failed publish never becomes observable). Failed
-  /// attempts are counted in `<obs_prefix>/publish_failures` and tracked by
+  /// back completely (returns false) — a failure in any phase of
+  /// kPublishPhases (partition, sort, epoch state, or an injected fault at
+  /// the RCU boundary) leaves the previous epoch serving untouched, the
+  /// epoch counter unadvanced, and the previous policy in place for the
+  /// next attempt (a hot-swap that rode a failed publish never becomes
+  /// observable). Failed attempts are counted in
+  /// `<obs_prefix>/publish_failures`, by failing phase in
+  /// `<obs_prefix>/publish_failures/<phase>`, and tracked by
   /// epochs_since_publish(); the next successful Update clears the degraded
   /// state.
   bool Update(const std::vector<double>& popularity,
@@ -201,9 +209,22 @@ class ShardedRankServer {
 
   // --- Degraded-mode accounting (thread-safe; exported to HEALTH) ---
 
+  /// The phases of a publish, in order. Each names its `publish/<phase>`
+  /// trace span, the `publish.<phase>` fault point that opens it, and the
+  /// `<obs_prefix>/publish_failures/<phase>` counter of rollbacks in it.
+  /// `shards` partitions the pages, `merge` sorts the deterministic list,
+  /// `epoch_state` runs the policy's BuildEpochState, and `rcu_publish`
+  /// swaps the view in.
+  static constexpr std::array<std::string_view, 4> kPublishPhases = {
+      "shards", "merge", "epoch_state", "rcu_publish"};
+
   /// Update() attempts that rolled back, since construction.
   uint64_t publish_failures() const {
     return publish_failures_.load(std::memory_order_relaxed);
+  }
+  /// Update() attempts that rolled back in kPublishPhases[phase].
+  uint64_t publish_failures(size_t phase) const {
+    return phase_failures_[phase].load(std::memory_order_relaxed);
   }
   /// Consecutive failed Update() attempts since the last successful publish
   /// — the staleness age of the snapshot still serving, in epochs. 0 when
@@ -250,7 +271,8 @@ class ShardedRankServer {
   const std::shared_ptr<const StochasticRankingPolicy> initial_policy_;
   size_t n_;
   ServeOptions opts_;
-  std::vector<std::vector<uint32_t>> shard_pages_;  // page ids per shard
+  /// Effective shard count: opts_.shards, clamped to [1, max(1, n_)].
+  size_t shards_;
 
   SnapshotStore<ServingView> store_;
   std::atomic<uint64_t> epoch_{0};
@@ -258,10 +280,12 @@ class ShardedRankServer {
 
   /// Degraded-mode accounting, written by the writer thread, read anywhere.
   std::atomic<uint64_t> publish_failures_{0};
+  std::array<std::atomic<uint64_t>, kPublishPhases.size()> phase_failures_{};
   std::atomic<uint64_t> failed_since_success_{0};
   /// Registry endpoints for the failure path, resolved at construction so
   /// they are scrapeable before (and without) any failure.
   obs::Counter* publish_failures_ctr_ = nullptr;
+  std::array<obs::Counter*, kPublishPhases.size()> phase_failures_ctr_{};
   obs::Gauge* degraded_gauge_ = nullptr;
   obs::Gauge* stale_epochs_gauge_ = nullptr;
 

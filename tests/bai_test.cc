@@ -102,7 +102,9 @@ TEST(TopTwoThompsonTest, IdentifiesThePlantedBestAndRetiresEpigons) {
     ExpectValidFractions(d, kArms);
     // Eliminated arms stay at exactly zero forever.
     for (size_t a = 0; a < kArms; ++a) {
-      if (!sched.active(a)) EXPECT_EQ(d.fractions[a], 0.0);
+      if (!sched.active(a)) {
+        EXPECT_EQ(d.fractions[a], 0.0);
+      }
     }
     ++epochs;
     if (d.stop) break;
@@ -120,7 +122,9 @@ TEST(TopTwoThompsonTest, IdentifiesThePlantedBestAndRetiresEpigons) {
   EXPECT_NEAR(post[kBest].mean, 0.6, 0.05);
   EXPECT_TRUE(post[kBest].active);
   for (size_t a = 0; a < kArms; ++a) {
-    if (a != kBest) EXPECT_FALSE(post[a].active);
+    if (a != kBest) {
+      EXPECT_FALSE(post[a].active);
+    }
   }
 }
 

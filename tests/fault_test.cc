@@ -284,6 +284,14 @@ void ExpectPublishRollsBackAt(std::string_view point) {
   EXPECT_TRUE(faulty->degraded());
   obs::MetricsSnapshot snap = faulty_reg.Snapshot();
   EXPECT_EQ(snap.counters.at("serve/publish_failures"), 1u);
+  // The failure is booked to the phase the point guards, and to no other.
+  for (size_t i = 0; i < ShardedRankServer::kPublishPhases.size(); ++i) {
+    const std::string phase(ShardedRankServer::kPublishPhases[i]);
+    const uint64_t expected = point == "publish." + phase ? 1 : 0;
+    EXPECT_EQ(snap.counters.at("serve/publish_failures/" + phase), expected)
+        << phase;
+    EXPECT_EQ(faulty->publish_failures(i), expected) << phase;
+  }
   EXPECT_EQ(snap.gauges.at("serve/degraded"), 1.0);
   EXPECT_EQ(snap.gauges.at("serve/epochs_since_publish"), 1.0);
   EXPECT_EQ(snap.counters.at("fault/fired/" + std::string(point)), 1u);

@@ -888,7 +888,8 @@ TEST(NetDaemonTest, ViolationsGetExplicitErrorsNotHangs) {
     EXPECT_EQ(client.Query(10, 1, &result), NetClient::Status::kOk);
   }
 
-  {  // Bad QUERY payload (m == 0): error, connection survives.
+  {  // Bad QUERY payload (m == 0): error with the id echoed, connection
+     // survives.
     NetClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
     std::vector<uint8_t> bytes;
@@ -902,6 +903,27 @@ TEST(NetDaemonTest, ViolationsGetExplicitErrorsNotHangs) {
     ErrorFrame error;
     ASSERT_TRUE(DecodeError(payload.data(), payload.size(), &error));
     EXPECT_EQ(error.code, ErrorCode::kBadFrame);
+    EXPECT_EQ(error.request_id, 1u);
+    NetClient::QueryResult result;
+    EXPECT_EQ(client.Query(10, 1, &result), NetClient::Status::kOk);
+  }
+
+  {  // QUERY payload of the wrong length: no id to echo, so id 0.
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+    std::vector<uint8_t> bytes;
+    AppendQuery(QueryFrame{5, 2, 3}, &bytes);
+    bytes.push_back(0);
+    bytes[0] = 21;  // payload_len 20 -> 21
+    ASSERT_TRUE(client.SendRaw(bytes));
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(client.ReadFrameRaw(&header, &payload));
+    ASSERT_EQ(header.type, FrameType::kError);
+    ErrorFrame error;
+    ASSERT_TRUE(DecodeError(payload.data(), payload.size(), &error));
+    EXPECT_EQ(error.code, ErrorCode::kBadFrame);
+    EXPECT_EQ(error.request_id, 0u);
     NetClient::QueryResult result;
     EXPECT_EQ(client.Query(10, 1, &result), NetClient::Status::kOk);
   }

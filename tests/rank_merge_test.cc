@@ -66,6 +66,37 @@ TEST(RankMergeTest, NoneRuleTieBreaksByAge) {
   EXPECT_EQ(list, (std::vector<uint32_t>{1, 2, 0}));
 }
 
+// The packed-key sort must give exactly the order of an indirect id sort
+// under RankOrderBefore, on input in any order and with ties at both
+// levels of the key, and must carry each page's own popularity.
+TEST(RankMergeTest, SortByRankOrderMatchesIndirectSort) {
+  const size_t n = 3000;
+  Rng rng(17);
+  std::vector<double> pop(n);
+  std::vector<int64_t> birth(n);
+  for (size_t p = 0; p < n; ++p) {
+    pop[p] = 0.1 * static_cast<double>(rng.NextIndex(5));
+    birth[p] = static_cast<int64_t>(rng.NextIndex(40)) - 20;
+  }
+  std::vector<uint32_t> det;
+  for (uint32_t p = 0; p < n; p += 1 + rng.NextIndex(2)) det.push_back(p);
+  for (size_t i = det.size(); i > 1; --i) {
+    std::swap(det[i - 1], det[rng.NextIndex(i)]);
+  }
+  std::vector<uint32_t> expected = det;
+  std::sort(expected.begin(), expected.end(), [&](uint32_t a, uint32_t b) {
+    return RankOrderBefore(pop[a], birth[a], a, pop[b], birth[b], b);
+  });
+
+  std::vector<double> det_score{1.0, 2.0};  // stale content is replaced
+  SortByRankOrder(pop, birth, &det, &det_score);
+  EXPECT_EQ(det, expected);
+  ASSERT_EQ(det_score.size(), det.size());
+  for (size_t i = 0; i < det.size(); ++i) {
+    EXPECT_EQ(det_score[i], pop[det[i]]) << i;
+  }
+}
+
 TEST(RankMergeTest, SelectivePoolIsExactlyZeroAwareness) {
   Fixture fx(200, 37);
   Ranker ranker(MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 1)));

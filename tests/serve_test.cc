@@ -4,13 +4,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/policy/policy_factory.h"
 #include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
+#include "fault/fault.h"
 #include "serve/epoch_prefix_cache.h"
 #include "serve/feedback.h"
 #include "serve/query_workload.h"
@@ -25,6 +31,87 @@ namespace randrank {
 namespace {
 
 using testutil::Fixture;
+
+// A corpus that churns every epoch, with the ties the rank key has to
+// break: popularity takes five levels, so many pages tie; neighbouring pages
+// share a birth; and every epoch some pages move level while others die
+// (popularity 0, zero awareness, one birth shared by that epoch's dead).
+// About one page in 200 sits at the top level, so the top 25 reach the
+// levels where ts-promo's duel draws from the pool.
+struct ChurnedCorpus {
+  static constexpr double kLevels[] = {0.0, 0.02, 0.05, 0.1, 0.5};
+  std::vector<double> popularity;
+  std::vector<uint8_t> zero;
+  std::vector<int64_t> birth;
+  Rng rng{41};
+
+  explicit ChurnedCorpus(size_t n) : popularity(n), zero(n), birth(n) {
+    for (size_t p = 0; p < n; ++p) {
+      const size_t level = Level(0);
+      popularity[p] = kLevels[level];
+      // Half the pages at level 0 are known: they tie in the det list.
+      zero[p] = level == 0 && rng.NextIndex(2) == 0;
+      birth[p] = static_cast<int64_t>(p / 4);
+    }
+  }
+
+  size_t Level(size_t lowest) {
+    return rng.NextIndex(200) == 0 ? 4 : lowest + rng.NextIndex(4 - lowest);
+  }
+
+  void Churn(int64_t epoch) {
+    const size_t n = popularity.size();
+    for (int i = 0; i < 60; ++i) {
+      const size_t p = rng.NextIndex(n);
+      popularity[p] = kLevels[Level(1)];
+      zero[p] = 0;
+    }
+    for (int i = 0; i < 30; ++i) {
+      const size_t p = rng.NextIndex(n);
+      popularity[p] = 0.0;
+      zero[p] = 1;
+      birth[p] = static_cast<int64_t>(n / 4) + epoch;
+    }
+  }
+};
+
+constexpr size_t kChurnPages = 2000;
+constexpr int kChurnEpochs = 12;
+constexpr int kChurnSwapEpoch = 7;
+
+// Publishes kChurnEpochs churned epochs of `corpus` through `server`. One
+// publish is rolled back at each publish.* fault point before its epoch's
+// clean publish, and epoch kChurnSwapEpoch hot-swaps to `swap_label`.
+// `after_epoch(epoch)` runs after every clean publish.
+template <typename AfterEpoch>
+void RunChurnedSequence(ShardedRankServer& server, ChurnedCorpus& corpus,
+                        const std::string& swap_label,
+                        const AfterEpoch& after_epoch) {
+  static constexpr std::pair<int, std::string_view> kRollbacks[] = {
+      {3, fault::kPublishShards},
+      {5, fault::kPublishMerge},
+      {8, fault::kPublishEpochState},
+      {10, fault::kPublishRcu}};
+  for (int epoch = 1; epoch <= kChurnEpochs; ++epoch) {
+    corpus.Churn(epoch);
+    for (const auto& [at, point] : kRollbacks) {
+      if (at != epoch) continue;
+      fault::FaultPlan plan;
+      ASSERT_TRUE(fault::FaultPlan::Parse(
+          "point=" + std::string(point) + ",action=fail,nth=1,max_fires=1",
+          &plan));
+      fault::FaultInjector injector(plan);
+      fault::ScopedFaultInjector scoped(&injector);
+      ASSERT_FALSE(server.Update(corpus.popularity, corpus.zero, corpus.birth))
+          << point;
+    }
+    std::shared_ptr<const StochasticRankingPolicy> swap;
+    if (epoch == kChurnSwapEpoch) swap = MakePolicyFromLabel(swap_label);
+    ASSERT_TRUE(
+        server.Update(corpus.popularity, corpus.zero, corpus.birth, swap));
+    after_epoch(epoch);
+  }
+}
 
 TEST(SnapshotStoreTest, PublishAndHandleRefresh) {
   SnapshotStore<int> store;
@@ -170,9 +257,97 @@ TEST(ServeTest, NoneRuleMatchesGlobalDeterministicOrderShardedOrNot) {
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
     EXPECT_EQ(server.ServeTopM(ctx, c.n, &out), c.n);
-    // With no randomization the cross-shard merge must reproduce the global
-    // sort exactly.
+    // With no randomization the served list must be the global sort
+    // exactly, whatever the shard count.
     EXPECT_EQ(out, ranker.deterministic_order());
+  }
+
+  // The same must hold after every epoch of a churned publish sequence,
+  // rollbacks and a hot-swap included, and the order must follow the rank
+  // key read straight from the inputs.
+  for (const size_t shards : {1u, 4u, 7u}) {
+    SCOPED_TRACE(testing::Message() << "churned, shards=" << shards);
+    ChurnedCorpus corpus(kChurnPages);
+    ServeOptions opts;
+    opts.shards = shards;
+    ShardedRankServer server(MakePolicyFromLabel("none"), kChurnPages, opts);
+    auto ctx = server.CreateContext();
+    Ranker ranker(MakePolicyFromLabel("none"));
+    Rng rng(3);
+    std::vector<uint32_t> out;
+    RunChurnedSequence(server, corpus, "none", [&](int epoch) {
+      SCOPED_TRACE(testing::Message() << "epoch " << epoch);
+      ranker.Update(corpus.popularity, corpus.zero, corpus.birth, rng);
+      ASSERT_EQ(server.ServeTopM(ctx, kChurnPages, &out), kChurnPages);
+      EXPECT_EQ(out, ranker.deterministic_order());
+      EXPECT_TRUE(std::is_sorted(
+          out.begin(), out.end(), [&](uint32_t a, uint32_t b) {
+            return RankOrderBefore(corpus.popularity[a], corpus.birth[a], a,
+                                   corpus.popularity[b], corpus.birth[b], b);
+          }));
+    });
+  }
+}
+
+// Served lists over a churned publish sequence, pinned across commits: for
+// `none`, the uniform rule and every standard family, at 1, 4 and 7 shards,
+// every epoch's lists (four ServeTopM(25) calls on one seeded context) fold
+// into one FNV-1a digest. The sequence rolls back one publish at each
+// publish.* fault point and hot-swaps to the next label at epoch 7. Any
+// change to the partition draws, the pool order, the deterministic order or
+// the epoch state moves a digest; update a constant only in a change that
+// means to alter served lists.
+TEST(ServeTest, ChurnedPublishSequenceMatchesPinnedDigests) {
+  std::vector<std::string> labels = {"none", "uniform(r=0.10,k=2)"};
+  for (const auto& policy : StandardPolicyFamilies()) {
+    labels.push_back(policy->Label());
+  }
+  const size_t kShards[] = {1, 4, 7};
+  const uint64_t kExpected[][3] = {
+      // none
+      {0xdd25021f6ca03dc3ULL, 0xa73c29786e189a34ULL, 0x8e9fd50243cb11e9ULL},
+      // uniform(r=0.10,k=2)
+      {0x7c198e9799a35249ULL, 0xb595497af90a7641ULL, 0xe1a95adf973cb9f4ULL},
+      // selective(r=0.10,k=2)
+      {0x0c274c3252d6b8abULL, 0x4d9cb844769837b9ULL, 0x53dc0db33772e9a9ULL},
+      // plackett-luce(T=0.05), which hot-swaps to eps-tail: neither has a
+      // pool, so no shard count changes its lists.
+      {0x6a1f893d1aac6c8bULL, 0x6a1f893d1aac6c8bULL, 0x6a1f893d1aac6c8bULL},
+      // eps-tail(eps=0.10,k=10), which hot-swaps to ts-promo
+      {0x61fbc5eea18fa9c5ULL, 0x8ec62b367d0f5e2fULL, 0x6a8e85c7873d03e2ULL},
+      // ts-promo(a=1.00,b=3.00,c=20.0,k=1)
+      {0x47aae9abb9594027ULL, 0x3aed2fe7c410c595ULL, 0x306da125db9b8dc4ULL},
+  };
+  ASSERT_EQ(labels.size(), std::size(kExpected));
+  for (size_t l = 0; l < labels.size(); ++l) {
+    for (size_t s = 0; s < std::size(kShards); ++s) {
+      SCOPED_TRACE(testing::Message()
+                   << labels[l] << " shards=" << kShards[s]);
+      ChurnedCorpus corpus(kChurnPages);
+      ServeOptions opts;
+      opts.shards = kShards[s];
+      opts.seed = 0xc4e5;
+      ShardedRankServer server(MakePolicyFromLabel(labels[l]), kChurnPages,
+                               opts);
+      auto ctx = server.CreateContext();
+      uint64_t h = 0xcbf29ce484222325ULL;
+      const auto fold = [&h](uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+          h ^= (value >> (8 * byte)) & 0xff;
+          h *= 0x100000001b3ULL;
+        }
+      };
+      std::vector<uint32_t> out;
+      RunChurnedSequence(server, corpus, labels[(l + 1) % labels.size()],
+                         [&](int) {
+                           for (int q = 0; q < 4; ++q) {
+                             fold(server.ServeTopM(ctx, 25, &out));
+                             for (const uint32_t page : out) fold(page);
+                           }
+                         });
+      EXPECT_EQ(server.epoch(), static_cast<uint64_t>(kChurnEpochs));
+      EXPECT_EQ(h, kExpected[l][s]) << "digest 0x" << std::hex << h;
+    }
   }
 }
 

@@ -328,9 +328,14 @@ int main(int argc, char** argv) {
             << " deadline_exceeded=" << stats.deadline_exceeded
             << " bad_frames=" << stats.bad_frames
             << " accepts=" << stats.accepts
-            << " publish_failures=" << server.publish_failures()
-            << " degraded=" << (server.degraded() ? 1 : 0)
-            << " fault_fires="
+            << " publish_failures=" << server.publish_failures();
+  for (size_t i = 0; i < ShardedRankServer::kPublishPhases.size(); ++i) {
+    if (server.publish_failures(i) != 0) {
+      std::cout << " publish_failures/" << ShardedRankServer::kPublishPhases[i]
+                << "=" << server.publish_failures(i);
+    }
+  }
+  std::cout << " degraded=" << (server.degraded() ? 1 : 0) << " fault_fires="
             << (fault_injector ? fault_injector->fired_total() : 0)
             << std::endl;
   return clean ? 0 : 3;
