@@ -5,13 +5,13 @@
 #include <cctype>
 #include <cstdio>
 
+#include "core/ranking_policy.h"
+
 namespace randrank {
 
 std::string EpsilonTailPolicy::Label() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "eps-tail(eps=%.2f,k=%zu)", epsilon_,
-                protect_);
-  return buf;
+  return "eps-tail(eps=" + LabelNumber(epsilon_, 2) +
+         ",k=" + std::to_string(protect_) + ")";
 }
 
 bool EpsilonTailPolicy::ParseLabel(const std::string& label, double* epsilon,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/ranking_policy.h"
 #include "util/alias_table.h"
 
 namespace randrank {
@@ -20,21 +21,22 @@ double NextGumbel(Rng& rng) {
   return -std::log(-std::log1p(u - 1.0));
 }
 
-/// Per-epoch state: the alias table over exp(score/T), indexed by global
-/// deterministic rank (the table samples *positions* in the view's det
-/// array; page ids are resolved through the view at serve time, so the
-/// state borrows nothing).
+/// Per-epoch state: the alias table over exp(score/T) whose columns carry
+/// the det page ids, so a draw yields a page id without reading the view
+/// (the state copies the ids and borrows nothing).
 class PlackettLuceEpochState final : public PolicyEpochState {
  public:
   AliasTable table;
 };
 
+/// Alias draws the serve loop keeps prefetched ahead of its Sample calls:
+/// enough to overlap the cache misses of a query's first draws.
+constexpr size_t kLookahead = 8;
+
 }  // namespace
 
 std::string PlackettLucePolicy::Label() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "plackett-luce(T=%.2f)", temperature_);
-  return buf;
+  return "plackett-luce(T=" + LabelNumber(temperature_, 2) + ")";
 }
 
 bool PlackettLucePolicy::ParseLabel(const std::string& label,
@@ -66,7 +68,7 @@ std::shared_ptr<const PolicyEpochState> PlackettLucePolicy::BuildEpochState(
     weight[j] = std::exp((global.det_score[j] - max_score) / temperature_);
   }
   auto state = std::make_shared<PlackettLuceEpochState>();
-  state->table.Build(weight);
+  state->table.Build(weight.data(), global.det, global.det_size);
   return state;
 }
 
@@ -105,20 +107,28 @@ size_t PlackettLucePolicy::ServePrefix(const ShardView* views,
   size_t max_attempts = 16;
   for (size_t span = n; span > 0; span >>= 1) max_attempts += 4;
 
+  // `ahead` replays rng's stream kLookahead attempts early, prefetching the
+  // column each attempt will read; rng itself draws exactly as it would
+  // without it, so every attempt, the fallback and the list are unchanged.
   scratch.emitted.Reset(count);
   size_t appended = 0;
-  while (table != nullptr && appended < count) {
-    bool served = false;
-    for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      const size_t idx = table->Sample(rng);
-      if (scratch.emitted.Insert(view.det[idx])) {
-        out->push_back(view.det[idx]);
-        ++appended;
-        served = true;
-        break;
+  if (table != nullptr) {
+    Rng ahead = rng;
+    for (size_t j = 0; j < kLookahead; ++j) table->Lookahead(ahead);
+    while (appended < count) {
+      bool served = false;
+      for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
+        table->Lookahead(ahead);
+        const uint32_t page = table->Sample(rng);
+        if (scratch.emitted.Insert(page)) {
+          out->push_back(page);
+          ++appended;
+          served = true;
+          break;
+        }
       }
+      if (!served) break;  // rejection went degenerate: Gumbel fallback
     }
-    if (!served) break;  // rejection regime went degenerate: Gumbel fallback
   }
   if (appended == count) return count;
 
@@ -158,20 +168,39 @@ std::vector<uint32_t> PlackettLucePolicy::MaterializeReference(
   // Plackett-Luce definition, independent of the alias and Gumbel draws.
   assert(global.det_score != nullptr);
   const size_t n = global.det_size;
-  double max_score = 0.0;
-  for (size_t j = 0; j < n; ++j) {
-    max_score = std::max(max_score, global.det_score[j]);
-  }
+  // Weights of the pages not yet drawn, exp((s - shift)/T); a drawn page's
+  // weight is 0. `positive` counts the undrawn pages whose weight did not
+  // underflow to 0.
   std::vector<double> weight(n);
+  std::vector<uint8_t> drawn(n, 0);
   double mass = 0.0;
-  for (size_t j = 0; j < n; ++j) {
-    weight[j] = std::exp((global.det_score[j] - max_score) / temperature_);
-    mass += weight[j];
-  }
+  size_t positive = 0;
+  const auto reweigh = [&](double shift) {
+    mass = 0.0;
+    positive = 0;
+    for (size_t j = 0; j < n; ++j) {
+      if (drawn[j]) continue;
+      weight[j] = std::exp((global.det_score[j] - shift) / temperature_);
+      mass += weight[j];
+      positive += weight[j] > 0.0 ? 1 : 0;
+    }
+  };
+  const auto top_left = [&]() {
+    double top = -HUGE_VAL;
+    for (size_t j = 0; j < n; ++j) {
+      if (!drawn[j]) top = std::max(top, global.det_score[j]);
+    }
+    return top;
+  };
+  reweigh(std::max(0.0, top_left()));
 
   std::vector<uint32_t> out;
   out.reserve(n);
   for (size_t slot = 0; slot < n; ++slot) {
+    // Every page left underflowed (tiny T over a wide score range). Softmax
+    // is shift-invariant, so weigh them again against the largest score
+    // left, whose weight is then exactly 1.
+    if (positive == 0) reweigh(top_left());
     double target = rng.NextDouble() * mass;
     size_t pick = n;
     for (size_t j = 0; j < n; ++j) {
@@ -184,6 +213,8 @@ std::vector<uint32_t> PlackettLucePolicy::MaterializeReference(
     out.push_back(global.det[pick]);
     mass -= weight[pick];
     weight[pick] = 0.0;
+    drawn[pick] = 1;
+    --positive;
   }
   return out;
 }

@@ -21,8 +21,9 @@ namespace randrank {
 /// out-of-range parameters; in that case `*error` (when non-null) receives
 /// a one-line diagnostic echoing the offending label and, for unknown
 /// families, the known family prefixes (KnownPolicyFamilyPrefixes).
-/// Round-trips exactly for parameters representable at the labels'
-/// two-decimal precision.
+/// Round-trips exactly: Label() prints any parameter that its usual
+/// precision would round at the shortest precision that parses back to it
+/// (LabelNumber).
 std::shared_ptr<const StochasticRankingPolicy> MakePolicyFromLabel(
     const std::string& label, std::string* error = nullptr);
 

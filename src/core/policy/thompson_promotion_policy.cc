@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/ranking_policy.h"
+
 namespace randrank {
 
 namespace {
@@ -111,10 +113,9 @@ double ThompsonPromotionPolicy::PoolWinProbability(double s) const {
 }
 
 std::string ThompsonPromotionPolicy::Label() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "ts-promo(a=%.2f,b=%.2f,c=%.1f,k=%zu)", a_,
-                b_, evidence_, protect_);
-  return buf;
+  return "ts-promo(a=" + LabelNumber(a_, 2) + ",b=" + LabelNumber(b_, 2) +
+         ",c=" + LabelNumber(evidence_, 1) + ",k=" + std::to_string(protect_) +
+         ")";
 }
 
 bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,

@@ -1,7 +1,9 @@
 #include "core/ranking_policy.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace randrank {
 
@@ -67,18 +69,28 @@ bool RankPromotionConfig::ParseLabel(const std::string& label,
 }
 
 std::string RankPromotionConfig::Label() const {
-  char buf[64];
   switch (rule) {
     case PromotionRule::kNone:
       return "none";
     case PromotionRule::kUniform:
-      std::snprintf(buf, sizeof(buf), "uniform(r=%.2f,k=%zu)", r, k);
-      return buf;
+      return "uniform(r=" + LabelNumber(r, 2) + ",k=" + std::to_string(k) +
+             ")";
     case PromotionRule::kSelective:
-      std::snprintf(buf, sizeof(buf), "selective(r=%.2f,k=%zu)", r, k);
-      return buf;
+      return "selective(r=" + LabelNumber(r, 2) + ",k=" + std::to_string(k) +
+             ")";
   }
   return "?";
+}
+
+std::string LabelNumber(double value, int precision) {
+  // Room for "%.17f" of the largest finite double (309 integer digits).
+  char buf[352];
+  for (int digits = precision; digits <= 17; ++digits) {
+    std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
+    if (!std::isfinite(value) || std::strtod(buf, nullptr) == value) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
 }
 
 }  // namespace randrank

@@ -53,9 +53,16 @@ struct RankPromotionConfig {
   /// Inverse of Label(): parses "none", "uniform(r=F,k=N)", or
   /// "selective(r=F,k=N)" into `out` and returns true; false (leaving `out`
   /// untouched) on any other string or out-of-range parameters. Round-trips
-  /// Label() exactly for r representable at two decimals.
+  /// Label() exactly.
   static bool ParseLabel(const std::string& label, RankPromotionConfig* out);
 };
+
+/// A policy label's real-valued parameter: `value` printed "%.<precision>f"
+/// when that text parses back to `value`, else at the shortest "%f"
+/// precision (up to 17 decimals) that does, else "%.17g". Every family's
+/// Label() prints its parameters this way, so labels keep their usual
+/// precision and still parse back to the same policy.
+std::string LabelNumber(double value, int precision);
 
 }  // namespace randrank
 

@@ -53,7 +53,7 @@ struct NetDaemon::Connection {
 };
 
 NetDaemon::NetDaemon(ShardedRankServer& server, NetDaemonOptions options)
-    : server_(server), opts_(std::move(options)) {
+    : server_(server), opts_(std::move(options)), read_chunk_(kReadChunk) {
   if (opts_.max_inflight == 0) opts_.max_inflight = 1;
   if (opts_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *opts_.metrics;
@@ -309,11 +309,12 @@ void NetDaemon::HandleReadable(const std::shared_ptr<Connection>& conn) {
   ReadPass pass;
   pass.draining = draining_.load(std::memory_order_acquire);
   while (true) {
-    const size_t old_size = conn->rbuf.size();
-    conn->rbuf.resize(old_size + kReadChunk);
-    const ssize_t n = ::read(conn->fd, conn->rbuf.data() + old_size, kReadChunk);
+    // Read into the loop's landing chunk and append only the bytes read:
+    // growing rbuf by a whole chunk first would zero-fill 64 KiB per read.
+    const ssize_t n = ::read(conn->fd, read_chunk_.data(), kReadChunk);
     if (n > 0) {
-      conn->rbuf.resize(old_size + static_cast<size_t>(n));
+      conn->rbuf.insert(conn->rbuf.end(), read_chunk_.data(),
+                        read_chunk_.data() + n);
       bytes_read_.fetch_add(static_cast<uint64_t>(n),
                             std::memory_order_relaxed);
       if (bytes_read_ctr_ != nullptr) {
@@ -323,7 +324,6 @@ void NetDaemon::HandleReadable(const std::shared_ptr<Connection>& conn) {
       if (static_cast<size_t>(n) < kReadChunk) break;  // drained the socket
       continue;
     }
-    conn->rbuf.resize(old_size);
     if (n == 0) {  // peer closed
       CloseConnection(conn->fd);
       return;

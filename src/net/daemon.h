@@ -181,6 +181,9 @@ class NetDaemon {
 
   ShardedRankServer& server_;
   NetDaemonOptions opts_;
+  /// Event-loop-owned landing space for one read(); HandleReadable appends
+  /// the bytes read to the connection's buffer.
+  std::vector<uint8_t> read_chunk_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

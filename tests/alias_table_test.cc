@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "util/rng.h"
@@ -11,13 +13,23 @@
 namespace randrank {
 namespace {
 
+// Builds `table` over `weights` with each entry's id equal to its index, so
+// a sampled id is the sampled index.
+void BuildWithIndexIds(AliasTable& table, const std::vector<double>& weights) {
+  std::vector<uint32_t> ids(weights.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  table.Build(weights.data(), ids.data(), weights.size());
+}
+
 // Exact structural property: every column's acceptance probability is in
-// [0, 1] and every alias index is in range, for any weight vector.
+// [0, 1], its own id is its index and its alias id is in range, for any
+// weight vector (tables built by BuildWithIndexIds).
 void ExpectWellFormed(const AliasTable& table) {
   for (size_t i = 0; i < table.size(); ++i) {
-    EXPECT_GE(table.accept(i), 0.0) << "column " << i;
-    EXPECT_LE(table.accept(i), 1.0) << "column " << i;
-    EXPECT_LT(table.alias(i), table.size()) << "column " << i;
+    EXPECT_GE(table.column(i).accept, 0.0) << "column " << i;
+    EXPECT_LE(table.column(i).accept, 1.0) << "column " << i;
+    EXPECT_EQ(table.column(i).id, i) << "column " << i;
+    EXPECT_LT(table.column(i).alias_id, table.size()) << "column " << i;
   }
 }
 
@@ -35,11 +47,11 @@ std::vector<double> SampleHistogram(const AliasTable& table, int draws,
 TEST(AliasTableTest, AllEqualWeightsSampleUniformly) {
   const size_t n = 16;
   AliasTable table;
-  table.Build(std::vector<double>(n, 3.25));
+  BuildWithIndexIds(table, std::vector<double>(n, 3.25));
   ASSERT_EQ(table.size(), n);
   ExpectWellFormed(table);
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(table.accept(i), 1.0) << "column " << i;
+    EXPECT_DOUBLE_EQ(table.column(i).accept, 1.0) << "column " << i;
   }
 
   const int kDraws = 64000;
@@ -59,7 +71,7 @@ TEST(AliasTableTest, OneDominantWeightAbsorbsTheMass) {
   std::vector<double> weights(n, 1e-12);
   weights[3] = 1.0;
   AliasTable table;
-  table.Build(weights);
+  BuildWithIndexIds(table, weights);
   ExpectWellFormed(table);
 
   const int kDraws = 20000;
@@ -71,14 +83,14 @@ TEST(AliasTableTest, OneDominantWeightAbsorbsTheMass) {
 // an empty (unusable but valid) table.
 TEST(AliasTableTest, SingleElementAlwaysSampled) {
   AliasTable table;
-  table.Build(std::vector<double>{0.7});
+  BuildWithIndexIds(table, std::vector<double>{0.7});
   ASSERT_EQ(table.size(), 1u);
   ExpectWellFormed(table);
   Rng rng(13);
   for (int t = 0; t < 100; ++t) EXPECT_EQ(table.Sample(rng), 0u);
 
   AliasTable empty;
-  empty.Build(nullptr, 0);
+  empty.Build(nullptr, nullptr, 0);
   EXPECT_TRUE(empty.empty());
 }
 
@@ -86,7 +98,7 @@ TEST(AliasTableTest, SingleElementAlwaysSampled) {
 // must never be sampled.
 TEST(AliasTableTest, ZeroWeightEntriesAreNeverSampled) {
   AliasTable table;
-  table.Build(std::vector<double>{0.0, 2.0, 0.0, 1.0});
+  BuildWithIndexIds(table, std::vector<double>{0.0, 2.0, 0.0, 1.0});
   ExpectWellFormed(table);
   Rng rng(14);
   for (int t = 0; t < 2000; ++t) {
@@ -107,7 +119,7 @@ TEST(AliasTableTest, GeometricLadderMatchesExactProbabilities) {
     sum += weights[i];
   }
   AliasTable table;
-  table.Build(weights);
+  BuildWithIndexIds(table, weights);
   ExpectWellFormed(table);
 
   const int kDraws = 120000;
@@ -117,6 +129,60 @@ TEST(AliasTableTest, GeometricLadderMatchesExactProbabilities) {
   size_t df = 0;
   const double chi2 = TwoSampleChiSquared(counts, expected, &df);
   EXPECT_LE(chi2, ChiSquaredCritical(df, 0.001));
+}
+
+// Ids are what a draw returns: with the ids a permutation of 0..n-1, id
+// ids[i] must come up in proportion to weights[i]. Column i carries ids[i]
+// and its alias column's id.
+TEST(AliasTableTest, SampledIdsFollowTheirEntriesWeights) {
+  const size_t n = 12;
+  std::vector<double> weights(n);
+  for (size_t i = 0; i < n; ++i) {
+    weights[i] = std::pow(0.7, static_cast<double>(i));
+  }
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  Rng shuffle(17);
+  for (size_t i = n - 1; i > 0; --i) {
+    std::swap(ids[i], ids[shuffle.NextIndex(i + 1)]);
+  }
+  AliasTable table;
+  table.Build(weights.data(), ids.data(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(table.column(i).id, ids[i]) << "column " << i;
+    EXPECT_NE(std::find(ids.begin(), ids.end(), table.column(i).alias_id),
+              ids.end())
+        << "column " << i;
+  }
+
+  const int kDraws = 120000;
+  const std::vector<double> counts = SampleHistogram(table, kDraws, 16);
+  double sum = 0.0;
+  for (const double w : weights) sum += w;
+  std::vector<double> expected(n);
+  for (size_t i = 0; i < n; ++i) expected[ids[i]] = kDraws * weights[i] / sum;
+  size_t df = 0;
+  const double chi2 = TwoSampleChiSquared(counts, expected, &df);
+  EXPECT_LE(chi2, ChiSquaredCritical(df, 0.001));
+}
+
+// Lookahead advances its Rng exactly as Sample does: after k Lookahead calls
+// on a copy and k Sample calls on the original, the two streams are in the
+// same state.
+TEST(AliasTableTest, LookaheadAdvancesTheRngExactlyAsSample) {
+  std::vector<double> weights(1000);
+  for (size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 1.0 + static_cast<double>(i % 7);
+  }
+  AliasTable table;
+  BuildWithIndexIds(table, weights);
+  for (const size_t k : {0, 1, 2, 8, 1000}) {
+    Rng rng(18 + k);
+    Rng ahead = rng;
+    for (size_t j = 0; j < k; ++j) table.Lookahead(ahead);
+    for (size_t j = 0; j < k; ++j) (void)table.Sample(rng);
+    EXPECT_EQ(ahead(), rng()) << "after " << k << " steps";
+  }
 }
 
 }  // namespace

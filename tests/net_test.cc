@@ -734,6 +734,67 @@ TEST(NetDaemonTest, PipelinedRepliesArriveInRequestOrder) {
   EXPECT_TRUE(harness.daemon->Drain());
 }
 
+// A pipeline longer than one 64 KiB read: 5,000 QUERY frames of 28 bytes
+// arrive in one write while the loop is held, so a read returns a full
+// chunk and the frame at its end straddles two reads. max_inflight is
+// raised so the pass sheds none. Every reply arrives in request order and
+// equals the in-process list.
+TEST(NetDaemonTest, PipelineLongerThanOneReadIsServedInOrder) {
+  const size_t kN = 2000;
+  const int kFrames = 5000;
+  const uint64_t kReadChunk = 64 * 1024;
+  Fixture fixture(kN, 50);
+  ServeOptions sopts;
+  sopts.shards = 4;
+  sopts.seed = 11;
+  ShardedRankServer reference(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), kN, sopts);
+  reference.Update(fixture.popularity, fixture.zero, fixture.birth);
+  auto ref_ctx = reference.CreateContext();
+
+  obs::MetricsRegistry registry;
+  NetDaemonOptions options;
+  options.max_inflight = 2 * kFrames;
+  options.metrics = &registry;
+  DaemonHarness harness(kN, options);
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+  LoopHold hold(200000);
+  uint64_t hold_id = 0;
+  ASSERT_TRUE(client.SendQuery(10, 0, &hold_id));
+  ASSERT_TRUE(hold.WaitUntilHeld());
+  std::vector<uint8_t> bytes;
+  for (int q = 0; q < kFrames; ++q) {
+    AppendQuery(QueryFrame{1000u + q, static_cast<uint64_t>(q),
+                           static_cast<uint32_t>(1 + q % 20)},
+                &bytes);
+  }
+  ASSERT_GT(bytes.size(), kReadChunk);
+  ASSERT_NE(kReadChunk % (bytes.size() / kFrames), 0u);  // a frame straddles
+  ASSERT_TRUE(client.SendRaw(bytes));
+
+  std::vector<uint32_t> expected;
+  NetClient::QueryResult result;
+  uint64_t id = 0;
+  reference.ServeTopM(ref_ctx, 10, &expected);
+  ASSERT_EQ(client.ReadReply(&result, &id), NetClient::Status::kOk);
+  EXPECT_EQ(id, hold_id);
+  EXPECT_EQ(result.pages, expected);
+  for (int q = 0; q < kFrames; ++q) {
+    reference.ServeTopM(ref_ctx, 1 + q % 20, &expected);
+    ASSERT_EQ(client.ReadReply(&result, &id), NetClient::Status::kOk)
+        << "at reply " << q;
+    ASSERT_EQ(id, 1000u + q) << "at reply " << q;
+    ASSERT_EQ(result.pages, expected) << "at reply " << q;
+  }
+  EXPECT_EQ(harness.daemon->stats().shed_overloaded, 0u);
+  // Reads never exceed one chunk, and a read of exactly kReadChunk bytes
+  // is the only one recorded in a bucket above kReadChunk.
+  EXPECT_GT(registry.GetHistogram("net/read_bytes").Snapshot().Max(),
+            kReadChunk);
+  EXPECT_TRUE(harness.daemon->Drain());
+}
+
 // Epoch publishes and policy hot-swaps land under live socket traffic with
 // zero dropped or failed queries (the TSan job's race case): a writer
 // thread republishes with an alternating policy while client threads hammer

@@ -167,6 +167,12 @@ TEST(PolicyFactoryTest, EveryKnownFamilyRoundTripsAndRejectsMalformedLabels) {
       "plackett-luce(T=0.33)",
       "eps-tail(eps=0.25,k=7)",
       "ts-promo(a=1.50,b=2.00,c=12.0,k=2)",
+      // Parameters that two decimals (one for c) do not hold print at the
+      // shortest precision that parses back to them.
+      "plackett-luce(T=0.001)",
+      "uniform(r=0.004,k=1)",
+      "selective(r=0.125,k=2)",
+      "ts-promo(a=1.00,b=3.00,c=12.25,k=1)",
   };
   for (const auto& policy : StandardPolicyFamilies()) {
     labels.insert(policy->Label());
@@ -402,6 +408,39 @@ TEST(PlackettLucePolicyTest, FullRealizationIsAPermutation) {
   const std::vector<uint32_t> list = ranker.MaterializeList(rng);
   const std::set<uint32_t> seen(list.begin(), list.end());
   EXPECT_EQ(seen.size(), n);
+}
+
+// A tiny temperature over scores spanning 1.0 underflows the tail's weights
+// exp((s - s_max)/T) to 0 (here the last 5 of 20 pages at T = 0.001). Both
+// realizations must still serve every page: the reference weighs the pages
+// left against the largest score left once their mass reaches 0, and
+// ServePrefix reaches them through its Gumbel fallback.
+TEST(PlackettLucePolicyTest, UnderflowedWeightsStillRealizeAPermutation) {
+  const size_t n = 20;
+  std::vector<uint32_t> det(n);
+  std::vector<double> score(n);
+  for (size_t j = 0; j < n; ++j) {
+    det[j] = static_cast<uint32_t>(100 + 3 * j);  // ids unlike positions
+    score[j] = 1.0 - static_cast<double>(j) / static_cast<double>(n - 1);
+  }
+  const ShardView view{det.data(), score.data(), n, nullptr, 0};
+  const auto policy = MakePolicyFromLabel("plackett-luce(T=0.001)");
+  ASSERT_NE(policy, nullptr);
+  const auto state = policy->BuildEpochState(view);
+  PolicyScratch scratch;
+  Rng rng(21);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<uint32_t> reference = policy->MaterializeReference(view, rng);
+    std::sort(reference.begin(), reference.end());
+    EXPECT_EQ(reference, det) << "reference, trial " << trial;
+
+    std::vector<uint32_t> served;
+    ASSERT_EQ(policy->ServePrefix(&view, 1, state.get(), scratch, n, rng,
+                                  &served),
+              n);
+    std::sort(served.begin(), served.end());
+    EXPECT_EQ(served, det) << "served, trial " << trial;
+  }
 }
 
 // log of the integral over (0, 1) of x^(p-1) (1-x)^(r-1), p, r >= 1, by
