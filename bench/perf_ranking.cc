@@ -53,7 +53,7 @@ void BM_RankerUpdate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_RankerUpdate)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_RankerUpdate)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_MaterializeList(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -1,33 +1,58 @@
 #include "core/rank_merge.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
+#include <limits>
 
 namespace randrank {
+namespace {
+
+// Maps a score's bits to an unsigned value whose ascending order is the
+// score's descending order: a non-negative score keeps its sign bit and
+// flips the rest, a negative one keeps every bit. The map is its own
+// inverse, so it also decodes a sorted key's score.
+uint64_t FlipScoreOrder(uint64_t bits) {
+  return (bits >> 63) != 0 ? bits : bits ^ (~uint64_t{0} >> 1);
+}
+
+}  // namespace
 
 void SortByRankOrder(const std::vector<double>& popularity,
                      const std::vector<int64_t>& birth_step,
                      std::vector<uint32_t>* det,
                      std::vector<double>* det_score) {
-  struct Key {
-    double score;
-    int64_t birth;
-    uint32_t page;
-  };
-  std::vector<Key> keys;
-  keys.reserve(det->size());
-  for (const uint32_t p : *det) {
-    keys.push_back({popularity[p], birth_step[p], p});
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    return RankOrderBefore(a.score, a.birth, a.page, b.score, b.birth,
-                           b.page);
-  });
+  const size_t n = det->size();
+  // Reserved before the keys, so the keys (freed on return) are not placed
+  // below the kept scores in the heap.
   det_score->clear();
-  det_score->reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    (*det)[i] = keys[i].page;
-    det_score->push_back(keys[i].score);
+  det_score->reserve(n);
+  if (n == 0) return;
+
+  int64_t first_birth = birth_step[(*det)[0]];
+  for (const uint32_t p : *det) {
+    first_birth = std::min(first_birth, birth_step[p]);
+  }
+
+  std::vector<unsigned __int128> keys;
+  keys.reserve(n);
+  for (const uint32_t p : *det) {
+    const double score = popularity[p];
+    assert(!std::isnan(score));
+    // RankOrderBefore ties -0.0 with +0.0, so both take +0.0's bits.
+    const uint64_t high =
+        FlipScoreOrder(std::bit_cast<uint64_t>(score == 0.0 ? 0.0 : score));
+    const uint64_t age = static_cast<uint64_t>(birth_step[p]) -
+                         static_cast<uint64_t>(first_birth);
+    assert(age <= std::numeric_limits<uint32_t>::max());
+    keys.push_back(static_cast<unsigned __int128>(high) << 64 | age << 32 | p);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (size_t i = 0; i < n; ++i) {
+    (*det)[i] = static_cast<uint32_t>(keys[i]);
+    det_score->push_back(std::bit_cast<double>(
+        FlipScoreOrder(static_cast<uint64_t>(keys[i] >> 64))));
   }
 }
 

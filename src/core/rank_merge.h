@@ -27,10 +27,19 @@ inline bool RankOrderBefore(double score_a, int64_t birth_a, uint32_t page_a,
 /// (`popularity[p]`, `birth_step[p]`, p) and writes each sorted page's
 /// popularity to the same slot of `det_score`. The one deterministic sort
 /// behind Ranker::Update, ShardedRankServer::Update and RankSnapshot::Build.
-/// It sorts packed {popularity, birth, id} records (24 B per page, freed on
-/// return) rather than ids: an id sort loads both keys through the id at
-/// every comparison, which misses the cache once the key arrays outgrow it
-/// (16 MiB at 1M pages).
+/// It sorts one 128-bit key per page (16 B, freed on return) under plain
+/// `<`: the high word is the score's bits mapped to a descending unsigned
+/// order, the low word the page's birth offset from the earliest birth in
+/// `det`, shifted above its 32-bit id. So a comparison is one integer
+/// compare, and no key is loaded through an id (which misses the cache once
+/// the key arrays outgrow it).
+///
+/// The key's domain, asserted: no score in `det` is NaN (RankOrderBefore is
+/// no strict weak order over NaN either), and the births in `det` span less
+/// than 2^32 steps. Callers pass popularity in [0, 1], JokeSite's vote
+/// counts and AgentSimulator's age-weighted or derivative scores, with
+/// epoch or day counters as births. A -0.0 score ties with +0.0, as under
+/// RankOrderBefore, and reads back as +0.0 in `det_score`.
 void SortByRankOrder(const std::vector<double>& popularity,
                      const std::vector<int64_t>& birth_step,
                      std::vector<uint32_t>* det,
@@ -57,12 +66,15 @@ class Ranker {
   explicit Ranker(std::shared_ptr<const StochasticRankingPolicy> policy);
 
   /// Recomputes pool membership and the deterministic order from current
-  /// page state. `popularity[p]` in [0,1]; `zero_awareness[p]` nonzero when
-  /// no monitored user has visited p; `birth_step[p]` breaks popularity ties
-  /// (smaller = older = ranked better). The uniform rule re-samples pool
-  /// membership on every call. Also rebuilds the policy's per-epoch state
-  /// (BuildEpochState over the fresh global view — e.g. Plackett-Luce's
-  /// alias table), which TopM then reuses on every realization.
+  /// page state. `popularity[p]` is p's score, higher ranked better, within
+  /// SortByRankOrder's domain: popularity in [0,1], but JokeSite passes
+  /// vote counts and AgentSimulator age-weighted or derivative scores;
+  /// `zero_awareness[p]` nonzero when no monitored user has visited p;
+  /// `birth_step[p]` breaks score ties (smaller = older = ranked better).
+  /// The uniform rule re-samples pool membership on every call. Also
+  /// rebuilds the policy's per-epoch state (BuildEpochState over the fresh
+  /// global view — e.g. Plackett-Luce's alias table), which TopM then reuses
+  /// on every realization.
   void Update(const std::vector<double>& popularity,
               const std::vector<uint8_t>& zero_awareness,
               const std::vector<int64_t>& birth_step, Rng& rng);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -68,32 +70,87 @@ TEST(RankMergeTest, NoneRuleTieBreaksByAge) {
 
 // The packed-key sort must give exactly the order of an indirect id sort
 // under RankOrderBefore, on input in any order and with ties at both
-// levels of the key, and must carry each page's own popularity.
+// levels of the key, and must carry each page's own popularity. Each case
+// draws every page's score and birth; `det` is a shuffled subset whose
+// sizes straddle powers of two (std::sort switches to insertion sort at 16).
 TEST(RankMergeTest, SortByRankOrderMatchesIndirectSort) {
-  const size_t n = 3000;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr int64_t kSpan = int64_t{1} << 32;  // births span less than this
+  // Far below 0 and not a multiple of 2^32, so an offset taken from 0
+  // rather than from the earliest birth wraps inside the span.
+  constexpr int64_t kOldest = -(int64_t{1} << 40) - 12345;
+  const std::vector<double> signed_zeros{0.0, -0.0, 0.25, -0.25};
+  const std::vector<double> extremes{
+      -kInf, std::numeric_limits<double>::lowest(), -1e300, -3.5, -1.0,
+      -std::numeric_limits<double>::denorm_min(), -0.0, 0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), 1.0, 1e300,
+      std::numeric_limits<double>::max(), kInf};
+  struct Case {
+    const char* name;
+    std::function<double(Rng&)> score;
+    std::function<int64_t(Rng&)> birth;
+    bool whole_span = false;  // det holds a birth at each end of the span
+  };
+  const std::vector<Case> cases = {
+      {"tied levels",
+       [](Rng& r) { return 0.1 * static_cast<double>(r.NextIndex(5)); },
+       [](Rng& r) { return static_cast<int64_t>(r.NextIndex(40)) - 20; }},
+      {"signed zeros",
+       [&](Rng& r) { return signed_zeros[r.NextIndex(signed_zeros.size())]; },
+       [](Rng& r) { return static_cast<int64_t>(r.NextIndex(8)); }},
+      {"negative and infinite",
+       [&](Rng& r) { return extremes[r.NextIndex(extremes.size())]; },
+       [](Rng& r) { return static_cast<int64_t>(r.NextIndex(4)); }},
+      // JokeSite's shape: vote counts above 1, many pages per count.
+      {"vote counts",
+       [](Rng& r) { return static_cast<double>(r.NextIndex(60)); },
+       [](Rng& r) { return static_cast<int64_t>(r.NextIndex(30)); }},
+      {"widest birth span",
+       [](Rng& r) { return 0.5 * static_cast<double>(r.NextIndex(2)); },
+       [](Rng& r) {
+         const int64_t offsets[] = {0, 1, kSpan / 2, kSpan - 2, kSpan - 1};
+         return kOldest + offsets[r.NextIndex(5)];
+       },
+       true},
+  };
   Rng rng(17);
-  std::vector<double> pop(n);
-  std::vector<int64_t> birth(n);
-  for (size_t p = 0; p < n; ++p) {
-    pop[p] = 0.1 * static_cast<double>(rng.NextIndex(5));
-    birth[p] = static_cast<int64_t>(rng.NextIndex(40)) - 20;
-  }
-  std::vector<uint32_t> det;
-  for (uint32_t p = 0; p < n; p += 1 + rng.NextIndex(2)) det.push_back(p);
-  for (size_t i = det.size(); i > 1; --i) {
-    std::swap(det[i - 1], det[rng.NextIndex(i)]);
-  }
-  std::vector<uint32_t> expected = det;
-  std::sort(expected.begin(), expected.end(), [&](uint32_t a, uint32_t b) {
-    return RankOrderBefore(pop[a], birth[a], a, pop[b], birth[b], b);
-  });
+  for (const Case& c : cases) {
+    for (const size_t size : {0, 1, 2, 15, 16, 17, 31, 32, 33, 1023, 1024,
+                              1025, 4095, 4096, 4097}) {
+      const size_t n = 2 * size + 3;
+      std::vector<double> pop(n);
+      std::vector<int64_t> birth(n);
+      for (size_t p = 0; p < n; ++p) {
+        pop[p] = c.score(rng);
+        birth[p] = c.birth(rng);
+      }
+      std::vector<uint32_t> det(n);
+      std::iota(det.begin(), det.end(), 0u);
+      for (size_t i = n; i > 1; --i) {
+        std::swap(det[i - 1], det[rng.NextIndex(i)]);
+      }
+      det.resize(size);
+      if (c.whole_span && size >= 2) {
+        birth[det[0]] = kOldest;
+        birth[det[1]] = kOldest + kSpan - 1;
+      }
+      std::vector<uint32_t> expected = det;
+      std::sort(expected.begin(), expected.end(),
+                [&](uint32_t a, uint32_t b) {
+                  return RankOrderBefore(pop[a], birth[a], a, pop[b],
+                                         birth[b], b);
+                });
 
-  std::vector<double> det_score{1.0, 2.0};  // stale content is replaced
-  SortByRankOrder(pop, birth, &det, &det_score);
-  EXPECT_EQ(det, expected);
-  ASSERT_EQ(det_score.size(), det.size());
-  for (size_t i = 0; i < det.size(); ++i) {
-    EXPECT_EQ(det_score[i], pop[det[i]]) << i;
+      std::vector<double> det_score{1.0, 2.0};  // stale content is replaced
+      SortByRankOrder(pop, birth, &det, &det_score);
+      ASSERT_EQ(det, expected) << c.name << ", " << size << " pages";
+      ASSERT_EQ(det_score.size(), det.size());
+      for (size_t i = 0; i < det.size(); ++i) {
+        ASSERT_EQ(det_score[i], pop[det[i]])
+            << c.name << ", " << size << " pages, slot " << i;
+      }
+    }
   }
 }
 
