@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
-#include <cstdio>
 
 #include "core/ranking_policy.h"
 
@@ -12,24 +10,6 @@ namespace randrank {
 std::string EpsilonTailPolicy::Label() const {
   return "eps-tail(eps=" + LabelNumber(epsilon_, 2) +
          ",k=" + std::to_string(protect_) + ")";
-}
-
-bool EpsilonTailPolicy::ParseLabel(const std::string& label, double* epsilon,
-                                   size_t* protect) {
-  double eps = 0.0;
-  size_t k = 0;
-  // `k_at` rejects a sign or blank before k, which %zu accepts.
-  int k_at = 0;
-  int consumed = 0;
-  if (std::sscanf(label.c_str(), "eps-tail(eps=%lf,k=%n%zu)%n", &eps, &k_at,
-                  &k, &consumed) != 2 ||
-      static_cast<size_t>(consumed) != label.size() ||
-      !std::isdigit(static_cast<unsigned char>(label[k_at]))) {
-    return false;
-  }
-  *epsilon = eps;
-  *protect = k;
-  return true;
 }
 
 size_t EpsilonTailPolicy::ServePrefix(const ShardView* views, size_t num_views,

@@ -39,7 +39,6 @@ class EpsilonTailPolicy final : public StochasticRankingPolicy {
     (void)rng;
     return false;
   }
-  size_t ProtectedPrefix() const override { return protect_; }
 
   size_t ServePrefix(const ShardView* views, size_t num_views,
                      const PolicyEpochState* epoch_state,
@@ -48,12 +47,6 @@ class EpsilonTailPolicy final : public StochasticRankingPolicy {
 
   std::vector<uint32_t> MaterializeReference(const ShardView& global,
                                              Rng& rng) const override;
-
-  /// Inverse of Label(): parses "eps-tail(eps=F,k=N)" into the out params
-  /// and returns true; false (leaving them untouched) on any other string.
-  /// Syntactic only — the caller range-checks via Valid().
-  static bool ParseLabel(const std::string& label, double* epsilon,
-                         size_t* protect);
 
   double epsilon() const { return epsilon_; }
   size_t protect() const { return protect_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 #include "core/ranking_policy.h"
 #include "util/alias_table.h"
@@ -37,19 +36,6 @@ constexpr size_t kLookahead = 8;
 
 std::string PlackettLucePolicy::Label() const {
   return "plackett-luce(T=" + LabelNumber(temperature_, 2) + ")";
-}
-
-bool PlackettLucePolicy::ParseLabel(const std::string& label,
-                                    double* temperature) {
-  double t = 0.0;
-  int consumed = 0;
-  if (std::sscanf(label.c_str(), "plackett-luce(T=%lf)%n", &t, &consumed) !=
-          1 ||
-      static_cast<size_t>(consumed) != label.size()) {
-    return false;
-  }
-  *temperature = t;
-  return true;
 }
 
 std::shared_ptr<const PolicyEpochState> PlackettLucePolicy::BuildEpochState(

@@ -1,6 +1,7 @@
 #ifndef RANDRANK_CORE_POLICY_PLACKETT_LUCE_POLICY_H_
 #define RANDRANK_CORE_POLICY_PLACKETT_LUCE_POLICY_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,7 +34,9 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
       : temperature_(temperature) {}
 
   std::string Label() const override;
-  bool Valid() const override { return temperature_ > 0.0; }
+  bool Valid() const override {
+    return temperature_ > 0.0 && std::isfinite(temperature_);
+  }
 
   /// Weighted sampling needs every page's score on the deterministic list;
   /// the stochastic pool stays empty.
@@ -54,12 +57,6 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
 
   std::vector<uint32_t> MaterializeReference(const ShardView& global,
                                              Rng& rng) const override;
-
-  /// Inverse of Label(): parses "plackett-luce(T=F)" into `*temperature`
-  /// and returns true; false (leaving it untouched) on any other string.
-  /// Syntactic only — the caller range-checks via Valid(), so factories can
-  /// distinguish "unknown family" from "known family, bad parameters".
-  static bool ParseLabel(const std::string& label, double* temperature);
 
   double temperature() const { return temperature_; }
 

@@ -1,19 +1,110 @@
 #include "core/policy/policy_factory.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <string_view>
 
 #include "core/policy/epsilon_tail_policy.h"
 #include "core/policy/plackett_luce_policy.h"
 #include "core/policy/promotion_policy.h"
 #include "core/policy/thompson_promotion_policy.h"
 #include "core/ranking_policy.h"
+#include "util/parse.h"
 
 namespace randrank {
 
 namespace {
 
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
+using PolicyPtr = std::shared_ptr<const StochasticRankingPolicy>;
+
+/// A label's parameter values: `k` reads as an integer, every other key as
+/// a finite real, kept in label order.
+struct Params {
+  std::vector<double> real;
+  uint64_t k = 0;
+};
+
+/// One shipped family: the name its labels start with, its parameter keys
+/// in label order, what its Valid() requires (for the diagnostic), and the
+/// constructor the parsed values feed.
+struct Family {
+  std::string_view name;
+  std::vector<std::string_view> keys;
+  std::string_view needs;
+  PolicyPtr (*make)(const Params& p);
+};
+
+const std::vector<Family>& Families() {
+  static const std::vector<Family> kFamilies = {
+      {"none", {}, "",
+       [](const Params&) -> PolicyPtr {
+         return MakePromotionPolicy(RankPromotionConfig::None());
+       }},
+      {"uniform", {"r", "k"}, "r in [0, 1] and k >= 1",
+       [](const Params& p) -> PolicyPtr {
+         return MakePromotionPolicy(
+             RankPromotionConfig::Uniform(p.real[0], p.k));
+       }},
+      {"selective", {"r", "k"}, "r in [0, 1] and k >= 1",
+       [](const Params& p) -> PolicyPtr {
+         return MakePromotionPolicy(
+             RankPromotionConfig::Selective(p.real[0], p.k));
+       }},
+      {"plackett-luce", {"T"}, "a temperature T > 0",
+       [](const Params& p) { return MakePlackettLucePolicy(p.real[0]); }},
+      {"eps-tail", {"eps", "k"}, "epsilon in [0, 1]",
+       [](const Params& p) {
+         return MakeEpsilonTailPolicy(p.real[0], p.k);
+       }},
+      {"ts-promo", {"a", "b", "c", "k"}, "a > 0, b > 0 and c >= 0",
+       [](const Params& p) {
+         return MakeThompsonPromotionPolicy(p.real[0], p.real[1], p.real[2],
+                                            p.k);
+       }},
+  };
+  return kFamilies;
+}
+
+std::string Prefix(const Family& family) {
+  std::string prefix(family.name);
+  for (size_t i = 0; i < family.keys.size(); ++i) {
+    prefix += (i == 0 ? "(" : ",");
+    prefix += std::string(family.keys[i]) + "=...";
+  }
+  if (!family.keys.empty()) prefix += ")";
+  return prefix;
+}
+
+/// Reads `list`, the text after the family name, into `*params`: nothing
+/// for a family without parameters, else "(key=value,...)" with exactly the
+/// family's keys in order. Returns "" on success, else what is wrong.
+std::string ReadParams(const Family& family, std::string_view list,
+                       Params* params) {
+  const std::string expected = "expected " + Prefix(family);
+  if (family.keys.empty()) return list.empty() ? "" : expected;
+  if (list.size() < 2 || list.front() != '(' || list.back() != ')') {
+    return expected;
+  }
+  list = list.substr(1, list.size() - 2);
+  for (size_t i = 0; i < family.keys.size(); ++i) {
+    const std::string_view key = family.keys[i];
+    const size_t end =
+        i + 1 == family.keys.size() ? list.size() : list.find(',');
+    const std::string_view field = list.substr(0, end);
+    if (end == std::string_view::npos || !field.starts_with(key) ||
+        field.substr(key.size(), 1) != "=") {
+      return expected;
+    }
+    const std::string_view value = field.substr(key.size() + 1);
+    double real = 0.0;
+    if (key == "k" ? !ParseU64(value, &params->k)
+                   : !ParseFiniteReal(value, &real)) {
+      return "bad value for \"" + std::string(key) + "\": \"" +
+             std::string(value) + "\"";
+    }
+    if (key != "k") params->real.push_back(real);
+    list.remove_prefix(std::min(end + 1, list.size()));
+  }
+  return "";
 }
 
 std::string JoinPrefixes() {
@@ -28,70 +119,35 @@ std::string JoinPrefixes() {
 }  // namespace
 
 const std::vector<std::string>& KnownPolicyFamilyPrefixes() {
-  static const std::vector<std::string> kPrefixes = {
-      "none",
-      "uniform(r=...,k=...)",
-      "selective(r=...,k=...)",
-      "plackett-luce(T=...)",
-      "eps-tail(eps=...,k=...)",
-      "ts-promo(a=...,b=...,c=...,k=...)",
-  };
+  static const std::vector<std::string> kPrefixes = [] {
+    std::vector<std::string> prefixes;
+    for (const Family& family : Families()) prefixes.push_back(Prefix(family));
+    return prefixes;
+  }();
   return kPrefixes;
 }
 
 std::shared_ptr<const StochasticRankingPolicy> MakePolicyFromLabel(
     const std::string& label, std::string* error) {
-  // Each family's ParseLabel is syntax-only and strict (trailing garbage and
-  // truncated labels are rejected, so a mangled label never silently maps to
-  // a policy whose Label() differs from the input); range checks happen here
-  // so "known family, bad parameters" gets a specific diagnostic instead of
-  // the generic unknown-family one.
-  RankPromotionConfig config;
-  if (RankPromotionConfig::ParseLabel(label, &config)) {
-    return MakePromotionPolicy(config);
-  }
-  // RankPromotionConfig::ParseLabel folds its range check into the parse,
-  // so a promotion-shaped label that failed it would otherwise fall through
-  // to the self-contradictory unknown-family message below (which lists the
-  // promotion prefixes as known).
-  if (label.rfind("uniform(", 0) == 0 || label.rfind("selective(", 0) == 0) {
-    SetError(error, "policy label \"" + label +
-                        "\": promotion parameters malformed or out of range "
-                        "(expect r in [0, 1] and k >= 1)");
-    return nullptr;
-  }
-  double temperature = 0.0;
-  if (PlackettLucePolicy::ParseLabel(label, &temperature)) {
-    if (temperature > 0.0) return MakePlackettLucePolicy(temperature);
-    SetError(error, "policy label \"" + label +
-                        "\": plackett-luce temperature must be > 0");
-    return nullptr;
-  }
-  double epsilon = 0.0;
-  size_t protect = 0;
-  if (EpsilonTailPolicy::ParseLabel(label, &epsilon, &protect)) {
-    if (epsilon >= 0.0 && epsilon <= 1.0) {
-      return MakeEpsilonTailPolicy(epsilon, protect);
+  const std::string_view text = label;
+  const size_t open = std::min(text.find('('), text.size());
+  for (const Family& family : Families()) {
+    if (text.substr(0, open) != family.name) continue;
+    Params params;
+    std::string wrong = ReadParams(family, text.substr(open), &params);
+    if (wrong.empty()) {
+      PolicyPtr policy = family.make(params);
+      if (policy->Valid()) return policy;
+      wrong = "parameters out of range (" + std::string(family.name) +
+              " needs " + std::string(family.needs) + ")";
     }
-    SetError(error, "policy label \"" + label +
-                        "\": eps-tail epsilon must be in [0, 1]");
+    if (error != nullptr) *error = "policy label \"" + label + "\": " + wrong;
     return nullptr;
   }
-  double pool_a = 0.0;
-  double pool_b = 0.0;
-  double evidence = 0.0;
-  size_t ts_protect = 0;
-  if (ThompsonPromotionPolicy::ParseLabel(label, &pool_a, &pool_b, &evidence,
-                                          &ts_protect)) {
-    if (pool_a > 0.0 && pool_b > 0.0 && evidence >= 0.0) {
-      return MakeThompsonPromotionPolicy(pool_a, pool_b, evidence, ts_protect);
-    }
-    SetError(error, "policy label \"" + label +
-                        "\": ts-promo needs a > 0, b > 0, c >= 0");
-    return nullptr;
+  if (error != nullptr) {
+    *error = "unknown policy label \"" + label +
+             "\"; known families: " + JoinPrefixes();
   }
-  SetError(error, "unknown policy label \"" + label +
-                      "\"; known families: " + JoinPrefixes());
   return nullptr;
 }
 

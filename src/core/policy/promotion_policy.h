@@ -28,11 +28,9 @@ class PromotionPolicy final : public StochasticRankingPolicy {
   /// The pool rule: never (none), with probability r (uniform; the only
   /// rule that draws), or exactly the zero-awareness pages (selective).
   bool PoolMembership(bool zero_awareness, Rng& rng) const override;
-  size_t ProtectedPrefix() const override { return config_.k - 1; }
-  /// The biased coin: Bernoulli(r) while both sides are non-empty,
-  /// otherwise whichever side is left.
-  bool NextSlot(size_t det_remaining, size_t pool_remaining,
-                Rng& rng) const override;
+  /// Leading slots always filled from the deterministic order (the paper's
+  /// protected top k-1).
+  size_t ProtectedPrefix() const { return config_.k - 1; }
 
   // BuildEpochState keeps the default null: the promotion family's
   // epoch-invariant state is exactly the pre-merged global view the serve
@@ -73,6 +71,10 @@ class PromotionPolicy final : public StochasticRankingPolicy {
   const RankPromotionConfig& config() const { return config_; }
 
  private:
+  /// The biased coin: Bernoulli(r) while both sides are non-empty,
+  /// otherwise whichever side is left.
+  bool NextSlot(size_t det_remaining, size_t pool_remaining, Rng& rng) const;
+
   RankPromotionConfig config_;
 };
 

@@ -93,22 +93,6 @@ class StochasticRankingPolicy {
   /// for most families).
   virtual bool PoolMembership(bool zero_awareness, Rng& rng) const = 0;
 
-  /// Leading slots of the realization that are always filled from the
-  /// deterministic order (the paper's protected top k-1).
-  virtual size_t ProtectedPrefix() const { return 0; }
-
-  /// Merge hook: whether the next result-list slot is filled from the pool
-  /// (true) or the deterministic list (false), given how many entries each
-  /// side still has. Only meaningful for families whose realization is the
-  /// two-list cascade; others may ignore it (the default never takes from
-  /// the pool).
-  virtual bool NextSlot(size_t det_remaining, size_t pool_remaining,
-                        Rng& rng) const {
-    (void)det_remaining;
-    (void)rng;
-    return pool_remaining > 0 && det_remaining == 0;
-  }
-
   /// Derives this family's per-epoch serving state from the pre-merged
   /// global view, or returns null when the family keeps none (the default —
   /// correct for families whose epoch-invariant state is exactly the merged

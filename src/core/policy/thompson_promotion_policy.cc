@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 
 #include "core/ranking_policy.h"
 
@@ -116,29 +114,6 @@ std::string ThompsonPromotionPolicy::Label() const {
   return "ts-promo(a=" + LabelNumber(a_, 2) + ",b=" + LabelNumber(b_, 2) +
          ",c=" + LabelNumber(evidence_, 1) + ",k=" + std::to_string(protect_) +
          ")";
-}
-
-bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
-                                         double* b, double* evidence,
-                                         size_t* protect) {
-  double pa = 0.0;
-  double pb = 0.0;
-  double pc = 0.0;
-  size_t k = 0;
-  // `k_at` rejects a sign or blank before k, which %zu accepts.
-  int k_at = 0;
-  int consumed = 0;
-  if (std::sscanf(label.c_str(), "ts-promo(a=%lf,b=%lf,c=%lf,k=%n%zu)%n", &pa,
-                  &pb, &pc, &k_at, &k, &consumed) != 4 ||
-      static_cast<size_t>(consumed) != label.size() ||
-      !std::isdigit(static_cast<unsigned char>(label[k_at]))) {
-    return false;
-  }
-  *a = pa;
-  *b = pb;
-  *evidence = pc;
-  *protect = k;
-  return true;
 }
 
 std::shared_ptr<const PolicyEpochState>

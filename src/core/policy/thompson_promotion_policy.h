@@ -1,6 +1,7 @@
 #ifndef RANDRANK_CORE_POLICY_THOMPSON_PROMOTION_POLICY_H_
 #define RANDRANK_CORE_POLICY_THOMPSON_PROMOTION_POLICY_H_
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -51,8 +52,11 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
   ThompsonPromotionPolicy(double a, double b, double evidence, size_t protect);
 
   std::string Label() const override;
+  /// Finite a > 0, b > 0 and c >= 0: an infinite parameter makes the duel
+  /// coin NaN, which never promotes.
   bool Valid() const override {
-    return a_ > 0.0 && b_ > 0.0 && evidence_ >= 0.0;
+    return a_ > 0.0 && b_ > 0.0 && evidence_ >= 0.0 && std::isfinite(a_) &&
+           std::isfinite(b_) && std::isfinite(evidence_);
   }
 
   /// Selective partition: zero-awareness pages form the pool.
@@ -60,7 +64,6 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
     (void)rng;
     return zero_awareness;
   }
-  size_t ProtectedPrefix() const override { return protect_; }
 
   /// At a = 1: q for the first min(det_size, kCoinTablePositions) det
   /// positions of `global`. Null for a != 1, which has no closed form.
@@ -82,12 +85,6 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
   /// Requires a == 1. Uses the reentrant lgamma_r (std::lgamma writes the
   /// global signgam), so serving threads may call it concurrently.
   double PoolWinProbability(double s) const;
-
-  /// Inverse of Label(): parses "ts-promo(a=F,b=F,c=F,k=N)" into the out
-  /// params and returns true; false (leaving them untouched) on any other
-  /// string. Syntactic only — the caller range-checks via Valid().
-  static bool ParseLabel(const std::string& label, double* a, double* b,
-                         double* evidence, size_t* protect);
 
   double a() const { return a_; }
   double b() const { return b_; }

@@ -1,9 +1,9 @@
 #include "core/ranking_policy.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/parse.h"
 
 namespace randrank {
 
@@ -34,40 +34,6 @@ bool RankPromotionConfig::Valid() const {
   return true;
 }
 
-bool RankPromotionConfig::ParseLabel(const std::string& label,
-                                     RankPromotionConfig* out) {
-  if (label == "none") {
-    *out = None();
-    return true;
-  }
-  double r = 0.0;
-  size_t k = 0;
-  // %n guards against trailing garbage ("uniform(r=0.10,k=1)x" must fail);
-  // `k_at` against a sign or blank before k, which %zu accepts (glibc
-  // wraps "-1" to SIZE_MAX).
-  int k_at = 0;
-  int consumed = 0;
-  if (std::sscanf(label.c_str(), "uniform(r=%lf,k=%n%zu)%n", &r, &k_at, &k,
-                  &consumed) == 2 &&
-      static_cast<size_t>(consumed) == label.size() &&
-      std::isdigit(static_cast<unsigned char>(label[k_at]))) {
-    const RankPromotionConfig parsed = Uniform(r, k);
-    if (!parsed.Valid()) return false;
-    *out = parsed;
-    return true;
-  }
-  if (std::sscanf(label.c_str(), "selective(r=%lf,k=%n%zu)%n", &r, &k_at, &k,
-                  &consumed) == 2 &&
-      static_cast<size_t>(consumed) == label.size() &&
-      std::isdigit(static_cast<unsigned char>(label[k_at]))) {
-    const RankPromotionConfig parsed = Selective(r, k);
-    if (!parsed.Valid()) return false;
-    *out = parsed;
-    return true;
-  }
-  return false;
-}
-
 std::string RankPromotionConfig::Label() const {
   switch (rule) {
     case PromotionRule::kNone:
@@ -87,7 +53,11 @@ std::string LabelNumber(double value, int precision) {
   char buf[352];
   for (int digits = precision; digits <= 17; ++digits) {
     std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-    if (!std::isfinite(value) || std::strtod(buf, nullptr) == value) return buf;
+    double back = 0.0;
+    if (!std::isfinite(value) ||
+        (ParseFiniteReal(buf, &back) && back == value)) {
+      return buf;
+    }
   }
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;

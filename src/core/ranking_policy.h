@@ -47,14 +47,8 @@ struct RankPromotionConfig {
 
   /// Human-readable label like "selective(r=0.10,k=1)" for tables. Stable:
   /// bench JSONL and tools/check_bench.py key perf points by it, and
-  /// ParseLabel() inverts it.
+  /// MakePolicyFromLabel() (core/policy/policy_factory.h) inverts it.
   std::string Label() const;
-
-  /// Inverse of Label(): parses "none", "uniform(r=F,k=N)", or
-  /// "selective(r=F,k=N)" into `out` and returns true; false (leaving `out`
-  /// untouched) on any other string or out-of-range parameters. Round-trips
-  /// Label() exactly.
-  static bool ParseLabel(const std::string& label, RankPromotionConfig* out);
 };
 
 /// A policy label's real-valued parameter: `value` printed "%.<precision>f"

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.h"
+#include "util/parse.h"
 
 namespace randrank::fault {
 
@@ -51,42 +52,6 @@ std::string_view Trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-bool ParseU64(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseProb(std::string_view s, double* out) {
-  // Probabilities are written as plain decimals ("0.05", "1"); parse by
-  // hand so the accepted grammar is exact and locale-independent.
-  if (s.empty()) return false;
-  const size_t dot = s.find('.');
-  uint64_t whole = 0;
-  if (!ParseU64(s.substr(0, dot == std::string_view::npos ? s.size() : dot),
-                &whole)) {
-    return false;
-  }
-  double value = static_cast<double>(whole);
-  if (dot != std::string_view::npos) {
-    const std::string_view frac = s.substr(dot + 1);
-    if (frac.empty()) return false;
-    uint64_t digits = 0;
-    if (!ParseU64(frac, &digits)) return false;
-    double scale = 1.0;
-    for (size_t i = 0; i < frac.size(); ++i) scale *= 10.0;
-    value += static_cast<double>(digits) / scale;
-  }
-  if (value < 0.0 || value > 1.0) return false;
-  *out = value;
-  return true;
 }
 
 bool ParseAction(std::string_view s, Action* out) {
@@ -168,7 +133,8 @@ bool FaultPlan::Parse(std::string_view spec, FaultPlan* out,
       } else if (key == "every") {
         ok = ParseU64(value, &rule.every);
       } else if (key == "prob") {
-        ok = ParseProb(value, &rule.prob);
+        ok = ParseFiniteReal(value, &rule.prob) && rule.prob >= 0.0 &&
+             rule.prob <= 1.0;
       } else if (key == "from_epoch") {
         ok = ParseU64(value, &rule.from_epoch);
       } else if (key == "to_epoch") {

@@ -81,7 +81,9 @@ struct Rule {
 /// Keys: point (required per rule; one of kPoints below), action
 /// (fail|delay|partial|reset), nth, every, prob, from_epoch, to_epoch,
 /// max_fires, delay_us, bytes. A bare `seed=N` entry sets the plan seed.
-/// Whitespace around tokens is ignored.
+/// Integer values are decimal digits that fit in 64 bits; prob is a finite
+/// real in [0, 1] (both read by util/parse.h). Whitespace around tokens is
+/// ignored.
 struct FaultPlan {
   uint64_t seed = 0;
   std::vector<Rule> rules;

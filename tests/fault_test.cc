@@ -35,7 +35,8 @@ TEST(FaultPlanTest, ParsesRulesAndSeed) {
   ASSERT_TRUE(FaultPlan::Parse(
       "point=publish.shards,action=fail,nth=2,max_fires=1;"
       " point=net.write , action=partial , bytes=3 , prob=0.25 ;"
-      "point=serve.query,action=delay,delay_us=500,from_epoch=2,to_epoch=4;"
+      "point=serve.query,action=delay,delay_us=500,from_epoch=2,to_epoch=4,"
+      "prob=0.99999999999999999999999;"
       "seed=42",
       &plan, &error))
       << error;
@@ -57,6 +58,8 @@ TEST(FaultPlanTest, ParsesRulesAndSeed) {
   EXPECT_EQ(plan.rules[2].delay_us, 500u);
   EXPECT_EQ(plan.rules[2].from_epoch, 2u);
   EXPECT_EQ(plan.rules[2].to_epoch, 4u);
+  // More digits than a double holds round to the nearest double.
+  EXPECT_EQ(plan.rules[2].prob, 1.0);
 }
 
 TEST(FaultPlanTest, RejectsMalformedSpecs) {
@@ -67,6 +70,15 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
   EXPECT_FALSE(FaultPlan::Parse("point=serve.query,nth=abc", &plan, &error));
   EXPECT_NE(error.find("bad value for \"nth\""), std::string::npos)
+      << error;
+  // Integers past 2^64 - 1 are refused, not wrapped (nth=0 fires always).
+  EXPECT_FALSE(FaultPlan::Parse("point=serve.query,nth=18446744073709551616",
+                                &plan, &error));
+  EXPECT_NE(error.find("bad value for \"nth\""), std::string::npos)
+      << error;
+  EXPECT_FALSE(FaultPlan::Parse(
+      "point=serve.query,delay_us=99999999999999999999999", &plan, &error));
+  EXPECT_NE(error.find("bad value for \"delay_us\""), std::string::npos)
       << error;
   EXPECT_FALSE(
       FaultPlan::Parse("point=serve.query,action=explode", &plan, &error));

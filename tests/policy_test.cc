@@ -200,14 +200,16 @@ TEST(PolicyFactoryTest, EveryKnownFamilyRoundTripsAndRejectsMalformedLabels) {
 
     // Malformation battery, derived from the label so every family gets the
     // same treatment: trailing garbage, truncation, a bare parameter list, a
-    // negative integer k (which %zu would wrap to SIZE_MAX), and a NaN first
-    // parameter must all be rejected (strict parsing — a mangled label must
-    // never silently map to a policy whose Label() differs from the input).
+    // negative integer k (which strtoull wraps to SIZE_MAX), and a NaN,
+    // infinite or overflowing first parameter must all be rejected (strict
+    // parsing — a mangled label must never silently map to a policy whose
+    // Label() differs from the input).
     std::vector<std::string> malformed = {
         label + "x", label + " ", label.substr(0, label.size() - 1),
         FamilySlug(label) + "(", "x" + label};
     for (const std::string& bad :
-         {WithParam(label, "k", "-1"), WithParam(label, "", "nan")}) {
+         {WithParam(label, "k", "-1"), WithParam(label, "", "nan"),
+          WithParam(label, "", "inf"), WithParam(label, "", "1e400")}) {
       if (!bad.empty()) malformed.push_back(bad);
     }
     for (const std::string& bad : malformed) {
@@ -493,6 +495,11 @@ TEST(ThompsonPromotionPolicyTest, CoinMatchesQuadrature) {
   // The evidence-free head is a uniform draw: q = 1 / (1 + b).
   EXPECT_NEAR(ThompsonPromotionPolicy(1.0, 3.0, 0.0, 1).PoolWinProbability(0.4),
               0.25, 1e-12);
+}
+
+// An infinite parameter makes the duel coin NaN, so the pool never wins.
+TEST(ThompsonPromotionPolicyTest, InfiniteEvidenceIsInvalid) {
+  EXPECT_FALSE(MakeThompsonPromotionPolicy(1.0, 3.0, INFINITY, 1)->Valid());
 }
 
 // The coin table is a cache, not a different law: the table path, and the

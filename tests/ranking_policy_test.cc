@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/policy/policy_factory.h"
+#include "core/policy/promotion_policy.h"
+
 namespace randrank {
 namespace {
 
@@ -66,7 +71,13 @@ TEST(RankPromotionConfigTest, Labels) {
             "uniform(r=0.25,k=1)");
 }
 
-TEST(RankPromotionConfigTest, ParseLabelRoundTripsEveryRule) {
+// The promotion policy `policy` holds; null for none or another family.
+const PromotionPolicy* AsPromotion(
+    const std::shared_ptr<const StochasticRankingPolicy>& policy) {
+  return dynamic_cast<const PromotionPolicy*>(policy.get());
+}
+
+TEST(RankPromotionConfigTest, LabelRoundTripsEveryRule) {
   const RankPromotionConfig cases[] = {
       RankPromotionConfig::None(),
       RankPromotionConfig::Uniform(0.25, 1),
@@ -75,9 +86,10 @@ TEST(RankPromotionConfigTest, ParseLabelRoundTripsEveryRule) {
       RankPromotionConfig::FixedPosition(21),
   };
   for (const RankPromotionConfig& original : cases) {
-    RankPromotionConfig parsed;
-    ASSERT_TRUE(RankPromotionConfig::ParseLabel(original.Label(), &parsed))
-        << original.Label();
+    const auto policy = MakePolicyFromLabel(original.Label());
+    const PromotionPolicy* promotion = AsPromotion(policy);
+    ASSERT_NE(promotion, nullptr) << original.Label();
+    const RankPromotionConfig& parsed = promotion->config();
     EXPECT_EQ(parsed.rule, original.rule) << original.Label();
     EXPECT_DOUBLE_EQ(parsed.r, original.r) << original.Label();
     EXPECT_EQ(parsed.k, original.k) << original.Label();
@@ -86,16 +98,12 @@ TEST(RankPromotionConfigTest, ParseLabelRoundTripsEveryRule) {
   }
 }
 
-TEST(RankPromotionConfigTest, ParseLabelRejectsMalformedStrings) {
-  RankPromotionConfig out = RankPromotionConfig::Selective(0.5, 3);
-  const RankPromotionConfig untouched = out;
+TEST(RankPromotionConfigTest, LabelReaderRejectsMalformedStrings) {
   for (const char* bad :
        {"", "nonsense", "selective", "selective(r=0.10)",
         "selective(r=0.10,k=2)x", "uniform(r=1.50,k=1)", "uniform(r=0.10,k=0)",
         "plackett-luce(T=0.25)"}) {
-    EXPECT_FALSE(RankPromotionConfig::ParseLabel(bad, &out)) << bad;
-    EXPECT_EQ(out.rule, untouched.rule) << bad;  // failure leaves out alone
-    EXPECT_EQ(out.k, untouched.k) << bad;
+    EXPECT_EQ(AsPromotion(MakePolicyFromLabel(bad)), nullptr) << bad;
   }
 }
 

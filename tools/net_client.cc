@@ -25,7 +25,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "net/client.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -59,15 +59,12 @@ struct Counts {
 // flag error rather than a silent wrap.
 uint64_t ParseU64(const char* s, const char* flag, uint64_t min = 0,
                   uint64_t max = std::numeric_limits<uint64_t>::max()) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' ||
-      errno == ERANGE || v < min || v > max) {
+  uint64_t v = 0;
+  if (!randrank::ParseU64(s, &v) || v < min || v > max) {
     std::cerr << "net_client: bad value for " << flag << ": " << s << "\n";
     std::exit(2);
   }
-  return static_cast<uint64_t>(v);
+  return v;
 }
 
 // xorshift-style per-process user id stream; no repo deps in the child.

@@ -23,8 +23,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -43,6 +41,7 @@
 #include "obs/trace.h"
 #include "serve/feedback.h"
 #include "serve/sharded_rank_server.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -58,15 +57,12 @@ void OnSignal(int /*sig*/) { g_stop = 1; }
 // flag error rather than a silent wrap.
 uint64_t ParseU64(const char* s, const char* flag, uint64_t min = 0,
                   uint64_t max = std::numeric_limits<uint64_t>::max()) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' ||
-      errno == ERANGE || v < min || v > max) {
+  uint64_t v = 0;
+  if (!randrank::ParseU64(s, &v) || v < min || v > max) {
     std::cerr << "randrankd: bad value for " << flag << ": " << s << "\n";
     std::exit(2);
   }
-  return static_cast<uint64_t>(v);
+  return v;
 }
 
 void Usage() {
